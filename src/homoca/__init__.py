@@ -11,10 +11,12 @@ from .automata import (
     SemiCellularAutomaton,
     essential_neighborhood,
     is_cellular,
+    iterate,
     observe,
     rotate_local,
     shift,
     step,
+    step_batch,
     step_via_origin,
 )
 from .catalog import (

@@ -9,7 +9,6 @@ is indexed by their mixed-radix packing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -179,9 +178,45 @@ def observe(ca: SemiCellularAutomaton, config: Sequence[int], m: int) -> tuple[i
     return tuple(config[c] for c in ca.neighbor_cells[m])
 
 
+def step_batch(ca: SemiCellularAutomaton, configs) -> np.ndarray:
+    """The global step of every row of configs[N, cells], as an [N, cells]
+    array: each cell's local configuration is gathered through the
+    semi-action table, packed, and looked up in the rule table."""
+    return _apply(ca, _checked_configs(ca, configs))
+
+
 def step(ca: SemiCellularAutomaton, config: Sequence[int]) -> tuple[int, ...]:
-    _check_config(ca, config)
-    return tuple(ca.rule[encode(observe(ca, config, m), ca.states)] for m in range(ca.space.cells))
+    return tuple(step_batch(ca, [config])[0].tolist())
+
+
+def iterate(ca: SemiCellularAutomaton, config: Sequence[int], steps: int) -> np.ndarray:
+    """The trace config, step(config), ..., as steps + 1 rows."""
+    trace = np.empty((max(steps, 0) + 1, ca.space.cells), dtype=np.int64)
+    trace[0] = _checked_configs(ca, [config])[0]
+    for t in range(steps):
+        trace[t + 1 : t + 2] = _apply(ca, trace[t : t + 1])
+    return trace
+
+
+def _apply(ca: SemiCellularAutomaton, configs: np.ndarray) -> np.ndarray:
+    return ca.rule_array[configs[:, ca.neighbor_cells] @ weights(ca.states, ca.arity)]
+
+
+def _checked_configs(ca: SemiCellularAutomaton, configs) -> np.ndarray:
+    try:
+        configs = np.asarray(configs)
+    except ValueError:
+        raise InputError("configurations must all have the same number of cells")
+    if configs.ndim != 2:
+        raise InputError(f"expected a 2-d array of configurations, got {configs.ndim} dimensions")
+    if configs.shape[1] != ca.space.cells:
+        raise InputError(f"configuration has {configs.shape[1]} cells, expected {ca.space.cells}")
+    if configs.dtype.kind not in "biu":
+        raise InputError(f"states must be integers below {ca.states}")
+    bad = (configs < 0) | (configs >= ca.states)
+    if bad.any():
+        raise InputError(f"state {configs[bad][0]} out of range")
+    return configs
 
 
 def step_via_origin(ca: SemiCellularAutomaton, config: Sequence[int]) -> tuple[int, ...]:

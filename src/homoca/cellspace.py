@@ -22,7 +22,6 @@ import numpy as np
 from .errors import InputError
 from .groups import (
     Coset,
-    FiniteGroup,
     LeftAction,
     Subgroup,
     coset_representatives,
@@ -57,10 +56,14 @@ class CoordinateSystem:
 
 
 def build_coordinate_system(action: LeftAction, origin: int = 0) -> CoordinateSystem:
-    """Default coordinates: the minimum transporter element per cell."""
+    """Default coordinates: the identity at the origin, and the minimum
+    transporter element at every other cell."""
     if not is_transitive(action):
         raise InputError("action is not transitive; cells would be unreachable")
-    coords = tuple(min(transporter(action, origin, m)) for m in range(action.points))
+    coords = tuple(
+        action.group.identity if m == origin else min(transporter(action, origin, m))
+        for m in range(action.points)
+    )
     return CoordinateSystem(action, origin, coords)
 
 

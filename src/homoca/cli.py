@@ -26,16 +26,16 @@ from .automata import (
     SemiCellularAutomaton,
     closed_neighborhood,
     is_cellular,
+    iterate,
     step,
     subgroup_or_whole,
 )
 from .catalog import coordinate_system_variants
-from .cellspace import CellSpace, CoordinateSystem, build_coordinate_system
-from .encoding import decode, encode
+from .cellspace import CellSpace, CoordinateSystem
+from .encoding import decode
 from .errors import BoundError, EquivarianceError, InputError
 from .groups import (
     FiniteGroup,
-    LeftAction,
     Subgroup,
     orbit,
     verify_action,
@@ -47,7 +47,6 @@ from .laws import (
     NotInvertible,
     change_coordinates,
     check_determination,
-    check_equivariance,
     check_invariance_equivalence,
     compose,
     config_count,
@@ -63,12 +62,10 @@ from .serialize import (
     load_automaton,
     load_global_map,
     load_group,
-    load_space,
     write_json,
 )
 from .uniformity import (
     RELATION_UNIVERSE_BOUND,
-    agreement_relation,
     check_uniform_continuity,
     check_uniform_isomorphism,
     check_uniformity_base,
@@ -270,7 +267,9 @@ def _validate_automaton_dict(data, base) -> list[Verdict]:
         if not 0 <= g < space.group.order:
             raise InputError(f"neighborhood representative {g} out of range")
         indices.append(space.coset_index(g))
-    given = tuple(sorted(set(indices)))
+    if len(set(indices)) != len(indices):
+        raise InputError("neighborhood representatives name the same coset twice")
+    given = tuple(sorted(indices))
     closed = closed_neighborhood(space, given)
     if closed != given:
         missing = sorted(set(closed) - set(given))
@@ -312,18 +311,13 @@ def cmd_run(args) -> int:
         config = tuple(int(x) for x in args.config.split(","))
     except ValueError:
         raise InputError(f"cannot parse configuration {args.config!r}")
-    if len(config) != ca.space.cells:
-        raise InputError(f"configuration has {len(config)} cells, expected {ca.space.cells}")
-    trace = [config]
-    for _ in range(args.steps):
-        trace.append(step(ca, trace[-1]))
-    for c in trace:
-        sys.stdout.write(",".join(str(x) for x in c) + "\n")
+    trace = iterate(ca, config, args.steps).tolist()
+    sys.stdout.write("".join(",".join(map(str, c)) + "\n" for c in trace))
     if args.out:
         report = RunReport(
             "run",
             _input_record({"automaton": args.automaton}),
-            extra={"trace": [list(c) for c in trace], "steps": args.steps},
+            extra={"trace": trace, "steps": args.steps},
         )
         with open(args.out, "w") as fh:
             fh.write(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
@@ -379,7 +373,7 @@ def _suite_coordinate_independence(ca, sub, seed) -> dict:
 
 
 def _suite_equivalence(ca, sub, seed) -> dict:
-    return {"verdicts": [check_invariance_equivalence(ca, sub).as_dict()]}
+    return {"verdicts": [check_invariance_equivalence(ca, sub, seed=seed).as_dict()]}
 
 
 def _suite_determination(ca, sub, seed) -> dict:
@@ -466,7 +460,7 @@ def _suite_chl(ca, sub, seed) -> dict:
 
 def _suite_invertibility(ca, sub, seed) -> dict:
     try:
-        result = invert(ca, sub)
+        result = invert(ca, sub, seed=seed)
     except InputError as e:
         return {
             "verdicts": [
@@ -493,6 +487,9 @@ def _suite_invertibility(ca, sub, seed) -> dict:
 def _suite_uniformity(ca, sub, seed) -> dict:
     space = ca.space
     total = config_count(space, ca.states)
+    if total > CONFIG_TABLE_BOUND:
+        # continuity and isomorphism read the global table
+        return {"bound_exceeded": "global tables beyond the exhaustive bound", "verdicts": []}
     out: dict = {"verdicts": []}
     verdicts = []
 
@@ -537,7 +534,7 @@ def _suite_uniformity(ca, sub, seed) -> dict:
 
     if is_cellular(ca, sub).ok:
         iso = check_uniform_isomorphism(gm)
-        result = invert(ca, sub)
+        result = invert(ca, sub, seed=seed)
         invertible = not isinstance(result, NotInvertible)
         verdicts.append(
             Verdict(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -246,14 +246,6 @@ def orbit(action: LeftAction, m: int) -> tuple[int, ...]:
 
 def is_transitive(action: LeftAction) -> bool:
     return len(orbit(action, 0)) == action.points
-
-
-def is_free(action: LeftAction) -> bool:
-    e = action.group.identity
-    return all(
-        len(stabilizer(action, m).members) == 1 and stabilizer(action, m).members[0] == e
-        for m in range(action.points)
-    )
 
 
 def stabilizer(action: LeftAction, m: int) -> Subgroup:

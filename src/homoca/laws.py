@@ -2,16 +2,16 @@
 
 Global maps are memoized into full lookup tables over packed
 configurations whenever states**cells stays within CONFIG_TABLE_BOUND;
-beyond that only sampling-based checks remain available and their
-verdicts say so.
+beyond that a map keeps its automaton, only sampling-based checks remain
+available and their verdicts say so.  Every rule application goes
+through `step_batch`, in chunks of at most GATHER_ROWS configurations.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from .automata import (
     closed_neighborhood,
     configuration_observing,
     is_cellular,
-    shift,
     step,
+    step_batch,
     subgroup_or_whole,
 )
 from .cellspace import CellSpace, CoordinateSystem
@@ -34,6 +34,9 @@ from .verdict import Verdict
 CONFIG_TABLE_BOUND = 1 << 16
 SAMPLE_COUNT = 1024
 SAMPLE_SEED = 0
+# configurations per step_batch call when tabling or sampling; bounds the
+# (rows, cells, arity) gather and so the peak memory of those loops
+GATHER_ROWS = 512
 
 
 def config_count(space: CellSpace, states: int) -> int:
@@ -47,32 +50,46 @@ def global_table(ca: SemiCellularAutomaton) -> np.ndarray:
     if config_count(space, q) > CONFIG_TABLE_BOUND:
         raise BoundError(f"{q}**{space.cells} configurations exceed the table bound")
     digits = digit_matrix(q, space.cells)
-    observed = digits[:, ca.neighbor_cells]  # (configs, cells, arity)
-    local_codes = observed.astype(np.int64) @ weights(q, ca.arity)
-    next_digits = ca.rule_array[local_codes]
-    return next_digits @ weights(q, space.cells)
+    w = weights(q, space.cells)
+    table = np.empty(len(digits), dtype=np.int64)
+    for start in range(0, len(digits), GATHER_ROWS):
+        rows = slice(start, start + GATHER_ROWS)
+        table[rows] = step_batch(ca, digits[rows]) @ w
+    return table
+
+
+def shift_cells(space: CellSpace, members: Sequence[int]) -> np.ndarray:
+    """Row k: the cell each cell reads when translating by members[k], so
+    config[..., rows[k]] is the shift of config by members[k]."""
+    act, inv = space.action.act, space.group.inv
+    return np.array([act[inv[g]] for g in members], dtype=np.int64)
 
 
 def shift_code_permutation(space: CellSpace, g: int, states: int) -> np.ndarray:
     """Translation by g as a permutation of packed configurations."""
-    ginv = space.group.inv[g]
-    cell_perm = np.array([space.action.act[ginv][m] for m in range(space.cells)])
+    cell_perm = shift_cells(space, [g])[0]
     digits = digit_matrix(states, space.cells)
     return digits[:, cell_perm].astype(np.int64) @ weights(states, space.cells)
 
 
 class GlobalMap:
-    """A function on configurations, as a table or a fallback callable."""
+    """A function on configurations: a table, or past the table bound the
+    automaton whose step it is."""
 
     def __init__(
         self,
         space: CellSpace,
         states: int,
         table: Optional[np.ndarray] = None,
-        fn: Optional[Callable[[tuple[int, ...]], tuple[int, ...]]] = None,
+        automaton: Optional[SemiCellularAutomaton] = None,
     ):
-        if table is None and fn is None:
-            raise InputError("need a table or a callable")
+        if (table is None) == (automaton is None):
+            raise InputError("need exactly one of a table and an automaton")
+        if automaton is not None:
+            if automaton.space is not space and automaton.space.system != space.system:
+                raise InputError("automaton lives on a different cell space")
+            if automaton.states != states:
+                raise InputError("state counts differ")
         if table is not None:
             table = np.asarray(table, dtype=np.int64)
             expected = config_count(space, states)
@@ -83,13 +100,13 @@ class GlobalMap:
         self.space = space
         self.states = states
         self._table = table
-        self._fn = fn
+        self.automaton = automaton
 
     @classmethod
     def from_automaton(cls, ca: SemiCellularAutomaton) -> "GlobalMap":
         if config_count(ca.space, ca.states) <= CONFIG_TABLE_BOUND:
             return cls(ca.space, ca.states, table=global_table(ca))
-        return cls(ca.space, ca.states, fn=lambda c: step(ca, c))
+        return cls(ca.space, ca.states, automaton=ca)
 
     @classmethod
     def from_table(cls, space: CellSpace, states: int, table) -> "GlobalMap":
@@ -109,13 +126,13 @@ class GlobalMap:
         if self._table is not None:
             code = encode(config, self.states)
             return decode(int(self._table[code]), self.states, self.space.cells)
-        return self._fn(tuple(config))
+        return step(self.automaton, config)
 
     def apply_code(self, code: int) -> int:
         if self._table is not None:
             return int(self._table[code])
         config = decode(code, self.states, self.space.cells)
-        return encode(self._fn(config), self.states)
+        return encode(step(self.automaton, config), self.states)
 
 
 def check_equivariance(
@@ -150,35 +167,44 @@ def check_equivariance(
                 )
         return Verdict.passing("shift-equivariance")
 
+    # per chunk of samples, one step_batch call steps the samples and all
+    # their shifts; the first mismatch in sample-major, scope order wins
     rng = random.Random(seed)
     total = config_count(space, q)
-    for _ in range(samples):
-        config = decode(rng.randrange(total), q, space.cells)
-        image = gm.apply(config)
-        for h in sub.members:
-            left = gm.apply(shift(space, h, config))
-            right = shift(space, h, image)
-            if left != right:
-                return Verdict.failing(
-                    "shift-equivariance",
-                    {
-                        "element": int(h),
-                        "config": list(config),
-                        "map_then_shift": list(right),
-                        "shift_then_map": list(left),
-                    },
-                    sampled=True,
-                )
+    members = sub.members
+    perms = shift_cells(space, members)
+    chunk = max(1, GATHER_ROWS // (1 + len(members)))
+    for start in range(0, samples, chunk):
+        count = min(chunk, samples - start)
+        configs = np.array([decode(rng.randrange(total), q, space.cells) for _ in range(count)])
+        shifted = configs[:, perms]  # (count, members, cells)
+        stepped = step_batch(gm.automaton, np.concatenate([configs, shifted.reshape(-1, space.cells)]))
+        images = stepped[:count]
+        left = stepped[count:].reshape(shifted.shape)
+        right = images[:, perms]
+        bad = np.flatnonzero((left != right).any(axis=2))
+        if bad.size:
+            i, k = divmod(int(bad[0]), len(members))
+            return Verdict.failing(
+                "shift-equivariance",
+                {
+                    "element": int(members[k]),
+                    "config": configs[i].tolist(),
+                    "map_then_shift": right[i, k].tolist(),
+                    "shift_then_map": left[i, k].tolist(),
+                },
+                sampled=True,
+            )
     return Verdict.passing("shift-equivariance", sampled=True)
 
 
 def check_invariance_equivalence(
-    ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None
+    ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None, seed: int = SAMPLE_SEED
 ) -> Verdict:
     """Rotation invariance of the rule and shift equivariance of the step
     hold or fail together; the verdict records both sides."""
     local = is_cellular(ca, subgroup)
-    glob = check_equivariance(GlobalMap.from_automaton(ca), subgroup)
+    glob = check_equivariance(GlobalMap.from_automaton(ca), subgroup, seed=seed)
     agree = local.ok == glob.ok
     witness = {
         "rule_invariant": local.ok,
@@ -403,7 +429,7 @@ class NotInvertible:
 
 
 def invert(
-    ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None
+    ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None, seed: int = SAMPLE_SEED
 ) -> Union[SemiCellularAutomaton, NotInvertible]:
     """An automaton stepping backwards, or the reason there is none.
 
@@ -421,17 +447,14 @@ def invert(
     q = ca.states
     total = config_count(space, q)
     if total > CONFIG_TABLE_BOUND:
-        rng = random.Random(SAMPLE_SEED)
-        seen: dict[int, tuple[int, ...]] = {}
-        for _ in range(SAMPLE_COUNT):
-            config = decode(rng.randrange(total), q, space.cells)
-            image = encode(step(ca, config), q)
+        rng = random.Random(seed)
+        configs = [decode(rng.randrange(total), q, space.cells) for _ in range(SAMPLE_COUNT)]
+        images = step_batch(ca, configs).tolist()
+        seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for config, image in zip(configs, map(tuple, images)):
             if image in seen and seen[image] != config:
                 return NotInvertible(
-                    {
-                        "colliding": [list(seen[image]), list(config)],
-                        "image": list(decode(image, q, space.cells)),
-                    },
+                    {"colliding": [list(seen[image]), list(config)], "image": list(image)},
                     sampled=True,
                 )
             seen[image] = config

@@ -7,7 +7,7 @@ embed them in reports unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 
@@ -33,10 +33,3 @@ class Verdict:
         if self.sampled:
             d["sampled"] = True
         return d
-
-
-def first_failure(verdicts: list[Verdict]) -> Optional[Verdict]:
-    for v in verdicts:
-        if not v.ok:
-            return v
-    return None

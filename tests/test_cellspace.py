@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from homoca.catalog import bundled_spaces
+from homoca.catalog import bundled_spaces, group_from_permutations
 from homoca.cellspace import (
     CellSpace,
     CoordinateSystem,
@@ -18,7 +18,7 @@ from homoca.cellspace import (
     semi_act,
 )
 from homoca.errors import InputError
-from homoca.groups import transporter
+from homoca.groups import FiniteGroup, LeftAction, transporter
 
 SPACE_NAMES = ("cyclic4", "square", "cube", "torus")
 
@@ -41,6 +41,37 @@ def test_every_origin_admits_default_coordinates(name, spaces):
         assert system.coords[origin] == action.group.identity
         for m, g in enumerate(system.coords):
             assert action.act[g][origin] == m
+
+
+def _relabelled(action, labels):
+    """The same action with element g renamed labels[g]."""
+    n = action.group.order
+    mul = [[0] * n for _ in range(n)]
+    act = [None] * n
+    for a in range(n):
+        act[labels[a]] = action.act[a]
+        for b in range(n):
+            mul[labels[a]][labels[b]] = labels[action.group.mul[a][b]]
+    group = FiniteGroup(n, tuple(map(tuple, mul)), labels[action.group.identity])
+    return LeftAction(group, action.points, tuple(act))
+
+
+@pytest.mark.parametrize("points", [3, 4])
+def test_default_coordinates_put_the_identity_at_the_origin_of_a_relabelled_group(points):
+    cycle = tuple(range(1, points)) + (0,)
+    swap = (1, 0) + tuple(range(2, points))
+    base = group_from_permutations([cycle, swap])
+    # reverse the labels: the identity (label 0 before) gets the largest one
+    order = base.group.order
+    action = _relabelled(base, [order - 1 - g for g in range(order)])
+    assert action.group.identity == order - 1
+    for origin in range(points):
+        system = build_coordinate_system(action, origin)
+        assert system.coords[origin] == action.group.identity
+        for m, g in enumerate(system.coords):
+            if m != origin:
+                assert g == min(transporter(action, origin, m))
+        assert CellSpace.default(action, origin).coords == system.coords
 
 
 def test_bad_coordinate_systems_are_rejected(spaces):

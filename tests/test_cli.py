@@ -1,12 +1,15 @@
 """Command-line behavior: exit codes, report structure, determinism."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from homoca.automata import shift, step_via_origin
+from homoca.catalog import random_rule_automaton
 from homoca.cli import EXIT_BOUND, EXIT_INPUT, EXIT_PASS, EXIT_VIOLATION, main
-from homoca.serialize import load_automaton
+from homoca.serialize import dump_automaton, load_automaton, write_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -75,6 +78,19 @@ def test_validate_missing_file_is_an_input_error(capsys):
     assert code == EXIT_INPUT
 
 
+def test_validate_and_run_agree_on_a_coset_named_twice(capsys, tmp_path):
+    ca = load_automaton(fx("square_identity.json"))
+    space = ca.space
+    # the identity and another stabilizer element name the same coset
+    other = next(h for h in space.stabilizer.members if h != space.group.identity)
+    path = tmp_path / "dup.json"
+    write_json(path, {"space": fx("square_space.json"), "states": 2, "neighborhood": [0, other], "delta": [0, 1]})
+    code, out = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    code, _ = run_cli(capsys, "run", str(path), "--config", "1,0,0,0")
+    assert code == EXIT_INPUT
+
+
 # --------------------------------------------------------------------- run
 
 
@@ -95,6 +111,13 @@ def test_run_rejects_malformed_configurations(capsys):
     assert code == EXIT_INPUT
     code, _ = run_cli(capsys, "run", fx("cyclic4_shift.json"), "--config", "1,0,0,9")
     assert code == EXIT_INPUT
+
+
+def test_run_validates_the_configuration_even_without_steps(capsys):
+    code, _ = run_cli(capsys, "run", fx("cyclic4_shift.json"), "--config", "1,0,0,9", "--steps", "0")
+    assert code == EXIT_INPUT
+    code, out = run_cli(capsys, "run", fx("cyclic4_shift.json"), "--config", "1,0,0,1", "--steps", "0")
+    assert (code, out) == (EXIT_PASS, "1,0,0,1\n")
 
 
 def test_run_writes_a_trace_report(capsys, tmp_path):
@@ -260,3 +283,49 @@ def test_out_flag_duplicates_stdout(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     _, out = run_cli(capsys, "laws", fx("cyclic4_shift.json"), "--suite", "chl", "--out", str(out_path))
     assert out_path.read_text() == out
+
+
+# ----------------------------------------------------- past the table bound
+
+
+def _torus3_file(tmp_path, seed, symmetrize):
+    torus_or = load_automaton(fx("torus_or.json"))
+    rng = random.Random(seed)
+    ca = random_rule_automaton(torus_or.space, torus_or.neighborhood, 3, rng, symmetrize=symmetrize)
+    path = tmp_path / f"torus3_{seed}_{symmetrize}.json"
+    write_json(path, dump_automaton(ca))
+    return ca, str(path)
+
+
+def test_laws_seed_reaches_the_sampled_equivalence_check(capsys, tmp_path):
+    ca, path = _torus3_file(tmp_path, 1, symmetrize=False)
+    witnesses = []
+    for seed in ("1", "2"):
+        code, out = run_cli(capsys, "laws", path, "--suite", "equivalence", "--seed", seed)
+        report = report_of(out)
+        assert report["seed"] == int(seed)
+        verdict = report["suites"]["equivalence"]["verdicts"][0]
+        assert verdict["ok"] and verdict["sampled"] and code == EXIT_BOUND
+        w = verdict["witness"]["step_side"]["witness"]
+        config = tuple(w["config"])
+        moved = shift(ca.space, w["element"], config)
+        assert step_via_origin(ca, moved) == tuple(w["shift_then_map"])
+        assert shift(ca.space, w["element"], step_via_origin(ca, config)) == tuple(w["map_then_shift"])
+        assert w["shift_then_map"] != w["map_then_shift"]
+        witnesses.append(w)
+    assert witnesses[0] != witnesses[1]
+
+
+@pytest.mark.parametrize("symmetrize, expected", [(True, EXIT_BOUND), (False, EXIT_VIOLATION)])
+def test_laws_with_all_suites_past_the_bound_keeps_its_report(capsys, tmp_path, symmetrize, expected):
+    _, path = _torus3_file(tmp_path, 3, symmetrize)
+    code, out = run_cli(capsys, "laws", path)
+    report = report_of(out)
+    assert sorted(report["suites"]) == sorted(
+        ["coordinate-independence", "equivalence", "determination", "composition", "chl", "invertibility", "uniformity"]
+    )
+    assert report["suites"]["uniformity"] == {
+        "bound_exceeded": "global tables beyond the exhaustive bound",
+        "verdicts": [],
+    }
+    assert code == expected

@@ -105,11 +105,11 @@ def test_global_map_validates_tables(spaces):
     with pytest.raises(InputError):
         GlobalMap.from_table(space, 2, [99] * 16)  # entries out of range
     with pytest.raises(InputError):
-        GlobalMap(space, 2)  # neither table nor callable
+        GlobalMap(space, 2)  # neither table nor automaton
 
 
 def test_unmemoized_map_reports_its_bound(spaces):
-    gm = GlobalMap(spaces["cyclic4"], 2, fn=lambda c: c)
+    gm = GlobalMap(spaces["cyclic4"], 2, automaton=identity_automaton(spaces["cyclic4"]))
     assert not gm.exhaustive
     with pytest.raises(BoundError):
         gm.table
@@ -140,7 +140,7 @@ def test_a_doctored_table_fails_equivariance_with_a_usable_witness(automata):
 
 def test_equivariance_of_a_callable_map_is_sampled(automata):
     ca = automata["cyclic4_shift"]
-    gm = GlobalMap(ca.space, 2, fn=lambda c: step(ca, c))
+    gm = GlobalMap(ca.space, 2, automaton=ca)
     verdict = check_equivariance(gm, samples=64, seed=5)
     assert verdict.ok
     assert verdict.sampled
