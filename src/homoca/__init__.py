@@ -45,7 +45,7 @@ from .cellspace import (
     identify,
     semi_act,
 )
-from .errors import BoundError, EquivarianceError, InputError
+from .errors import BoundError, EquivarianceError, InputError, LawError
 from .groups import (
     Coset,
     FiniteGroup,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cellspace import CellSpace
 from .encoding import decode, digit_matrix, encode, weights
-from .errors import BoundError, InputError
+from .errors import BoundError, InputError, LawError
 from .groups import Coset, Subgroup
 from .verdict import Verdict
 
@@ -51,8 +51,11 @@ class SemiCellularAutomaton:
         closed = closed_neighborhood(space, neighborhood)
         if closed != neighborhood:
             missing = sorted(set(closed) - set(neighborhood))
-            raise InputError(
-                f"neighborhood not stabilizer-closed, missing coset indices {missing}"
+            raise LawError(
+                Verdict.failing(
+                    "neighborhood-closed",
+                    {"missing_representatives": [space.coset_reps[j] for j in missing]},
+                )
             )
         if states ** len(neighborhood) > MAX_RULE_TABLE:
             raise BoundError(

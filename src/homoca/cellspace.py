@@ -19,13 +19,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, LawError
 from .groups import (
     Coset,
     LeftAction,
     Subgroup,
     coset_representatives,
-    is_transitive,
+    require_transitive,
     stabilizer,
     transporter,
 )
@@ -42,26 +42,35 @@ class CoordinateSystem:
         act = self.action
         if not 0 <= self.origin < act.points:
             raise InputError(f"origin {self.origin} out of range")
+        require_transitive(act, self.origin)
         coords = tuple(int(g) for g in self.coords)
         if len(coords) != act.points:
             raise InputError(f"need one coordinate per cell, got {len(coords)}")
         object.__setattr__(self, "coords", coords)
         if coords[self.origin] != act.group.identity:
-            raise InputError("origin coordinate must be the identity")
+            witness = {"origin": self.origin, "coord": coords[self.origin]}
+            raise LawError(Verdict.failing("coordinate-origin-identity", witness))
         for m, g in enumerate(coords):
             if not 0 <= g < act.group.order:
                 raise InputError(f"coordinate {g} of cell {m} out of range")
             if act.act[g][self.origin] != m:
-                raise InputError(f"coordinate {g} does not carry origin to cell {m}")
+                raise LawError(
+                    Verdict.failing(
+                        "coordinate-transport",
+                        {"cell": m, "coord": g, "lands_on": act.act[g][self.origin]},
+                    )
+                )
 
 
 def build_coordinate_system(action: LeftAction, origin: int = 0) -> CoordinateSystem:
     """Default coordinates: the identity at the origin, and the minimum
-    transporter element at every other cell."""
-    if not is_transitive(action):
-        raise InputError("action is not transitive; cells would be unreachable")
+    transporter element at every other cell.  A cell no element reaches
+    gets the identity, and CoordinateSystem then refuses the action as
+    not transitive."""
     coords = tuple(
-        action.group.identity if m == origin else min(transporter(action, origin, m))
+        action.group.identity
+        if m == origin
+        else min(transporter(action, origin, m), default=action.group.identity)
         for m in range(action.points)
     )
     return CoordinateSystem(action, origin, coords)

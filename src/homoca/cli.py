@@ -22,25 +22,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .automata import (
-    SemiCellularAutomaton,
-    closed_neighborhood,
-    is_cellular,
-    iterate,
-    step,
-    subgroup_or_whole,
-)
+from .automata import SemiCellularAutomaton, is_cellular, iterate, step, subgroup_or_whole
 from .catalog import coordinate_system_variants
-from .cellspace import CellSpace, CoordinateSystem
 from .encoding import decode
-from .errors import BoundError, EquivarianceError, InputError
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    orbit,
-    verify_action,
-    verify_group,
-)
+from .errors import BoundError, EquivarianceError, InputError, LawError
+from .groups import FiniteGroup, Subgroup, verify_action, verify_group
 from .laws import (
     CONFIG_TABLE_BOUND,
     GlobalMap,
@@ -55,13 +41,17 @@ from .laws import (
     invert,
 )
 from .serialize import (
+    _nested,
     _resolve,
+    automaton_on,
     detect_kind,
     dump_automaton,
+    global_map_on,
     load_action,
     load_automaton,
     load_global_map,
     load_group,
+    space_on,
     write_json,
 )
 from .uniformity import (
@@ -73,16 +63,6 @@ from .uniformity import (
     prodiscrete_base,
 )
 from .verdict import Verdict
-
-SUITES = (
-    "coordinate-independence",
-    "equivalence",
-    "determination",
-    "composition",
-    "chl",
-    "invertibility",
-    "uniformity",
-)
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -182,114 +162,47 @@ def _finish(report: RunReport, args, *, expected_fail: bool = False, out: str | 
 # ------------------------------------------------------------- validate
 
 
+# the structural laws the loader stages raise as LawError, in the order they
+# are checked; the origin's identity coordinate is checked with the transport
+# law and has no passing verdict of its own
+STRUCTURAL_LAWS = ("action-transitive", "coordinate-transport", "neighborhood-closed")
+
+
+def _checked_before(law: str) -> tuple[str, ...]:
+    if law == "coordinate-origin-identity":
+        law = "coordinate-transport"
+    return STRUCTURAL_LAWS[: STRUCTURAL_LAWS.index(law)]
+
+
 def validate_source(path: str) -> tuple[str, list[Verdict]]:
+    """Check the group and action axioms, then run the loader stages that
+    every other subcommand runs, reporting a refused law as its verdict."""
     data, base = _resolve(path, None)
     kind = detect_kind(data)
-    verdicts: list[Verdict] = []
     if kind == "group":
-        verdicts.append(verify_group(load_group(data, base)))
-    elif kind == "action":
+        return kind, [verify_group(load_group(data, base))]
+    if kind == "action":
         action = load_action(data, base)
-        verdicts.append(verify_group(action.group))
-        verdicts.append(verify_action(action))
-    elif kind == "space":
-        verdicts.extend(_validate_space_dict(data, base)[1])
-    elif kind == "automaton":
-        verdicts.extend(_validate_automaton_dict(data, base))
-    elif kind == "global-map":
-        if "space" not in data:
-            raise InputError("global-map file is missing the 'space' field")
-        space, vs = _validate_space_dict(data["space"], base)
-        verdicts.extend(vs)
-        if space is not None:
-            load_global_map(data, base)  # shape errors raise InputError
-    return kind, verdicts
-
-
-def _validate_space_dict(data, base) -> tuple[Optional[CellSpace], list[Verdict]]:
-    data, base = _resolve(data, base)
-    action = load_action(data["action"], base) if "action" in data else None
-    if action is None:
-        raise InputError("cell-space file is missing the 'action' field")
+        return kind, [verify_group(action.group), verify_action(action)]
+    if kind == "space":
+        space_data, space_base = data, base
+    else:
+        space_data, space_base = _nested(data, "space", f"{kind} file", base)
+    action = load_action(*_nested(space_data, "action", "cell-space file", space_base))
     verdicts = [verify_group(action.group), verify_action(action)]
     if not all(v.ok for v in verdicts):
-        return None, verdicts
-    origin = int(data.get("origin", 0))
-    if not 0 <= origin < action.points:
-        raise InputError(f"origin {origin} out of range")
-    if len(orbit(action, origin)) != action.points:
-        verdicts.append(
-            Verdict.failing("action-transitive", {"origin": origin, "orbit": list(orbit(action, origin))})
-        )
-        return None, verdicts
-    verdicts.append(Verdict.passing("action-transitive"))
-    coords = data.get("coords")
-    if coords is None:
-        space = CellSpace.default(action, origin)
-        verdicts.append(Verdict.passing("coordinate-transport"))
-        return space, verdicts
-    coords = tuple(int(g) for g in coords)
-    if len(coords) != action.points:
-        raise InputError(f"need one coordinate per cell, got {len(coords)}")
-    if coords[origin] != action.group.identity:
-        verdicts.append(
-            Verdict.failing("coordinate-origin-identity", {"origin": origin, "coord": coords[origin]})
-        )
-        return None, verdicts
-    for m, g in enumerate(coords):
-        if not 0 <= g < action.group.order:
-            raise InputError(f"coordinate {g} of cell {m} out of range")
-        if action.act[g][origin] != m:
-            verdicts.append(
-                Verdict.failing(
-                    "coordinate-transport",
-                    {"cell": m, "coord": g, "lands_on": action.act[g][origin]},
-                )
-            )
-            return None, verdicts
-    verdicts.append(Verdict.passing("coordinate-transport"))
-    return CellSpace(CoordinateSystem(action, origin, coords)), verdicts
-
-
-def _validate_automaton_dict(data, base) -> list[Verdict]:
-    space, verdicts = _validate_space_dict(data["space"], base)
-    if space is None:
-        return verdicts
-    states = int(data.get("states", 0))
-    if states < 1:
-        raise InputError("automaton needs at least one state")
-    reps = data.get("neighborhood")
-    if reps is None:
-        raise InputError("automaton file is missing the 'neighborhood' field")
-    indices = []
-    for g in reps:
-        g = int(g)
-        if not 0 <= g < space.group.order:
-            raise InputError(f"neighborhood representative {g} out of range")
-        indices.append(space.coset_index(g))
-    if len(set(indices)) != len(indices):
-        raise InputError("neighborhood representatives name the same coset twice")
-    given = tuple(sorted(indices))
-    closed = closed_neighborhood(space, given)
-    if closed != given:
-        missing = sorted(set(closed) - set(given))
-        verdicts.append(
-            Verdict.failing(
-                "neighborhood-closed",
-                {"missing_representatives": [space.coset_reps[j] for j in missing]},
-            )
-        )
-        return verdicts
-    verdicts.append(Verdict.passing("neighborhood-closed"))
-    rule = data.get("delta")
-    if rule is None:
-        raise InputError("automaton file is missing the 'delta' field")
-    if len(rule) != states ** len(given):
-        raise InputError(f"rule table has {len(rule)} entries, expected {states ** len(given)}")
-    for x in rule:
-        if not 0 <= int(x) < states:
-            raise InputError(f"rule output {x} out of range")
-    return verdicts
+        return kind, verdicts
+    try:
+        space = space_on(action, space_data)
+        if kind == "automaton":
+            automaton_on(space, data)
+        elif kind == "global-map":
+            global_map_on(space, data)
+    except LawError as e:
+        passed = _checked_before(e.verdict.law)
+        return kind, verdicts + [Verdict.passing(law) for law in passed] + [e.verdict]
+    passed = STRUCTURAL_LAWS if kind == "automaton" else STRUCTURAL_LAWS[:2]
+    return kind, verdicts + [Verdict.passing(law) for law in passed]
 
 
 def cmd_validate(args) -> int:
@@ -329,15 +242,6 @@ def cmd_run(args) -> int:
 
 def _suite_coordinate_independence(ca, sub, seed) -> dict:
     out = {"verdicts": []}
-    inv = is_cellular(ca, sub)
-    if not inv.ok:
-        out["verdicts"].append(
-            Verdict.failing("coordinate-independence-precondition", inv.witness or {}).as_dict()
-        )
-        return out
-    if config_count(ca.space, ca.states) > CONFIG_TABLE_BOUND:
-        out["bound_exceeded"] = "global tables beyond the exhaustive bound"
-        return out
     reference = global_table(ca)
     variants = [
         s
@@ -377,8 +281,6 @@ def _suite_equivalence(ca, sub, seed) -> dict:
 
 
 def _suite_determination(ca, sub, seed) -> dict:
-    if config_count(ca.space, ca.states) > CONFIG_TABLE_BOUND:
-        return {"bound_exceeded": "global tables beyond the exhaustive bound", "verdicts": []}
     gm = GlobalMap.from_automaton(ca)
     verdicts = [check_determination(ca, gm, sub)]
     q = ca.states
@@ -400,15 +302,6 @@ def _suite_determination(ca, sub, seed) -> dict:
 
 def _suite_composition(ca, sub, seed) -> dict:
     out = {"verdicts": []}
-    inv = is_cellular(ca, sub)
-    if not inv.ok:
-        out["verdicts"].append(
-            Verdict.failing("composition-precondition", inv.witness or {}).as_dict()
-        )
-        return out
-    if config_count(ca.space, ca.states) > CONFIG_TABLE_BOUND:
-        out["bound_exceeded"] = "global tables beyond the exhaustive bound"
-        return out
     combined = compose(ca, ca, sub)
     table = global_table(ca)
     expected = table[table]
@@ -427,19 +320,14 @@ def _suite_composition(ca, sub, seed) -> dict:
             {"neighborhood": [ca.space.coset_reps[j] for j in combined.neighborhood]},
         ).as_dict()
     )
+    invariant = is_cellular(combined, sub)
     out["verdicts"].append(
-        Verdict(
-            is_cellular(combined, sub).ok,
-            "composition-rule-invariant",
-            is_cellular(combined, sub).witness,
-        ).as_dict()
+        Verdict(invariant.ok, "composition-rule-invariant", invariant.witness).as_dict()
     )
     return out
 
 
 def _suite_chl(ca, sub, seed) -> dict:
-    if config_count(ca.space, ca.states) > CONFIG_TABLE_BOUND:
-        return {"bound_exceeded": "global tables beyond the exhaustive bound", "verdicts": []}
     gm = GlobalMap.from_automaton(ca)
     try:
         recovered = extract(gm, sub)
@@ -487,9 +375,6 @@ def _suite_invertibility(ca, sub, seed) -> dict:
 def _suite_uniformity(ca, sub, seed) -> dict:
     space = ca.space
     total = config_count(space, ca.states)
-    if total > CONFIG_TABLE_BOUND:
-        # continuity and isomorphism read the global table
-        return {"bound_exceeded": "global tables beyond the exhaustive bound", "verdicts": []}
     out: dict = {"verdicts": []}
     verdicts = []
 
@@ -547,15 +432,29 @@ def _suite_uniformity(ca, sub, seed) -> dict:
     return out
 
 
-SUITE_RUNNERS = {
-    "coordinate-independence": _suite_coordinate_independence,
-    "equivalence": _suite_equivalence,
-    "determination": _suite_determination,
-    "composition": _suite_composition,
-    "chl": _suite_chl,
-    "invertibility": _suite_invertibility,
-    "uniformity": _suite_uniformity,
+# suite -> (runner, needs a rotation-invariant rule, needs global tables)
+SUITE_TABLE = {
+    "coordinate-independence": (_suite_coordinate_independence, True, True),
+    "equivalence": (_suite_equivalence, False, False),
+    "determination": (_suite_determination, False, True),
+    "composition": (_suite_composition, True, True),
+    "chl": (_suite_chl, False, True),
+    "invertibility": (_suite_invertibility, False, False),
+    "uniformity": (_suite_uniformity, False, True),
 }
+SUITES = tuple(SUITE_TABLE)
+
+
+def _run_suite(name: str, ca, sub, seed) -> dict:
+    runner, needs_invariant, needs_tables = SUITE_TABLE[name]
+    if needs_invariant:
+        inv = is_cellular(ca, sub)
+        if not inv.ok:
+            refused = Verdict.failing(f"{name}-precondition", inv.witness or {})
+            return {"verdicts": [refused.as_dict()]}
+    if needs_tables and config_count(ca.space, ca.states) > CONFIG_TABLE_BOUND:
+        return {"bound_exceeded": "global tables beyond the exhaustive bound", "verdicts": []}
+    return runner(ca, sub, seed)
 
 
 def cmd_laws(args) -> int:
@@ -564,7 +463,7 @@ def cmd_laws(args) -> int:
     subgroup_or_whole(ca.space, sub)
     suites = args.suite or list(SUITES)
     for name in suites:
-        if name not in SUITE_RUNNERS:
+        if name not in SUITE_TABLE:
             raise InputError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     report = RunReport(
         "laws",
@@ -573,7 +472,7 @@ def cmd_laws(args) -> int:
         subgroup=list(sub.members) if sub else None,
     )
     for name in suites:
-        report.suites[name] = SUITE_RUNNERS[name](ca, sub, args.seed)
+        report.suites[name] = _run_suite(name, ca, sub, args.seed)
     return _finish(report, args, expected_fail=args.expect_fail, out=args.out)
 
 
@@ -586,7 +485,6 @@ def cmd_extract(args) -> int:
     report = RunReport(
         "extract",
         _input_record({"globalmap": args.globalmap}),
-        seed=args.seed,
         subgroup=list(sub.members) if sub else None,
     )
     try:
@@ -705,7 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="recover an automaton from a global map table")
     p.add_argument("globalmap")
     p.add_argument("--subgroup")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_extract)
 

@@ -9,32 +9,37 @@ axioms and report violations with witnesses instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, LawError
 from .verdict import Verdict
 
 MAX_GROUP_ORDER = 5040
 MAX_POINTS = 4096
 
 
-def _as_table(rows: Sequence[Sequence[int]], height: int, width: int, what: str) -> tuple[tuple[int, ...], ...]:
+def _as_table(
+    rows: Sequence[Sequence[int]], height: int, width: int, bound: int, what: str
+) -> tuple[tuple[int, ...], ...]:
+    """Rows of integers in 0..bound-1; floats and strings are refused, not truncated."""
+    try:
+        rows = [tuple(map(operator.index, row)) for row in rows]
+    except TypeError:
+        raise InputError(f"{what}: expected a list of rows of integers") from None
     if len(rows) != height:
         raise InputError(f"{what}: expected {height} rows, got {len(rows)}")
-    out = []
     for i, row in enumerate(rows):
-        row = tuple(int(x) for x in row)
         if len(row) != width:
             raise InputError(f"{what}: row {i} has length {len(row)}, expected {width}")
-        for x in row:
-            if not 0 <= x < max(height, width):
-                raise InputError(f"{what}: entry {x} in row {i} out of range")
-        out.append(row)
-    return tuple(out)
+        if min(row) < 0 or max(row) >= bound:
+            x = next(x for x in row if not 0 <= x < bound)
+            raise InputError(f"{what}: entry {x} in row {i} out of range")
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -46,11 +51,9 @@ class FiniteGroup:
     def __post_init__(self):
         if not 1 <= self.order <= MAX_GROUP_ORDER:
             raise InputError(f"group order {self.order} outside 1..{MAX_GROUP_ORDER}")
-        object.__setattr__(self, "mul", _as_table(self.mul, self.order, self.order, "mul table"))
-        for row in self.mul:
-            for x in row:
-                if x >= self.order:
-                    raise InputError(f"mul entry {x} out of range for order {self.order}")
+        object.__setattr__(
+            self, "mul", _as_table(self.mul, self.order, self.order, self.order, "mul table")
+        )
         if not 0 <= self.identity < self.order:
             raise InputError(f"identity {self.identity} out of range")
 
@@ -89,18 +92,8 @@ class LeftAction:
     def __post_init__(self):
         if not 1 <= self.points <= MAX_POINTS:
             raise InputError(f"point count {self.points} outside 1..{MAX_POINTS}")
-        rows = []
-        for g, row in enumerate(self.act):
-            row = tuple(int(x) for x in row)
-            if len(row) != self.points:
-                raise InputError(f"act row {g} has length {len(row)}, expected {self.points}")
-            for x in row:
-                if not 0 <= x < self.points:
-                    raise InputError(f"act entry {x} in row {g} out of range")
-            rows.append(row)
-        if len(rows) != self.group.order:
-            raise InputError(f"act table has {len(rows)} rows, expected {self.group.order}")
-        object.__setattr__(self, "act", tuple(rows))
+        rows = _as_table(self.act, self.group.order, self.points, self.points, "act table")
+        object.__setattr__(self, "act", rows)
 
     @cached_property
     def act_array(self) -> np.ndarray:
@@ -151,19 +144,14 @@ class Coset:
 
     subgroup: Subgroup
     rep: int
+    members: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        members = self._compute_members()
+        mul = self.subgroup.parent.mul
+        members = tuple(sorted(mul[self.rep][h] for h in self.subgroup.members))
         if self.rep != members[0]:
             raise InputError(f"coset rep {self.rep} is not the minimum member {members[0]}")
-
-    def _compute_members(self) -> tuple[int, ...]:
-        mul = self.subgroup.parent.mul
-        return tuple(sorted(mul[self.rep][h] for h in self.subgroup.members))
-
-    @cached_property
-    def members(self) -> tuple[int, ...]:
-        return self._compute_members()
+        object.__setattr__(self, "members", members)
 
     @classmethod
     def of(cls, subgroup: Subgroup, g: int) -> "Coset":
@@ -246,6 +234,14 @@ def orbit(action: LeftAction, m: int) -> tuple[int, ...]:
 
 def is_transitive(action: LeftAction) -> bool:
     return len(orbit(action, 0)) == action.points
+
+
+def require_transitive(action: LeftAction, origin: int) -> None:
+    """Refuse an action whose orbit of `origin` misses some point."""
+    reached = orbit(action, origin)
+    if len(reached) != action.points:
+        witness = {"origin": origin, "orbit": list(reached)}
+        raise LawError(Verdict.failing("action-transitive", witness))
 
 
 def stabilizer(action: LeftAction, m: int) -> Subgroup:
@@ -331,8 +327,7 @@ def point_coset_labels(action: LeftAction, origin: int) -> tuple[Coset, ...]:
     the cosets of the origin stabilizer and intertwines the action with
     left multiplication.
     """
-    if not is_transitive(action):
-        raise InputError("action is not transitive; some point has no label")
+    require_transitive(action, origin)
     sub = stabilizer(action, origin)
     out = []
     for m in range(action.points):

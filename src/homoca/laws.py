@@ -234,7 +234,8 @@ def check_determination(
     q = ca.states
 
     local = is_cellular(ca, sub)
-    same_map = bool(np.array_equal(gm.table, global_table(ca)))
+    step_table = global_table(ca)
+    same_map = bool(np.array_equal(gm.table, step_table))
     side_a = local.ok and same_map
 
     equivariant = check_equivariance(gm, sub)
@@ -242,7 +243,7 @@ def check_determination(
     origin_witness = None
     origin_weight = q ** space.origin
     origin_digits = (gm.table // origin_weight) % q
-    step_origin = (global_table(ca) // origin_weight) % q
+    step_origin = (step_table // origin_weight) % q
     bad = np.flatnonzero(origin_digits != step_origin)
     if bad.size:
         origin_ok = False

@@ -9,10 +9,9 @@ are row-major; inverses are computed on load rather than stored.
 from __future__ import annotations
 
 import json
+import operator
 import os
-from typing import Any, Optional, Union
-
-import numpy as np
+from typing import Optional, Union
 
 from .automata import SemiCellularAutomaton, closed_neighborhood
 from .cellspace import CellSpace, CoordinateSystem, build_coordinate_system
@@ -27,11 +26,14 @@ Source = Union[str, os.PathLike, dict]
 def _load_json(path: Union[str, os.PathLike]) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object")
+    return data
 
 
 def _resolve(source: Source, base_dir: Optional[str]) -> tuple[dict, Optional[str]]:
@@ -48,12 +50,34 @@ def _require(data: dict, key: str, what: str):
     return data[key]
 
 
+def _nested(data: dict, key: str, what: str, base_dir: Optional[str]) -> tuple[dict, Optional[str]]:
+    """The object in field `key`, inline or as a path relative to the file."""
+    source = _require(data, key, what)
+    if not isinstance(source, (dict, str)):
+        raise InputError(f"{what} field '{key}' must be an object or a file path, got {source!r}")
+    return _resolve(source, base_dir)
+
+
+def _int(data: dict, key: str, what: str) -> int:
+    value = _require(data, key, what)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} field '{key}' must be an integer, got {value!r}") from None
+
+
+def _ints(data: dict, key: str, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(operator.index, _require(data, key, what)))
+    except TypeError:
+        raise InputError(f"{what} field '{key}' must be a list of integers") from None
+
+
 def load_group(source: Source, base_dir: Optional[str] = None) -> FiniteGroup:
     data, _ = _resolve(source, base_dir)
-    order = int(_require(data, "order", "group file"))
+    order = _int(data, "order", "group file")
     mul = _require(data, "mul", "group file")
-    identity = int(_require(data, "identity", "group file"))
-    return FiniteGroup(order, tuple(tuple(row) for row in mul), identity)
+    return FiniteGroup(order, mul, _int(data, "identity", "group file"))
 
 
 def dump_group(group: FiniteGroup) -> dict:
@@ -66,10 +90,9 @@ def dump_group(group: FiniteGroup) -> dict:
 
 def load_action(source: Source, base_dir: Optional[str] = None) -> LeftAction:
     data, base = _resolve(source, base_dir)
-    group = load_group(_require(data, "group", "action file"), base)
-    points = int(_require(data, "points", "action file"))
-    act = _require(data, "act", "action file")
-    return LeftAction(group, points, tuple(tuple(row) for row in act))
+    group = load_group(*_nested(data, "group", "action file", base))
+    points = _int(data, "points", "action file")
+    return LeftAction(group, points, _require(data, "act", "action file"))
 
 
 def dump_action(action: LeftAction) -> dict:
@@ -80,15 +103,19 @@ def dump_action(action: LeftAction) -> dict:
     }
 
 
-def load_space(source: Source, base_dir: Optional[str] = None) -> CellSpace:
-    data, base = _resolve(source, base_dir)
-    action = load_action(_require(data, "action", "cell-space file"), base)
-    origin = int(_require(data, "origin", "cell-space file"))
-    if "coords" in data and data["coords"] is not None:
-        system = CoordinateSystem(action, origin, tuple(int(g) for g in data["coords"]))
+def space_on(action: LeftAction, data: dict) -> CellSpace:
+    """The cell space a cell-space dict puts on an already loaded action."""
+    origin = _int(data, "origin", "cell-space file")
+    if data.get("coords") is not None:
+        system = CoordinateSystem(action, origin, _ints(data, "coords", "cell-space file"))
     else:
         system = build_coordinate_system(action, origin)
     return CellSpace(system)
+
+
+def load_space(source: Source, base_dir: Optional[str] = None) -> CellSpace:
+    data, base = _resolve(source, base_dir)
+    return space_on(load_action(*_nested(data, "action", "cell-space file", base)), data)
 
 
 def dump_space(space: CellSpace) -> dict:
@@ -99,23 +126,20 @@ def dump_space(space: CellSpace) -> dict:
     }
 
 
-def load_automaton(
-    source: Source, base_dir: Optional[str] = None, auto_close: bool = False
-) -> SemiCellularAutomaton:
-    """Neighborhood entries are group-element representatives; each is
+def automaton_on(space: CellSpace, data: dict, auto_close: bool = False) -> SemiCellularAutomaton:
+    """The automaton an automaton dict defines on an already loaded space.
+
+    Neighborhood entries are group-element representatives; each is
     mapped to its coset.  With auto_close the neighborhood is saturated
     under the origin stabilizer and the rule ignores the added names;
     otherwise an unsaturated neighborhood is rejected.
     """
-    data, base = _resolve(source, base_dir)
-    space = load_space(_require(data, "space", "automaton file"), base)
-    states = int(_require(data, "states", "automaton file"))
-    reps = _require(data, "neighborhood", "automaton file")
-    rule = tuple(int(x) for x in _require(data, "delta", "automaton file"))
+    states = _int(data, "states", "automaton file")
+    reps = _ints(data, "neighborhood", "automaton file")
+    rule = _ints(data, "delta", "automaton file")
 
     indices = []
     for g in reps:
-        g = int(g)
         if not 0 <= g < space.group.order:
             raise InputError(f"neighborhood representative {g} out of range")
         indices.append(space.coset_index(g))
@@ -141,6 +165,14 @@ def load_automaton(
     return SemiCellularAutomaton(space, states, closed, tuple(widened))
 
 
+def load_automaton(
+    source: Source, base_dir: Optional[str] = None, auto_close: bool = False
+) -> SemiCellularAutomaton:
+    data, base = _resolve(source, base_dir)
+    space = load_space(*_nested(data, "space", "automaton file", base))
+    return automaton_on(space, data, auto_close)
+
+
 def dump_automaton(ca: SemiCellularAutomaton) -> dict:
     return {
         "space": dump_space(ca.space),
@@ -150,15 +182,19 @@ def dump_automaton(ca: SemiCellularAutomaton) -> dict:
     }
 
 
-def load_global_map(source: Source, base_dir: Optional[str] = None) -> GlobalMap:
-    data, base = _resolve(source, base_dir)
-    space = load_space(_require(data, "space", "global-map file"), base)
-    states = int(_require(data, "states", "global-map file"))
-    table = _require(data, "table", "global-map file")
+def global_map_on(space: CellSpace, data: dict) -> GlobalMap:
+    """The global map a global-map dict defines on an already loaded space."""
+    states = _int(data, "states", "global-map file")
+    table = _ints(data, "table", "global-map file")
     expected = config_count(space, states)
     if len(table) != expected:
         raise InputError(f"global-map table has {len(table)} entries, expected {expected}")
-    return GlobalMap.from_table(space, states, [int(x) for x in table])
+    return GlobalMap.from_table(space, states, table)
+
+
+def load_global_map(source: Source, base_dir: Optional[str] = None) -> GlobalMap:
+    data, base = _resolve(source, base_dir)
+    return global_map_on(load_space(*_nested(data, "space", "global-map file", base)), data)
 
 
 def dump_global_map(gm: GlobalMap) -> dict:

@@ -219,6 +219,13 @@ def test_extract_recovers_the_shift(capsys):
     laws = {v["law"]: v for v in report["verdicts"]}
     assert laws["extraction-roundtrip"]["witness"]["neighborhood"] == [1]
     assert report["automaton"]["delta"] == [0, 1]
+    assert report["seed"] == 0
+
+
+def test_extract_takes_no_seed(capsys):
+    # extraction reads the whole table, so nothing is sampled
+    code, out = run_cli(capsys, "extract", fx("cyclic4_shift_globalmap.json"), "--seed", "1")
+    assert (code, out) == (EXIT_INPUT, "")
 
 
 def test_extract_rejects_the_doctored_map_with_a_witness(capsys):
@@ -324,8 +331,28 @@ def test_laws_with_all_suites_past_the_bound_keeps_its_report(capsys, tmp_path, 
     assert sorted(report["suites"]) == sorted(
         ["coordinate-independence", "equivalence", "determination", "composition", "chl", "invertibility", "uniformity"]
     )
-    assert report["suites"]["uniformity"] == {
-        "bound_exceeded": "global tables beyond the exhaustive bound",
-        "verdicts": [],
-    }
+    refused = {"bound_exceeded": "global tables beyond the exhaustive bound", "verdicts": []}
+    assert report["suites"]["uniformity"] == refused
+    # a rule that is not rotation-invariant fails a precondition before any bound
+    for name in ("coordinate-independence", "composition"):
+        if symmetrize:
+            assert report["suites"][name] == refused
+        else:
+            [verdict] = report["suites"][name]["verdicts"]
+            assert (verdict["law"], verdict["ok"]) == (f"{name}-precondition", False)
+            assert "bound_exceeded" not in report["suites"][name]
+    for name in ("determination", "chl"):
+        assert report["suites"][name] == refused
     assert code == expected
+
+
+def test_laws_preconditions_on_a_rule_inside_the_bound(capsys):
+    code, out = run_cli(capsys, "laws", fx("square_projection.json"))
+    suites = report_of(out)["suites"]
+    for name in ("coordinate-independence", "composition"):
+        [verdict] = suites[name]["verdicts"]
+        assert (verdict["law"], verdict["ok"]) == (f"{name}-precondition", False)
+        assert verdict["witness"]
+    for name in ("determination", "chl", "uniformity"):
+        assert "bound_exceeded" not in suites[name] and suites[name]["verdicts"]
+    assert code == EXIT_VIOLATION

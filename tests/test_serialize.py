@@ -1,5 +1,6 @@
 """JSON round trips for every file kind, path references, and rule widening."""
 
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -183,3 +184,17 @@ def test_broken_fixture_differs_from_the_true_map(automata):
     true = global_table(automata["cyclic4_shift"])
     assert not np.array_equal(gm.table, true)
     assert int(np.count_nonzero(gm.table != true)) == 1
+
+
+def test_build_fixtures_reproduces_the_committed_fixtures(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    script_path = root / "scripts" / "build_fixtures.py"
+    spec = importlib.util.spec_from_file_location("build_fixtures", script_path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.OUT = str(tmp_path)
+    script.main()
+    built = sorted(p.name for p in tmp_path.iterdir())
+    assert built == sorted(p.name for p in (root / "fixtures").iterdir())
+    for name in built:
+        assert (tmp_path / name).read_bytes() == (root / "fixtures" / name).read_bytes(), name
