@@ -10,8 +10,11 @@ tower of checks behaves across spaces of different symmetry.
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from homoca.automata import essential_neighborhood, is_cellular
 from homoca.catalog import bundled_automata

@@ -16,9 +16,12 @@ numbers exactly.
 """
 
 import argparse
+import os
 import random
 import sys
 from dataclasses import dataclass
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from homoca.automata import essential_positions, is_cellular
 from homoca.catalog import (

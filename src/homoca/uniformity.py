@@ -4,6 +4,9 @@ Entourages are binary relations over packed configurations, stored as
 dense boolean matrices; the prodiscrete base consists of the agreement
 relations E(K) = "equal on the cell set K".  Everything here is bounded
 by RELATION_UNIVERSE_BOUND configurations so relations stay explicit.
+The base check tries the member that this structure predicts before it
+scans, and continuity reads one dependency matrix of the transition
+table; both give the verdicts of the plain scans.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from .cellspace import CellSpace
 from .encoding import digit_matrix
 from .errors import BoundError, InputError
-from .laws import GlobalMap, config_count, dependency_cells
+from .laws import GlobalMap, config_count, dependency_matrix
 from .verdict import Verdict
 
 RELATION_UNIVERSE_BOUND = 256
@@ -103,7 +106,15 @@ class EntourageBase:
 def check_uniformity_base(base: EntourageBase) -> Verdict:
     """The five conditions making a family a base of entourages: nonempty,
     reflexive members, lower bounds for pairs, lower bounds for inverses,
-    and relational square roots."""
+    and relational square roots.
+
+    Each of the last three first tries the candidate that the prodiscrete
+    base predicts, since E(K) & E(K') = E(K | K'), E(K) is symmetric and
+    E(K) o E(K) = E(K): the meet itself, the inverse itself, the relation
+    as its own square root.  A hit is a member that the full scan accepts
+    as well, so the verdict is the same; only a miss runs the scan over
+    all members, which then finds the failure and its witness.
+    """
     rels = base.relations
     if not rels:
         return Verdict.failing("base-nonempty", {"relations": 0})
@@ -111,17 +122,20 @@ def check_uniformity_base(base: EntourageBase) -> Verdict:
         if not r.contains_diagonal():
             x = int(np.flatnonzero(~r.pairs.diagonal())[0])
             return Verdict.failing("base-reflexive", {"relation": i, "missing_pair": [x, x]})
+    members = set(rels)
     for i, r in enumerate(rels):
         for k, r2 in enumerate(rels):
             meet = r.intersect(r2)
-            if not any(cand.issubset(meet) for cand in rels):
+            if meet not in members and not any(cand.issubset(meet) for cand in rels):
                 return Verdict.failing("base-meet", {"relations": [i, k]})
     for i, r in enumerate(rels):
         rinv = r.inverse()
-        if not any(cand.issubset(rinv) for cand in rels):
+        if rinv not in members and not any(cand.issubset(rinv) for cand in rels):
             return Verdict.failing("base-inverse", {"relation": i})
     for i, r in enumerate(rels):
-        if not any(rel_compose(cand, cand).issubset(r) for cand in rels):
+        if not rel_compose(r, r).issubset(r) and not any(
+            rel_compose(cand, cand).issubset(r) for cand in rels
+        ):
             return Verdict.failing("base-square-root", {"relation": i})
     return Verdict.passing("uniformity-base")
 
@@ -185,16 +199,15 @@ def continuity_assignments(
     outside L, none of which moves any image digit in K.  Nothing smaller
     works: a dependency cell left out of L admits a pair agreeing
     everywhere else whose images split on K.  Smallest therefore means
-    unique, not just minimal.  dependency_cells scans the whole transition
-    table, so no relation matrices are involved here.
+    unique, not just minimal.  dependency_matrix scans the whole transition
+    table once for all cells, so no relation matrices are involved here.
     """
-    depends = {m: set(dependency_cells(gm, m)) for m in range(gm.space.cells)}
+    depends = dependency_matrix(gm)
     out = []
     for cells in targets:
-        needed: set[int] = set()
-        for m in cells:
-            needed.update(depends[int(m)])
-        out.append((tuple(int(m) for m in cells), tuple(sorted(needed))))
+        cells = tuple(int(m) for m in cells)
+        needed = depends[list(cells)].any(axis=0)
+        out.append((cells, tuple(int(i) for i in np.flatnonzero(needed))))
     return tuple(out)
 
 

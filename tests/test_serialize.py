@@ -1,6 +1,9 @@
 """JSON round trips for every file kind, path references, and rule widening."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -198,3 +201,14 @@ def test_build_fixtures_reproduces_the_committed_fixtures(tmp_path):
     assert built == sorted(p.name for p in (root / "fixtures").iterdir())
     for name in built:
         assert (tmp_path / name).read_bytes() == (root / "fixtures" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "argv", [["law_survey.py"], ["random_rule_census.py", "--rules", "2"]], ids=lambda a: a[0]
+)
+def test_experiment_scripts_run_without_pythonpath(argv):
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    script = [sys.executable, str(root / "scripts" / argv[0]), *argv[1:]]
+    done = subprocess.run(script, cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

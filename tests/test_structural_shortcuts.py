@@ -1,0 +1,350 @@
+"""The exact structural shortcuts in the exhaustive laws, against slow oracles.
+
+`check_uniformity_base` tries the member a prodiscrete base predicts before
+scanning, exhaustive `check_equivariance` tests generators of the scope
+before scanning all members, and `dependency_matrix` finds every
+dependency set in one pass over the table.  The oracles below are the
+plain forms without those shortcuts; full verdicts, witnesses included,
+must agree.
+"""
+
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from homoca.automata import SemiCellularAutomaton, closed_neighborhood
+from homoca.catalog import bundled_automata, bundled_spaces, cyclic_space, random_rule_automaton
+from homoca.cellspace import CellSpace, CoordinateSystem
+from homoca.encoding import decode, digit_matrix
+from homoca.laws import (
+    GlobalMap,
+    check_equivariance,
+    config_count,
+    dependency_cells,
+    dependency_matrix,
+    generator_indices,
+    global_table,
+    shift_cells,
+    shift_code_permutation,
+)
+from homoca.groups import Subgroup
+from homoca.serialize import load_global_map
+from homoca.uniformity import (
+    EntourageBase,
+    Relation,
+    check_uniformity_base,
+    prodiscrete_base,
+    rel_compose,
+)
+from homoca.verdict import Verdict
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SPACES = bundled_spaces()
+AUTOMATA = bundled_automata()
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def scan_uniformity_base(base):
+    """Every condition as a scan over all members."""
+    rels = base.relations
+    if not rels:
+        return Verdict.failing("base-nonempty", {"relations": 0})
+    for i, r in enumerate(rels):
+        if not r.contains_diagonal():
+            x = int(np.flatnonzero(~r.pairs.diagonal())[0])
+            return Verdict.failing("base-reflexive", {"relation": i, "missing_pair": [x, x]})
+    for i, r in enumerate(rels):
+        for k, r2 in enumerate(rels):
+            meet = r.intersect(r2)
+            if not any(cand.issubset(meet) for cand in rels):
+                return Verdict.failing("base-meet", {"relations": [i, k]})
+    for i, r in enumerate(rels):
+        rinv = r.inverse()
+        if not any(cand.issubset(rinv) for cand in rels):
+            return Verdict.failing("base-inverse", {"relation": i})
+    for i, r in enumerate(rels):
+        if not any(rel_compose(cand, cand).issubset(r) for cand in rels):
+            return Verdict.failing("base-square-root", {"relation": i})
+    return Verdict.passing("uniformity-base")
+
+
+def scan_equivariance(gm, members):
+    """Commutation with every member's shift, in member order."""
+    space, q, table = gm.space, gm.states, gm.table
+    for h in members:
+        perm = shift_code_permutation(space, h, q)
+        bad = np.flatnonzero(table[perm] != perm[table])
+        if bad.size:
+            code = int(bad[0])
+            return Verdict.failing(
+                "shift-equivariance",
+                {
+                    "element": int(h),
+                    "config": list(decode(code, q, space.cells)),
+                    "map_then_shift": list(decode(int(perm[table][code]), q, space.cells)),
+                    "shift_then_map": list(decode(int(table[perm][code]), q, space.cells)),
+                },
+            )
+    return Verdict.passing("shift-equivariance")
+
+
+def scan_dependency_cells(gm, target):
+    """Cells whose single-site change can move the image at `target`,
+    one target at a time."""
+    q = gm.states
+    codes = np.arange(config_count(gm.space, q), dtype=np.int64)
+    out_digit = (gm.table // q**target) % q
+    deps = []
+    for i in range(gm.space.cells):
+        wi = q**i
+        base = codes - ((codes // wi) % q) * wi
+        reference = out_digit[base]
+        for v in range(1, q):
+            if not np.array_equal(out_digit[base + v * wi], reference):
+                deps.append(i)
+                break
+    return tuple(deps)
+
+
+def brute_closure(rows, cells):
+    """Every composite of the rows, the identity included, unrestricted."""
+    identity = tuple(range(cells))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        grown = []
+        for e in frontier:
+            for r in rows:
+                p = tuple(e[x] for x in r)
+                if p not in seen:
+                    seen.add(p)
+                    grown.append(p)
+        frontier = grown
+    return seen
+
+
+# ------------------------------------------------------- uniformity base
+
+
+def _doctored(base, kind, index):
+    rels = list(base.relations)
+    size = rels[0].size
+    if kind == "drop":
+        del rels[index]
+    else:
+        # reflexive, and either asymmetric or symmetric but not transitive
+        pairs = np.eye(size, dtype=bool)
+        pairs[0, 1] = True
+        if kind == "non-transitive":
+            pairs[1, 0] = pairs[1, 2] = pairs[2, 1] = True
+        rels.insert(index, Relation(size, pairs))
+    return EntourageBase(tuple(rels))
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3, 4, 5, 6])
+def test_prodiscrete_bases_agree_with_the_scan(cells):
+    base = prodiscrete_base(cyclic_space(cells), 2)
+    verdict = check_uniformity_base(base)
+    assert verdict == scan_uniformity_base(base) == Verdict.passing("uniformity-base")
+
+
+@pytest.mark.parametrize("kind", ["drop", "asymmetric", "non-transitive"])
+@pytest.mark.parametrize("cells", [2, 3])
+def test_doctored_bases_agree_with_the_scan(kind, cells):
+    base = prodiscrete_base(cyclic_space(cells), 2)
+    for index in range(len(base.relations)):
+        doctored = _doctored(base, kind, index)
+        assert check_uniformity_base(doctored) == scan_uniformity_base(doctored), index
+
+
+def test_doctored_bases_reach_the_scan_and_its_failures():
+    base = prodiscrete_base(cyclic_space(3), 2)
+    # the predicted member is missing, yet the diagonal still bounds each
+    # condition, so the scan must run and pass
+    for kind, index in (("drop", 3), ("asymmetric", 1), ("non-transitive", 2)):
+        assert check_uniformity_base(_doctored(base, kind, index)).ok
+    # without the diagonal E(all cells), the meet of two complements escapes
+    verdict = check_uniformity_base(_doctored(base, "drop", len(base.relations) - 1))
+    assert verdict == Verdict.failing("base-meet", {"relations": [1, 6]})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(2, 4),
+    data=st.data(),
+)
+def test_random_reflexive_families_agree_with_the_scan(size, data):
+    count = data.draw(st.integers(1, 4))
+    rels = []
+    for _ in range(count):
+        bits = data.draw(st.lists(st.booleans(), min_size=size * size, max_size=size * size))
+        pairs = np.array(bits, dtype=bool).reshape(size, size) | np.eye(size, dtype=bool)
+        rels.append(Relation(size, pairs))
+    base = EntourageBase(tuple(rels))
+    assert check_uniformity_base(base) == scan_uniformity_base(base)
+
+
+# ------------------------------------------------------------ equivariance
+
+
+def _random_rule(space, states, seed, symmetrize):
+    rng = random.Random(seed)
+    picked = rng.sample(range(space.num_cosets), min(2, space.num_cosets))
+    return random_rule_automaton(space, closed_neighborhood(space, picked), states, rng, symmetrize)
+
+
+def _proper_scope(space):
+    """A proper subgroup, generated by at most two elements, that still
+    carries the origin to every cell, and the space re-coordinatized
+    inside it; None when the group has no such subgroup.
+
+    A scope must contain every coordinate, so the origin stabilizer cannot
+    be one; a proper transitive subgroup is the smaller scope instead.
+    """
+    group, act, origin = space.group, space.action.act, space.origin
+    for a in group.elements():
+        for b in range(a, group.order):
+            members = {group.identity}
+            frontier = [group.identity]
+            while frontier:
+                frontier = [group.mul[e][g] for e in frontier for g in (a, b)]
+                frontier = [e for e in set(frontier) if e not in members]
+                members.update(frontier)
+            if len(members) == group.order:
+                continue
+            if {act[h][origin] for h in members} != set(range(space.cells)):
+                continue
+            coords = tuple(
+                group.identity if m == origin else min(h for h in members if act[h][origin] == m)
+                for m in range(space.cells)
+            )
+            scoped = CellSpace(CoordinateSystem(space.action, origin, coords))
+            return scoped, Subgroup(group, tuple(members))
+    return None
+
+
+def _cases(name):
+    """(space, scope) pairs: the whole group, and a proper subgroup."""
+    space = SPACES[name]
+    scoped = _proper_scope(space)
+    return [(space, None)] + ([scoped] if scoped else [])
+
+
+def _members(space, sub):
+    return space.group.elements() if sub is None else sub.members
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+@pytest.mark.parametrize("name", ["cyclic4", "square", "cube", "torus"])
+def test_exhaustive_equivariance_agrees_with_the_member_scan(name, symmetrize):
+    for space, sub in _cases(name):
+        for seed in range(2 if name == "torus" else 6):
+            ca = _random_rule(space, 2, seed, symmetrize)
+            gm = GlobalMap.from_automaton(ca)
+            verdict = check_equivariance(gm, sub)
+            assert verdict == scan_equivariance(gm, _members(space, sub)), (sub, seed)
+            if symmetrize:
+                assert verdict.ok
+
+
+def test_some_cases_have_a_proper_scope():
+    assert [name for name in SPACES if len(_cases(name)) == 2] == ["square", "cube", "torus"]
+
+
+@pytest.mark.parametrize("name", ["cyclic4", "square", "cube"])
+def test_doctored_tables_agree_with_the_member_scan(name):
+    rng = random.Random(5)
+    for space, sub in _cases(name):
+        true = global_table(_random_rule(space, 2, 1, True))
+        total = len(true)
+        for _ in range(8):
+            table = true.copy()
+            table[rng.randrange(total)] = rng.randrange(total)
+            gm = GlobalMap.from_table(space, 2, table)
+            assert check_equivariance(gm, sub) == scan_equivariance(gm, _members(space, sub))
+        gm = GlobalMap.from_table(space, 2, rng.sample(range(total), total))
+        assert check_equivariance(gm, sub) == scan_equivariance(gm, _members(space, sub))
+
+
+@pytest.mark.parametrize("name", ["cyclic4", "square", "cube", "torus"])
+def test_shift_maps_agree_with_the_member_scan(name):
+    # the shift by a generator commutes with that generator; on the
+    # non-abelian groups it fails on another one, so checking fewer
+    # generators than chosen would pass it
+    space = SPACES[name]
+    rows = shift_cells(space, space.group.elements())
+    w = 2 ** np.arange(space.cells)
+    failing = 0
+    for g in generator_indices(rows):
+        table = digit_matrix(2, space.cells)[:, rows[g]].astype(np.int64) @ w
+        gm = GlobalMap.from_table(space, 2, table)
+        verdict = check_equivariance(gm)
+        assert verdict == scan_equivariance(gm, space.group.elements()), g
+        failing += not verdict.ok
+    assert failing == {"cyclic4": 0, "square": 2, "cube": 4, "torus": 3}[name]
+
+
+@pytest.mark.parametrize("name", ["cyclic4", "square", "cube", "torus"])
+def test_generators_span_the_scope_and_none_is_redundant(name):
+    for space, sub in _cases(name):
+        rows = shift_cells(space, _members(space, sub))
+        gens = generator_indices(rows)
+        closure = brute_closure([tuple(rows[g]) for g in gens], space.cells)
+        assert {tuple(r) for r in rows} <= closure
+        for n, g in enumerate(gens):
+            earlier = [tuple(rows[h]) for h in gens[:n]]
+            assert tuple(rows[g]) not in brute_closure(earlier, space.cells)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cells=st.integers(1, 4), data=st.data())
+def test_generators_of_arbitrary_cell_maps_span_them(cells, data):
+    # loaded tables need not form a group, so the rows may be any maps
+    count = data.draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, cells - 1), min_size=cells, max_size=cells)
+    rows = np.array([data.draw(row) for _ in range(count)], dtype=np.int64)
+    gens = generator_indices(rows)
+    assert {tuple(r) for r in rows} <= brute_closure([tuple(rows[g]) for g in gens], cells)
+
+
+# ------------------------------------------------------- dependency matrix
+
+
+def _fixture_maps():
+    maps = {name: GlobalMap.from_automaton(ca) for name, ca in AUTOMATA.items()}
+    for name in ("cyclic4_shift_globalmap", "cyclic4_broken_globalmap"):
+        maps[name] = load_global_map(str(FIXTURES / f"{name}.json"))
+    return maps
+
+
+@pytest.mark.parametrize("name", sorted(_fixture_maps()))
+def test_dependency_rows_match_the_per_target_scan_on_fixtures(name):
+    gm = _fixture_maps()[name]
+    deps = dependency_matrix(gm)
+    assert deps.shape == (gm.space.cells, gm.space.cells)
+    for target in range(gm.space.cells):
+        assert dependency_cells(gm, target) == scan_dependency_cells(gm, target)
+        assert tuple(np.flatnonzero(deps[target])) == scan_dependency_cells(gm, target)
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+@pytest.mark.parametrize("name", ["square", "cyclic4"])
+def test_dependency_rows_match_the_per_target_scan_on_three_states(name, symmetrize):
+    space = SPACES[name]
+    rules = [_random_rule(space, 3, seed, symmetrize) for seed in range(6)]
+    # "is the first neighbour in state 2": only the change 0 -> 2 moves the image
+    nb = closed_neighborhood(space, rules[0].neighborhood[-1:])
+    delta = [int(decode(code, 3, len(nb))[0] == 2) for code in range(3 ** len(nb))]
+    rules.append(SemiCellularAutomaton(space, 3, nb, delta))
+    for ca in rules:
+        gm = GlobalMap.from_automaton(ca)
+        deps = dependency_matrix(gm)
+        assert deps.any()
+        for target in range(space.cells):
+            assert tuple(np.flatnonzero(deps[target])) == scan_dependency_cells(gm, target)
