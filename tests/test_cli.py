@@ -204,6 +204,21 @@ def test_laws_rejects_a_non_subgroup_scope(capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["0,99", ",".join(map(str, range(64))) + ",-1"],
+    ids=["past-the-order", "negative"],
+)
+def test_laws_refuses_scope_members_outside_the_group(capsys, spec):
+    # a negative label once wrapped round to 63 and was reported as a member
+    code = main(["laws", fx("torus_or.json"), "--suite", "equivalence", "--subgroup", spec])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err.startswith("input error: subgroup member ")
+    assert "out of range 0..63" in captured.err
+
+
 def test_laws_expect_fail_flips_the_outcome(capsys):
     code, _ = run_cli(capsys, "laws", fx("square_or.json"), "--expect-fail")
     assert code == EXIT_VIOLATION

@@ -63,6 +63,8 @@ def ops() -> list[tuple[str, ...]]:
             out.append(("compose", f"{a}.json", f"{a}.json"))
     for g in GLOBAL_MAPS:
         out.append(("extract", f"{g}.json"))
+    for f in sorted(FIXTURES.glob("*.json")):
+        out.append(("validate", f.name))
     return out
 
 

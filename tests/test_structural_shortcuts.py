@@ -3,11 +3,14 @@
 `check_uniformity_base` tries the member a prodiscrete base predicts before
 scanning, exhaustive `check_equivariance` tests generators of the scope
 before scanning all members, and `dependency_matrix` finds every
-dependency set in one pass over the table.  The oracles below are the
-plain forms without those shortcuts; full verdicts, witnesses included,
-must agree.
+dependency set in one pass over the table.  In the group layer,
+`verify_group` sweeps associativity over magma generators only, and
+`Subgroup` and `FiniteGroup.inv` check the table with numpy.  The
+oracles below are the plain forms without those shortcuts; full verdicts,
+witnesses and error messages included, must agree.
 """
 
+import itertools
 import random
 from pathlib import Path
 
@@ -31,7 +34,8 @@ from homoca.laws import (
     shift_cells,
     shift_code_permutation,
 )
-from homoca.groups import Subgroup
+from homoca.errors import InputError
+from homoca.groups import FiniteGroup, Subgroup, magma_generators, verify_group
 from homoca.serialize import load_global_map
 from homoca.uniformity import (
     EntourageBase,
@@ -125,6 +129,79 @@ def brute_closure(rows, cells):
                 if p not in seen:
                     seen.add(p)
                     grown.append(p)
+        frontier = grown
+    return seen
+
+
+def sweep_verify_group(group):
+    """The group axioms in plain loops over the tuple table; associativity
+    as the sweep over every triple in (a, b, c) order."""
+    mul, e, n = group.mul, group.identity, group.order
+    for a in range(n):
+        if mul[e][a] != a or mul[a][e] != a:
+            return Verdict.failing(
+                "group-identity", {"element": a, "e*a": mul[e][a], "a*e": mul[a][e]}
+            )
+    for a in range(n):
+        if not any(mul[a][b] == e and mul[b][a] == e for b in range(n)):
+            return Verdict.failing("group-inverses", {"element": a})
+    for a in range(n):
+        row_a = mul[a]
+        for b in range(n):
+            row_ab, row_b = mul[row_a[b]], mul[b]
+            for c in range(n):
+                if row_ab[c] != row_a[row_b[c]]:
+                    left, right = row_ab[c], row_a[row_b[c]]
+                    witness = {"triple": [a, b, c], "(a*b)*c": left, "a*(b*c)": right}
+                    return Verdict.failing("group-associativity", witness)
+    return Verdict.passing("group-axioms")
+
+
+def scan_inverses(group):
+    """The first two-sided inverse of each element, or the error for the
+    first element without one."""
+    mul, e, n = group.mul, group.identity, group.order
+    out = []
+    for a in range(n):
+        b = next((b for b in range(n) if mul[a][b] == e and mul[b][a] == e), None)
+        if b is None:
+            return f"element {a} has no two-sided inverse"
+        out.append(b)
+    return tuple(out)
+
+
+def scan_subgroup(group, members):
+    """The error Subgroup raises for `members`, from plain loops; None for a subgroup."""
+    mul, e, n = group.mul, group.identity, group.order
+    members = sorted(set(members))
+    if e not in members:
+        return "subgroup must contain the identity"
+    for x in members:
+        if not 0 <= x < n:
+            return f"subgroup member {x} out of range 0..{n - 1}"
+    inside = set(members)
+    for a in members:
+        for b in members:
+            if mul[a][b] not in inside:
+                return f"subgroup not closed: {a}*{b} = {mul[a][b]} escapes"
+    for a in members:
+        if not any(mul[a][b] == e for b in members):
+            return f"subgroup member {a} has no inverse inside"
+    return None
+
+
+def left_normed_words(group, gens):
+    """Every (...((e*g1)*g2)...)*gm with the g's drawn from gens."""
+    mul = group.mul
+    seen = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        grown = []
+        for w in frontier:
+            for g in gens:
+                if mul[w][g] not in seen:
+                    seen.add(mul[w][g])
+                    grown.append(mul[w][g])
         frontier = grown
     return seen
 
@@ -348,3 +425,209 @@ def test_dependency_rows_match_the_per_target_scan_on_three_states(name, symmetr
         assert deps.any()
         for target in range(space.cells):
             assert tuple(np.flatnonzero(deps[target])) == scan_dependency_cells(gm, target)
+
+
+# ------------------------------------------------------------ group layer
+
+
+def _relabel(group, seed):
+    """The same group under a seeded relabelling; the identity moves too."""
+    perm = list(range(group.order))
+    random.Random(seed).shuffle(perm)
+    mul = [[0] * group.order for _ in range(group.order)]
+    for a in range(group.order):
+        for b in range(group.order):
+            mul[perm[a]][perm[b]] = perm[group.mul[a][b]]
+    return FiniteGroup(group.order, mul, perm[group.identity])
+
+
+def _elementary_abelian(k):
+    """Z2^k as bit vectors under xor; it needs k generators."""
+    n = 1 << k
+    return FiniteGroup(n, [[a ^ b for b in range(n)] for a in range(n)], 0)
+
+
+def _symmetric(points):
+    perms = sorted(itertools.permutations(range(points)))
+    index = {p: i for i, p in enumerate(perms)}
+    mul = [[index[tuple(p[q[i]] for i in range(points))] for q in perms] for p in perms]
+    return FiniteGroup(len(perms), mul, index[tuple(range(points))])
+
+
+def _loop(group, seed, swaps):
+    """A Latin square with the group's identity and two-sided inverses:
+    swap intercalates (x*u = y*v, x*v = y*u) away from the identity's row,
+    column and entries.  Usually not associative."""
+    rng = random.Random(seed)
+    mul = [list(row) for row in group.mul]
+    e, n = group.identity, group.order
+    for _ in range(swaps):
+        quads = [
+            (x, y, u, v)
+            for x, y in itertools.combinations(range(n), 2)
+            for u, v in itertools.combinations(range(n), 2)
+            if e not in (x, y, u, v, mul[x][u], mul[x][v])
+            and mul[x][u] == mul[y][v]
+            and mul[x][v] == mul[y][u]
+        ]
+        x, y, u, v = rng.choice(quads)
+        mul[x][u], mul[x][v] = mul[x][v], mul[x][u]
+        mul[y][u], mul[y][v] = mul[y][v], mul[y][u]
+    return FiniteGroup(n, mul, e)
+
+
+def _groups():
+    out = {}
+    for name, space in SPACES.items():
+        for seed in range(2):
+            out[f"{name}-{seed}"] = _relabel(space.group, seed)
+    for k in range(1, 6):
+        out[f"z2^{k}"] = _elementary_abelian(k)
+    out["s4"] = _relabel(_symmetric(4), 0)
+    out["s5"] = _relabel(_symmetric(5), 1)
+    return out
+
+
+GROUPS = _groups()
+
+
+def _loops():
+    bases = [_elementary_abelian(3), _elementary_abelian(4), _relabel(SPACES["square"].group, 2)]
+    bases.append(_relabel(_symmetric(4), 3))
+    return [
+        _relabel(_loop(base, seed, swaps), seed)
+        for base in bases
+        for seed in range(4)
+        for swaps in (1, 2)
+    ]
+
+
+LOOPS = _loops()
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_groups_agree_with_the_triple_sweep(name):
+    group = GROUPS[name]
+    assert verify_group(group) == sweep_verify_group(group) == Verdict.passing("group-axioms")
+    assert group.inv == scan_inverses(group)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_z2_power_needs_every_generator(k):
+    group = _elementary_abelian(k)
+    assert len(magma_generators(group)) == k
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_magma_generators_reach_every_element_and_none_is_redundant(name):
+    group = GROUPS[name]
+    gens = magma_generators(group)
+    assert left_normed_words(group, gens) == set(range(group.order))
+    for n, g in enumerate(gens):
+        assert g not in left_normed_words(group, gens[:n])
+
+
+def test_non_associative_loops_agree_with_the_triple_sweep():
+    for loop in LOOPS:
+        expected = sweep_verify_group(loop)
+        assert verify_group(loop) == expected
+        assert loop.inv == scan_inverses(loop)
+        if not expected.ok:
+            assert expected.law == "group-associativity"
+            # the first a with a failing (a, b, c) is always a generator:
+            # elements a with (a*b)*c == a*(b*c) for all b, c are closed
+            # under products, and the greedy choice is in label order
+            assert expected.witness["triple"][0] in magma_generators(loop)
+    assert sum(not sweep_verify_group(loop).ok for loop in LOOPS) >= len(LOOPS) // 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), data=st.data())
+def test_arbitrary_tables_agree_with_the_triple_sweep(n, data):
+    # identity rows kept or not, inverses and associativity left to chance
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    mul = data.draw(st.lists(row, min_size=n, max_size=n))
+    e = data.draw(st.integers(0, n - 1))
+    if data.draw(st.booleans()):
+        for a in range(n):
+            mul[e][a] = mul[a][e] = a
+    group = FiniteGroup(n, mul, e)
+    assert verify_group(group) == sweep_verify_group(group)
+    expected = scan_inverses(group)
+    if isinstance(expected, str):
+        with pytest.raises(InputError, match=f"^{expected}$"):
+            group.inv
+    else:
+        assert group.inv == expected
+
+
+def test_inverses_are_the_first_two_sided_ones():
+    # 2*1 = e but 1*2 != e: 1 is only a left inverse of 2, and 2 is its own
+    group = FiniteGroup(3, [[0, 1, 2], [1, 0, 1], [2, 0, 0]], 0)
+    assert group.inv == scan_inverses(group) == (0, 1, 2)
+    # 1 and 2 have right inverses only, and 1 comes first
+    group = FiniteGroup(3, [[0, 1, 2], [1, 1, 0], [2, 2, 1]], 0)
+    assert scan_inverses(group) == "element 1 has no two-sided inverse"
+    with pytest.raises(InputError, match="^element 1 has no two-sided inverse$"):
+        group.inv
+
+
+def _subgroup_error(group, members):
+    try:
+        Subgroup(group, members)
+    except InputError as err:
+        return str(err)
+    return None
+
+
+def _generated(group, gens):
+    """The smallest subset holding the identity and gens that is closed under
+    products (in a loop, left-normed words alone need not be)."""
+    mul = group.mul
+    closed = {group.identity, *gens}
+    while True:
+        grown = closed | {mul[a][b] for a in closed for b in closed}
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_drawn_subsets_agree_with_the_closure_scan(data):
+    tables = [GROUPS[k] for k in ("square-1", "cube-0", "s4", "z2^4")] + LOOPS[:4]
+    group = data.draw(st.sampled_from(tables))
+    element = st.integers(0, group.order - 1)
+    members = _generated(group, data.draw(st.lists(element, max_size=3)))
+    assert scan_subgroup(group, members) is None
+    added = data.draw(st.lists(element, max_size=2))
+    removed = data.draw(st.lists(element, max_size=2))
+    drawn = (members | set(added)) - set(removed)
+    assert _subgroup_error(group, drawn) == scan_subgroup(group, drawn)
+    assert _subgroup_error(group, members) is None
+
+
+def test_random_subsets_report_the_first_failure():
+    group = GROUPS["s4"]
+    rng = random.Random(0)
+    for _ in range(40):
+        members = rng.sample(range(group.order), rng.randint(1, group.order))
+        members.append(group.identity)
+        assert _subgroup_error(group, members) == scan_subgroup(group, members)
+    assert _subgroup_error(group, range(group.order)) is None
+    # a magma whose idempotent 2 never reaches the identity: closed, no inverse
+    magma = FiniteGroup(3, [[0, 1, 2], [1, 0, 2], [2, 2, 2]], 0)
+    assert _subgroup_error(magma, [0, 1, 2]) == "subgroup member 2 has no inverse inside"
+    assert scan_subgroup(magma, [0, 1, 2]) == "subgroup member 2 has no inverse inside"
+    # 2*1 = e, so 1 has a left inverse but no right one, and 2 the reverse
+    magma = FiniteGroup(3, [[0, 1, 2], [1, 1, 1], [2, 0, 2]], 0)
+    assert _subgroup_error(magma, [0, 1, 2]) == "subgroup member 1 has no inverse inside"
+    assert scan_subgroup(magma, [0, 1, 2]) == "subgroup member 1 has no inverse inside"
+
+
+@pytest.mark.parametrize("members", [[0, 99], [0, -1], [-3, -1, 0, 64], list(range(64)) + [-1]])
+def test_subgroup_members_outside_the_group_are_refused(members):
+    group = SPACES["torus"].group
+    assert group.order == 64 and group.identity == 0
+    assert _subgroup_error(group, members) == scan_subgroup(group, members)
+    assert "out of range 0..63" in _subgroup_error(group, members)
