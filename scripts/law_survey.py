@@ -31,7 +31,6 @@ class SurveyRow:
     essential: int
     invariant: bool
     equivariant: bool
-    equivariance_sampled: bool
     invertible: bool
     isomorphism: bool
     max_dependency: int
@@ -54,7 +53,6 @@ def survey_automaton(name, ca) -> SurveyRow:
         essential=len(essential_neighborhood(ca)),
         invariant=is_cellular(ca).ok,
         equivariant=equi.ok,
-        equivariance_sampled=equi.sampled,
         invertible=not isinstance(inverse, NotInvertible),
         isomorphism=iso.ok,
         max_dependency=max_dep,
@@ -78,15 +76,14 @@ def main(argv=None) -> int:
     print(header)
     print("-" * len(header))
     for r in rows:
-        equiv = "yes*" if r.equivariant and r.equivariance_sampled else ("yes" if r.equivariant else "no")
         print(
             f"{r.name:<18} {r.cells:>4} {r.states:>4} {r.neighborhood:>4} {r.essential:>4}  "
-            f"{'yes' if r.invariant else 'no':>3} {equiv:>6} "
+            f"{'yes' if r.invariant else 'no':>3} {'yes' if r.equivariant else 'no':>6} "
             f"{'yes' if r.invertible else 'no':>6} {'yes' if r.isomorphism else 'no':>3}  "
             f"{r.max_dependency:>3}/{r.max_window:<3}"
         )
-    print("\n(*) sampled rather than exhaustive; dep/win compares the largest")
-    print("per-cell dependency set with the largest resolved neighborhood.")
+    print("\ndep/win compares the largest per-cell dependency set with the")
+    print("largest resolved neighborhood.")
 
     for r in rows:
         if r.invertible != r.isomorphism:

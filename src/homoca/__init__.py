@@ -68,6 +68,7 @@ from .laws import (
     check_determination,
     check_equivariance,
     check_invariance_equivalence,
+    check_step_equivariance,
     compose,
     extract,
     global_table,

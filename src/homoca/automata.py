@@ -194,7 +194,9 @@ def step(ca: SemiCellularAutomaton, config: Sequence[int]) -> tuple[int, ...]:
 
 def iterate(ca: SemiCellularAutomaton, config: Sequence[int], steps: int) -> np.ndarray:
     """The trace config, step(config), ..., as steps + 1 rows."""
-    trace = np.empty((max(steps, 0) + 1, ca.space.cells), dtype=np.int64)
+    if steps < 0:
+        raise InputError(f"steps must be non-negative, got {steps}")
+    trace = np.empty((steps + 1, ca.space.cells), dtype=np.int64)
     trace[0] = _checked_configs(ca, [config])[0]
     for t in range(steps):
         trace[t + 1 : t + 2] = _apply(ca, trace[t : t + 1])
@@ -227,7 +229,7 @@ def step_via_origin(ca: SemiCellularAutomaton, config: Sequence[int]) -> tuple[i
     configuration back to the origin by the cell's coordinate, restrict it
     to the origin-resolved neighborhood, and apply the origin form of the
     rule."""
-    _check_config(ca, config)
+    config = _checked_configs(ca, [config])[0].tolist()
     space = ca.space
     act = space.action.act
     origin_cells = ca.origin_neighborhood
@@ -293,10 +295,3 @@ def configuration_observing(
         config[int(cell)] = int(local[i])
     return tuple(config)
 
-
-def _check_config(ca: SemiCellularAutomaton, config: Sequence[int]) -> None:
-    if len(config) != ca.space.cells:
-        raise InputError(f"configuration has {len(config)} cells, expected {ca.space.cells}")
-    for x in config:
-        if not 0 <= x < ca.states:
-            raise InputError(f"state {x} out of range")

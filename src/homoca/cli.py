@@ -277,7 +277,11 @@ def _suite_coordinate_independence(ca, sub, seed) -> dict:
 
 
 def _suite_equivalence(ca, sub, seed) -> dict:
-    return {"verdicts": [check_invariance_equivalence(ca, sub, seed=seed).as_dict()]}
+    try:
+        verdict = check_invariance_equivalence(ca, sub)
+    except BoundError as e:
+        return {"bound_exceeded": str(e), "verdicts": []}
+    return {"verdicts": [verdict.as_dict()]}
 
 
 def _suite_determination(ca, sub, seed) -> dict:

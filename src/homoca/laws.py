@@ -1,16 +1,19 @@
 """Global transition functions and the checkable laws tying them to rules.
 
-Global maps are memoized into full lookup tables over packed
-configurations whenever states**cells stays within CONFIG_TABLE_BOUND;
-beyond that a map keeps its automaton, only sampling-based checks remain
-available and their verdicts say so.  Every rule application goes
-through `step_batch`, in chunks of at most GATHER_ROWS configurations.
+A global map is a full lookup table over packed configurations, built by
+`global_table` only while states**cells stays within CONFIG_TABLE_BOUND;
+past it, the laws that need tables raise BoundError.  Every rule
+application goes through `step_batch`.
 
-Exhaustive equivariance checks generators of the symmetry scope only.
-They are found by closing the shifts' cell maps under composition, not
-by multiplying in the group table: tables are loaded without checking
-the group axioms, while composing maps is associative on any input, so
+Equivariance checks test generators of the symmetry scope only.  They
+are found by closing the shifts' cell maps under composition, not by
+multiplying in the group table: tables are loaded without checking the
+group axioms, while composing maps is associative on any input, so
 commuting with the generators implies commuting with the whole scope.
+The step of an automaton is checked on neighbourhood windows
+(`check_step_equivariance`), which is exact at every size; a table is
+checked on the table (`check_equivariance`).  Only the collision search
+of `invert` past the bound is sampled.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .automata import (
     closed_neighborhood,
     configuration_observing,
     is_cellular,
-    step,
     step_batch,
     subgroup_or_whole,
 )
@@ -40,8 +42,8 @@ from .verdict import Verdict
 CONFIG_TABLE_BOUND = 1 << 16
 SAMPLE_COUNT = 1024
 SAMPLE_SEED = 0
-# configurations per step_batch call when tabling or sampling; bounds the
-# (rows, cells, arity) gather and so the peak memory of those loops
+# configurations per step_batch call when tabling; bounds the
+# (rows, cells, arity) gather and so the peak memory of that loop
 GATHER_ROWS = 512
 
 
@@ -115,156 +117,136 @@ def shift_code_permutation(space: CellSpace, g: int, states: int) -> np.ndarray:
 
 
 class GlobalMap:
-    """A function on configurations: a table, or past the table bound the
-    automaton whose step it is."""
+    """A function on configurations, as a table over packed configurations."""
 
-    def __init__(
-        self,
-        space: CellSpace,
-        states: int,
-        table: Optional[np.ndarray] = None,
-        automaton: Optional[SemiCellularAutomaton] = None,
-    ):
-        if (table is None) == (automaton is None):
-            raise InputError("need exactly one of a table and an automaton")
-        if automaton is not None:
-            if automaton.space is not space and automaton.space.system != space.system:
-                raise InputError("automaton lives on a different cell space")
-            if automaton.states != states:
-                raise InputError("state counts differ")
-        if table is not None:
-            table = np.asarray(table, dtype=np.int64)
-            expected = config_count(space, states)
-            if table.shape != (expected,):
-                raise InputError(f"table has shape {table.shape}, expected ({expected},)")
-            if expected and (table.min() < 0 or table.max() >= expected):
-                raise InputError("table entry out of range")
+    def __init__(self, space: CellSpace, states: int, table):
+        table = np.asarray(table, dtype=np.int64)
+        expected = config_count(space, states)
+        if table.shape != (expected,):
+            raise InputError(f"table has shape {table.shape}, expected ({expected},)")
+        if expected and (table.min() < 0 or table.max() >= expected):
+            raise InputError("table entry out of range")
         self.space = space
         self.states = states
-        self._table = table
-        self.automaton = automaton
+        self.table = table
 
     @classmethod
     def from_automaton(cls, ca: SemiCellularAutomaton) -> "GlobalMap":
-        if config_count(ca.space, ca.states) <= CONFIG_TABLE_BOUND:
-            return cls(ca.space, ca.states, table=global_table(ca))
-        return cls(ca.space, ca.states, automaton=ca)
-
-    @classmethod
-    def from_table(cls, space: CellSpace, states: int, table) -> "GlobalMap":
-        return cls(space, states, table=np.asarray(table, dtype=np.int64))
-
-    @property
-    def exhaustive(self) -> bool:
-        return self._table is not None
-
-    @property
-    def table(self) -> np.ndarray:
-        if self._table is None:
-            raise BoundError("global map is not memoized; instance exceeds the table bound")
-        return self._table
+        """The step of ca; past the table bound global_table raises BoundError."""
+        return cls(ca.space, ca.states, global_table(ca))
 
     def apply(self, config: Sequence[int]) -> tuple[int, ...]:
-        if self._table is not None:
-            code = encode(config, self.states)
-            return decode(int(self._table[code]), self.states, self.space.cells)
-        return step(self.automaton, config)
-
-    def apply_code(self, code: int) -> int:
-        if self._table is not None:
-            return int(self._table[code])
-        config = decode(code, self.states, self.space.cells)
-        return encode(step(self.automaton, config), self.states)
+        code = encode(config, self.states)
+        return decode(int(self.table[code]), self.states, self.space.cells)
 
 
-def check_equivariance(
-    gm: GlobalMap,
-    subgroup: Optional[Subgroup] = None,
-    samples: int = SAMPLE_COUNT,
-    seed: int = SAMPLE_SEED,
-) -> Verdict:
-    """Does the map commute with every translation in the scope?
+def _equivariance_failure(element: int, config, map_then_shift, shift_then_map) -> Verdict:
+    return Verdict.failing(
+        "shift-equivariance",
+        {
+            "element": int(element),
+            "config": list(config),
+            "map_then_shift": list(map_then_shift),
+            "shift_then_map": list(shift_then_map),
+        },
+    )
 
-    Exhaustive when the map is memoized; otherwise a seeded sample of
-    configurations is tested and the verdict is marked sampled.
 
-    The exhaustive check tests only generators of the scope, in member
-    order (see generator_indices), and still reports the first failing
-    member: every member before it passes, and a member that is not a
-    generator composes from generators before it, so it would pass too.
-    The sampled check tests every member, since generators passing on a
-    sample say nothing about the other members on that sample.
+def check_equivariance(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> Verdict:
+    """Does the table commute with every translation in the scope?
+
+    Only generators of the scope are tested, in member order (see
+    generator_indices), and the first failing member is still reported:
+    every member before it passes, and a member that is not a generator
+    composes from generators before it, so it would pass too.  The
+    witness is the failing configuration with the smallest code.
     """
     space = gm.space
     sub = subgroup_or_whole(space, subgroup)
     q = gm.states
-    if gm.exhaustive:
-        table = gm.table
-        for k in generator_indices(shift_cells(space, sub.members)):
-            h = sub.members[k]
-            perm = shift_code_permutation(space, h, q)
-            bad = np.flatnonzero(table[perm] != perm[table])
-            if bad.size:
-                code = int(bad[0])
-                return Verdict.failing(
-                    "shift-equivariance",
-                    {
-                        "element": int(h),
-                        "config": list(decode(code, q, space.cells)),
-                        "map_then_shift": list(decode(int(perm[table][code]), q, space.cells)),
-                        "shift_then_map": list(decode(int(table[perm][code]), q, space.cells)),
-                    },
-                )
-        return Verdict.passing("shift-equivariance")
-
-    # per chunk of samples, one step_batch call steps the samples and all
-    # their shifts; the first mismatch in sample-major, scope order wins
-    rng = random.Random(seed)
-    total = config_count(space, q)
-    members = sub.members
-    perms = shift_cells(space, members)
-    chunk = max(1, GATHER_ROWS // (1 + len(members)))
-    for start in range(0, samples, chunk):
-        count = min(chunk, samples - start)
-        configs = np.array([decode(rng.randrange(total), q, space.cells) for _ in range(count)])
-        shifted = configs[:, perms]  # (count, members, cells)
-        stepped = step_batch(gm.automaton, np.concatenate([configs, shifted.reshape(-1, space.cells)]))
-        images = stepped[:count]
-        left = stepped[count:].reshape(shifted.shape)
-        right = images[:, perms]
-        bad = np.flatnonzero((left != right).any(axis=2))
+    table = gm.table
+    for k in generator_indices(shift_cells(space, sub.members)):
+        h = sub.members[k]
+        perm = shift_code_permutation(space, h, q)
+        bad = np.flatnonzero(table[perm] != perm[table])
         if bad.size:
-            i, k = divmod(int(bad[0]), len(members))
-            return Verdict.failing(
-                "shift-equivariance",
-                {
-                    "element": int(members[k]),
-                    "config": configs[i].tolist(),
-                    "map_then_shift": right[i, k].tolist(),
-                    "shift_then_map": left[i, k].tolist(),
-                },
-                sampled=True,
+            code = int(bad[0])
+            return _equivariance_failure(
+                h,
+                decode(code, q, space.cells),
+                decode(int(perm[table][code]), q, space.cells),
+                decode(int(table[perm][code]), q, space.cells),
             )
-    return Verdict.passing("shift-equivariance", sampled=True)
+    return Verdict.passing("shift-equivariance")
 
 
-def check_invariance_equivalence(
-    ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None, seed: int = SAMPLE_SEED
-) -> Verdict:
+def check_step_equivariance(ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None) -> Verdict:
+    """Does the step commute with every translation in the scope?  Exact
+    at every size, with the verdict and witness of check_equivariance on
+    the step's table.
+
+    For a generator row S, shifting and then stepping reads cell m's
+    rule at the cells S[neighbor_cells[m]]; stepping and then shifting
+    reads it at neighbor_cells[S[m]].  The two steps agree on every
+    configuration exactly when, at every cell, the two reads agree on
+    every pattern of the window U that is the union of those cells.  A
+    configuration failing at m still fails with zeros off U, and that
+    lowers its code, so the witness is the smallest such configuration
+    over all m, compared digit by digit from the highest cell down.
+
+    Which patterns fail depends only on where each read falls in U, so
+    cells and generators that place their reads alike share the search.
+    A window is the neighborhood's cells when the action table is an
+    action, and at most twice as wide otherwise; past MAX_RULE_TABLE
+    patterns it raises BoundError.
+    """
+    space = ca.space
+    sub = subgroup_or_whole(space, subgroup)
+    q, arity = ca.states, ca.arity
+    nc = ca.neighbor_cells
+    w = weights(q, arity)
+    rows = shift_cells(space, sub.members)
+    first_bad: dict[bytes, Optional[np.ndarray]] = {}
+    for k in generator_indices(rows):
+        s = rows[k]
+        witness = None
+        for m in range(space.cells):
+            window, placed = np.unique(np.concatenate([s[nc[m]], nc[s[m]]]), return_inverse=True)
+            key = placed.tobytes()
+            if key not in first_bad:
+                if q ** len(window) > MAX_RULE_TABLE:
+                    raise BoundError(f"{q}**{len(window)} window patterns exceed the rule table bound")
+                patterns = digit_matrix(q, len(window))
+                shift_then_step = ca.rule_array[patterns[:, placed[:arity]] @ w]
+                step_then_shift = ca.rule_array[patterns[:, placed[arity:]] @ w]
+                bad = np.flatnonzero(shift_then_step != step_then_shift)
+                first_bad[key] = patterns[bad[0]] if bad.size else None
+            if first_bad[key] is not None:
+                config = [0] * space.cells
+                for cell, digit in zip(window.tolist(), first_bad[key].tolist()):
+                    config[cell] = digit
+                if witness is None or config[::-1] < witness[::-1]:
+                    witness = config
+        if witness is not None:
+            image, shifted_image = step_batch(ca, [witness, [witness[c] for c in s]])
+            return _equivariance_failure(sub.members[k], witness, image[s].tolist(), shifted_image.tolist())
+    return Verdict.passing("shift-equivariance")
+
+
+def check_invariance_equivalence(ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None) -> Verdict:
     """Rotation invariance of the rule and shift equivariance of the step
     hold or fail together; the verdict records both sides."""
     local = is_cellular(ca, subgroup)
-    glob = check_equivariance(GlobalMap.from_automaton(ca), subgroup, seed=seed)
-    agree = local.ok == glob.ok
+    glob = check_step_equivariance(ca, subgroup)
     witness = {
         "rule_invariant": local.ok,
         "step_equivariant": glob.ok,
         "rule_side": local.as_dict(),
         "step_side": glob.as_dict(),
     }
-    if agree:
-        return Verdict.passing("invariance-matches-equivariance", witness, sampled=glob.sampled)
-    return Verdict.failing("invariance-matches-equivariance", witness, sampled=glob.sampled)
+    if local.ok == glob.ok:
+        return Verdict.passing("invariance-matches-equivariance", witness)
+    return Verdict.failing("invariance-matches-equivariance", witness)
 
 
 def check_determination(

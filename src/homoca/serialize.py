@@ -189,7 +189,7 @@ def global_map_on(space: CellSpace, data: dict) -> GlobalMap:
     expected = config_count(space, states)
     if len(table) != expected:
         raise InputError(f"global-map table has {len(table)} entries, expected {expected}")
-    return GlobalMap.from_table(space, states, table)
+    return GlobalMap(space, states, table)
 
 
 def load_global_map(source: Source, base_dir: Optional[str] = None) -> GlobalMap:

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from homoca.automata import shift, step_via_origin
+from homoca.automata import SemiCellularAutomaton, shift, step_via_origin
 from homoca.catalog import random_rule_automaton
+from homoca.encoding import decode, encode
 from homoca.cli import EXIT_BOUND, EXIT_INPUT, EXIT_PASS, EXIT_VIOLATION, main
 from homoca.serialize import dump_automaton, load_automaton, write_json
 
@@ -118,6 +119,15 @@ def test_run_validates_the_configuration_even_without_steps(capsys):
     assert code == EXIT_INPUT
     code, out = run_cli(capsys, "run", fx("cyclic4_shift.json"), "--config", "1,0,0,1", "--steps", "0")
     assert (code, out) == (EXIT_PASS, "1,0,0,1\n")
+
+
+def test_run_refuses_negative_steps(capsys, tmp_path):
+    out_path = tmp_path / "trace.json"
+    code, out = run_cli(
+        capsys, "run", fx("cyclic4_shift.json"), "--config", "1,0,0,0", "--steps", "-3", "--out", str(out_path)
+    )
+    assert (code, out) == (EXIT_INPUT, "")
+    assert not out_path.exists()
 
 
 def test_run_writes_a_trace_report(capsys, tmp_path):
@@ -319,23 +329,72 @@ def _torus3_file(tmp_path, seed, symmetrize):
     return ca, str(path)
 
 
-def test_laws_seed_reaches_the_sampled_equivalence_check(capsys, tmp_path):
+def _equivalence(capsys, path, seed):
+    code, out = run_cli(capsys, "laws", path, "--suite", "equivalence", "--seed", str(seed))
+    report = report_of(out)
+    assert report["seed"] == seed
+    return code, report["suites"]["equivalence"]
+
+
+def _recheck_step_side(ca, suite):
+    [verdict] = suite["verdicts"]
+    w = verdict["witness"]["step_side"]["witness"]
+    config = tuple(w["config"])
+    moved = shift(ca.space, w["element"], config)
+    assert step_via_origin(ca, moved) == tuple(w["shift_then_map"])
+    assert shift(ca.space, w["element"], step_via_origin(ca, config)) == tuple(w["map_then_shift"])
+    assert w["shift_then_map"] != w["map_then_shift"]
+
+
+def test_laws_equivalence_past_the_bound_is_exact_for_every_seed(capsys, tmp_path):
     ca, path = _torus3_file(tmp_path, 1, symmetrize=False)
-    witnesses = []
-    for seed in ("1", "2"):
-        code, out = run_cli(capsys, "laws", path, "--suite", "equivalence", "--seed", seed)
-        report = report_of(out)
-        assert report["seed"] == int(seed)
-        verdict = report["suites"]["equivalence"]["verdicts"][0]
-        assert verdict["ok"] and verdict["sampled"] and code == EXIT_BOUND
-        w = verdict["witness"]["step_side"]["witness"]
-        config = tuple(w["config"])
-        moved = shift(ca.space, w["element"], config)
-        assert step_via_origin(ca, moved) == tuple(w["shift_then_map"])
-        assert shift(ca.space, w["element"], step_via_origin(ca, config)) == tuple(w["map_then_shift"])
-        assert w["shift_then_map"] != w["map_then_shift"]
-        witnesses.append(w)
-    assert witnesses[0] != witnesses[1]
+    code, suite = _equivalence(capsys, path, 1)
+    [verdict] = suite["verdicts"]
+    assert verdict["ok"] and "sampled" not in verdict and code == EXIT_PASS
+    assert not verdict["witness"]["step_equivariant"]
+    _recheck_step_side(ca, suite)
+    assert _equivalence(capsys, path, 2) == (code, suite)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 9])
+def test_laws_finds_a_rare_equivariance_failure_past_the_bound(capsys, tmp_path, seed):
+    # the rule breaks rotation invariance on one local pattern only, which
+    # few configurations show; the window check finds it whatever the seed
+    torus_or = load_automaton(fx("torus_or.json"))
+    rule = [0] * 3**5
+    rule[encode((2, 2, 1, 0, 0), 3)] = 1
+    ca = SemiCellularAutomaton(torus_or.space, 3, torus_or.neighborhood, rule)
+    path = tmp_path / "rare.json"
+    write_json(path, dump_automaton(ca))
+    code, suite = _equivalence(capsys, str(path), seed)
+    [verdict] = suite["verdicts"]
+    assert verdict["ok"] and "sampled" not in verdict and code == EXIT_PASS
+    assert not verdict["witness"]["rule_invariant"] and not verdict["witness"]["step_equivariant"]
+    _recheck_step_side(ca, suite)
+
+
+def test_laws_passes_a_symmetrized_rule_past_the_bound_exactly(capsys, tmp_path):
+    _, path = _torus3_file(tmp_path, 2, symmetrize=True)
+    code, suite = _equivalence(capsys, path, 0)
+    [verdict] = suite["verdicts"]
+    assert verdict["ok"] and "sampled" not in verdict and code == EXIT_PASS
+    assert verdict["witness"]["rule_invariant"] and verdict["witness"]["step_equivariant"]
+
+
+def test_laws_equivalence_on_a_non_action_past_the_window_bound(capsys, tmp_path):
+    # one row of the torus action table with two entries swapped is no
+    # longer an action, which laws does not verify; the step and the
+    # shifted step then read 9 cells between them, 5**9 patterns
+    data = json.loads(Path(fx("torus_or.json")).read_text())
+    row = data["space"]["action"]["act"][1]
+    row[1], row[7] = row[7], row[1]
+    data["states"] = 5
+    data["delta"] = [max(decode(code, 5, 5)) for code in range(5**5)]
+    path = tmp_path / "doctored.json"
+    path.write_text(json.dumps(data))
+    code, suite = _equivalence(capsys, str(path), 0)
+    assert suite == {"bound_exceeded": "5**9 window patterns exceed the rule table bound", "verdicts": []}
+    assert code == EXIT_BOUND
 
 
 @pytest.mark.parametrize("symmetrize, expected", [(True, EXIT_BOUND), (False, EXIT_VIOLATION)])

@@ -1,9 +1,11 @@
 """The batched step kernel against the independent slow oracles.
 
 `step_via_origin` computes the step the other way around (pull back to the
-origin, apply the origin form of the rule), and the reference loops below
-are the scalar, one-configuration-at-a-time forms of the sampled checks, so
-neither can share a bug with the batched gather they check.
+origin, apply the origin form of the rule), and the reference loop below
+is the scalar, one-configuration-at-a-time form of the sampled collision
+search, so neither can share a bug with the batched gather they check.
+Past the table bound, equivariance witnesses are re-checked with `shift`
+and `step_via_origin`.
 """
 
 import random
@@ -29,7 +31,8 @@ from homoca.errors import BoundError, InputError
 from homoca.laws import (
     GlobalMap,
     NotInvertible,
-    check_equivariance,
+    check_invariance_equivalence,
+    check_step_equivariance,
     config_count,
     global_table,
     invert,
@@ -57,7 +60,7 @@ def _rule(space, states, seed, symmetrize, seeds=2):
     rows=st.integers(1, 12),
 )
 def test_step_batch_rows_equal_the_origin_form(name, states, seed, symmetrize, rows):
-    # the torus with 3 states is past the table bound, where only sampling runs
+    # the torus with 3 states is past the table bound, where no table is built
     ca = _rule(SPACES[name], states, seed, symmetrize)
     rng = random.Random(seed + 1)
     configs = [tuple(rng.randrange(states) for _ in range(ca.space.cells)) for _ in range(rows)]
@@ -132,27 +135,6 @@ def test_global_table_rows_are_steps():
 # ------------------------------------------------- sampled references
 
 
-def reference_equivariance(ca, members, samples, seed):
-    """The scalar form: one sample at a time, one shift at a time."""
-    space = ca.space
-    rng = random.Random(seed)
-    total = config_count(space, ca.states)
-    for _ in range(samples):
-        config = decode(rng.randrange(total), ca.states, space.cells)
-        image = step(ca, config)
-        for h in members:
-            left = step(ca, shift(space, h, config))
-            right = shift(space, h, image)
-            if left != right:
-                return {
-                    "element": h,
-                    "config": list(config),
-                    "map_then_shift": list(right),
-                    "shift_then_map": list(left),
-                }
-    return None
-
-
 def reference_collision(ca, samples, seed):
     space = ca.space
     rng = random.Random(seed)
@@ -168,43 +150,6 @@ def reference_collision(ca, samples, seed):
             }
         seen[image] = config
     return None
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 7, 12345])
-def test_sampled_equivariance_witness_equals_the_scalar_loop(seed):
-    ca = _rule(SPACES["torus"], 3, 100 + seed, False)
-    verdict = check_equivariance(GlobalMap.from_automaton(ca), seed=seed)
-    assert verdict.sampled and not verdict.ok
-    members = ca.space.group.elements()
-    assert verdict.witness == reference_equivariance(ca, members, laws.SAMPLE_COUNT, seed)
-
-
-@pytest.mark.parametrize("seed", [0, 3, 8])
-def test_sampled_equivariance_pass_equals_the_scalar_loop(seed, monkeypatch):
-    # a few samples per chunk, so that the chunk boundaries are crossed
-    monkeypatch.setattr(laws, "GATHER_ROWS", 3 * 65)
-    ca = _rule(SPACES["torus"], 3, seed, True)
-    verdict = check_equivariance(GlobalMap.from_automaton(ca), samples=10, seed=seed)
-    assert verdict.ok and verdict.sampled
-    assert reference_equivariance(ca, ca.space.group.elements(), 10, seed) is None
-
-
-@pytest.mark.parametrize("rows", [1, 512])
-@pytest.mark.parametrize("seed", [0, 4, 9])
-def test_sampled_equivariance_with_a_late_failure(seed, rows, monkeypatch):
-    # a rule that breaks rotation invariance on one rare local pattern, so
-    # the first failing sample is not the first one: it lies in a later
-    # chunk of one sample each, or inside the first chunk of several
-    monkeypatch.setattr(laws, "GATHER_ROWS", rows)
-    space = SPACES["torus"]
-    neighborhood = torus_neighborhood(space)
-    rule = [0] * 3 ** len(neighborhood)
-    rule[encode((2, 2, 1, 0, 0), 3)] = 1
-    ca = SemiCellularAutomaton(space, 3, neighborhood, rule)
-    verdict = check_equivariance(GlobalMap(space, 3, automaton=ca), samples=200, seed=seed)
-    expected = reference_equivariance(ca, space.group.elements(), 200, seed)
-    assert verdict.sampled and not verdict.ok
-    assert verdict.witness == expected
 
 
 def _max_rule(space, states):
@@ -232,23 +177,69 @@ def test_collision_search_without_a_collision_refuses_like_the_scalar_loop(seed)
         invert(ca, seed=seed)
 
 
-# ---------------------------------------------------------- GlobalMap
+# ------------------------------------- window equivariance past the bound
 
 
-def test_an_automaton_backed_map_applies_through_the_kernel():
+def recheck_equivariance_witness(ca, witness):
+    """The witness, re-stepped by the origin form: shifting and stepping
+    in the two orders differ on its configuration as reported."""
+    space, h = ca.space, witness["element"]
+    config = tuple(witness["config"])
+    assert step_via_origin(ca, shift(space, h, config)) == tuple(witness["shift_then_map"])
+    assert shift(space, h, step_via_origin(ca, config)) == tuple(witness["map_then_shift"])
+    assert witness["shift_then_map"] != witness["map_then_shift"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7, 12345])
+def test_raw_rules_past_the_bound_fail_with_a_checked_witness(seed):
+    ca = _rule(SPACES["torus"], 3, 100 + seed, False)
+    assert config_count(ca.space, 3) > laws.CONFIG_TABLE_BOUND
+    verdict = check_step_equivariance(ca)
+    assert not verdict.ok and not verdict.sampled
+    recheck_equivariance_witness(ca, verdict.witness)
+
+
+def test_a_rare_failure_past_the_bound_is_found_and_checked():
+    # the rule breaks rotation invariance on one rare local pattern only,
+    # so few configurations fail equivariance
+    space = SPACES["torus"]
+    neighborhood = torus_neighborhood(space)
+    rule = [0] * 3 ** len(neighborhood)
+    rule[encode((2, 2, 1, 0, 0), 3)] = 1
+    ca = SemiCellularAutomaton(space, 3, neighborhood, rule)
+    verdict = check_step_equivariance(ca)
+    assert not verdict.ok and not verdict.sampled
+    recheck_equivariance_witness(ca, verdict.witness)
+    # the smallest failing configuration is zero off one cell's window
+    assert sum(1 for x in verdict.witness["config"] if x) <= len(ca.neighborhood)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8])
+def test_symmetrized_rules_past_the_bound_pass_exactly(seed):
+    ca = _rule(SPACES["torus"], 3, seed, True)
+    verdict = check_step_equivariance(ca)
+    assert verdict.ok and not verdict.sampled
+    equivalence = check_invariance_equivalence(ca)
+    assert equivalence.ok and not equivalence.sampled
+    assert equivalence.witness["step_equivariant"] and equivalence.witness["rule_invariant"]
+
+
+def test_a_global_map_past_the_bound_is_refused():
     ca = _rule(SPACES["torus"], 3, 6, False)
-    gm = GlobalMap.from_automaton(ca)
-    assert not gm.exhaustive and gm.automaton is ca
-    config = decode(12345, 3, 16)
-    assert gm.apply(config) == step_via_origin(ca, config)
-    assert gm.apply_code(12345) == encode(step_via_origin(ca, config), 3)
+    with pytest.raises(BoundError):
+        GlobalMap.from_automaton(ca)
 
 
-def test_a_global_map_needs_exactly_one_source():
-    ca = _rule(SPACES["cyclic4"], 2, 1, False)
+@pytest.mark.parametrize("config", [(0.0, 1, 0, 0), (0, 1, 0), (0, 1, 0, 3), (0, -1, 0, 0)])
+def test_step_and_its_origin_form_refuse_the_same_configurations(config):
+    ca = _rule(SPACES["square"], 3, 4, True)
     with pytest.raises(InputError):
-        GlobalMap(ca.space, 2, table=global_table(ca), automaton=ca)
+        step(ca, config)
     with pytest.raises(InputError):
-        GlobalMap(ca.space, 3, automaton=ca)
+        step_via_origin(ca, config)
+
+
+def test_iterate_refuses_negative_steps():
+    ca = _rule(SPACES["square"], 3, 4, True)
     with pytest.raises(InputError):
-        GlobalMap(SPACES["square"], 2, automaton=ca)
+        iterate(ca, (0, 1, 2, 1), -3)

@@ -29,6 +29,7 @@ from homoca.laws import (
     check_determination,
     check_equivariance,
     check_invariance_equivalence,
+    check_step_equivariance,
     compose,
     config_count,
     dependency_cells,
@@ -91,28 +92,17 @@ def test_shift_code_permutation_matches_configuration_shift(spaces):
 def test_global_map_apply_agrees_with_step(automata):
     ca = automata["square_or"]
     gm = GlobalMap.from_automaton(ca)
-    assert gm.exhaustive
     for code in range(16):
         config = decode(code, 2, 4)
         assert gm.apply(config) == step(ca, config)
-        assert gm.apply_code(code) == encode(step(ca, config), 2)
 
 
 def test_global_map_validates_tables(spaces):
     space = spaces["cyclic4"]
     with pytest.raises(InputError):
-        GlobalMap.from_table(space, 2, list(range(8)))  # wrong length
+        GlobalMap(space, 2, list(range(8)))  # wrong length
     with pytest.raises(InputError):
-        GlobalMap.from_table(space, 2, [99] * 16)  # entries out of range
-    with pytest.raises(InputError):
-        GlobalMap(space, 2)  # neither table nor automaton
-
-
-def test_unmemoized_map_reports_its_bound(spaces):
-    gm = GlobalMap(spaces["cyclic4"], 2, automaton=identity_automaton(spaces["cyclic4"]))
-    assert not gm.exhaustive
-    with pytest.raises(BoundError):
-        gm.table
+        GlobalMap(space, 2, [99] * 16)  # entries out of range
 
 
 # ------------------------------------------------------------ equivariance
@@ -122,13 +112,14 @@ def test_unmemoized_map_reports_its_bound(spaces):
 def test_bundled_steps_are_equivariant(name, automata):
     verdict = check_equivariance(GlobalMap.from_automaton(automata[name]))
     assert verdict.ok
+    assert check_step_equivariance(automata[name]) == verdict
 
 
 def test_a_doctored_table_fails_equivariance_with_a_usable_witness(automata):
     ca = automata["cyclic4_shift"]
     table = global_table(ca).copy()
     table[1], table[2] = table[2], table[1]
-    gm = GlobalMap.from_table(ca.space, 2, table)
+    gm = GlobalMap(ca.space, 2, table)
     verdict = check_equivariance(gm)
     assert not verdict.ok
     w = verdict.witness
@@ -136,14 +127,6 @@ def test_a_doctored_table_fails_equivariance_with_a_usable_witness(automata):
     assert gm.apply(moved) == tuple(w["shift_then_map"])
     assert shift(ca.space, w["element"], gm.apply(tuple(w["config"]))) == tuple(w["map_then_shift"])
     assert tuple(w["shift_then_map"]) != tuple(w["map_then_shift"])
-
-
-def test_equivariance_of_a_callable_map_is_sampled(automata):
-    ca = automata["cyclic4_shift"]
-    gm = GlobalMap(ca.space, 2, automaton=ca)
-    verdict = check_equivariance(gm, samples=64, seed=5)
-    assert verdict.ok
-    assert verdict.sampled
 
 
 # ------------------------------- invariance of rules vs equivariance of maps
@@ -192,7 +175,7 @@ def test_determination_passes_for_the_automaton_own_step(automata):
 def test_determination_sides_fail_together_for_a_foreign_map(spaces, automata):
     # the identity table is equivariant but disagrees with OR at the origin
     ca = automata["square_or"]
-    gm = GlobalMap.from_table(ca.space, 2, np.arange(16))
+    gm = GlobalMap(ca.space, 2, np.arange(16))
     verdict = check_determination(ca, gm)
     assert verdict.ok
     assert not verdict.witness["rule_invariant_and_equal"]
@@ -326,7 +309,7 @@ def test_extract_rejects_non_equivariant_tables(automata):
     table = global_table(ca).copy()
     table[1] ^= 1
     with pytest.raises(EquivarianceError) as err:
-        extract(GlobalMap.from_table(ca.space, 2, table))
+        extract(GlobalMap(ca.space, 2, table))
     assert "config" in err.value.witness
 
 

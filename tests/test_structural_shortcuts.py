@@ -1,8 +1,9 @@
 """The exact structural shortcuts in the exhaustive laws, against slow oracles.
 
 `check_uniformity_base` tries the member a prodiscrete base predicts before
-scanning, exhaustive `check_equivariance` tests generators of the scope
-before scanning all members, and `dependency_matrix` finds every
+scanning, `check_equivariance` tests generators of the scope before
+scanning all members, `check_step_equivariance` decides the same on
+neighbourhood windows without a table, and `dependency_matrix` finds every
 dependency set in one pass over the table.  In the group layer,
 `verify_group` sweeps associativity over magma generators only, and
 `Subgroup` and `FiniteGroup.inv` check the table with numpy.  The
@@ -26,6 +27,7 @@ from homoca.encoding import decode, digit_matrix
 from homoca.laws import (
     GlobalMap,
     check_equivariance,
+    check_step_equivariance,
     config_count,
     dependency_cells,
     dependency_matrix,
@@ -35,7 +37,7 @@ from homoca.laws import (
     shift_code_permutation,
 )
 from homoca.errors import InputError
-from homoca.groups import FiniteGroup, Subgroup, magma_generators, verify_group
+from homoca.groups import FiniteGroup, LeftAction, Subgroup, magma_generators, verify_group
 from homoca.serialize import load_global_map
 from homoca.uniformity import (
     EntourageBase,
@@ -326,12 +328,58 @@ def test_exhaustive_equivariance_agrees_with_the_member_scan(name, symmetrize):
             gm = GlobalMap.from_automaton(ca)
             verdict = check_equivariance(gm, sub)
             assert verdict == scan_equivariance(gm, _members(space, sub)), (sub, seed)
+            assert check_step_equivariance(ca, sub) == verdict, (sub, seed)
             if symmetrize:
                 assert verdict.ok
 
 
 def test_some_cases_have_a_proper_scope():
     assert [name for name in SPACES if len(_cases(name)) == 2] == ["square", "cube", "torus"]
+
+
+@pytest.mark.parametrize("name", ["cyclic4", "square", "cube"])
+def test_window_check_agrees_with_the_table_on_three_states(name):
+    failing = 0
+    for space, sub in _cases(name):
+        for seed in range(8):
+            for symmetrize in (True, False):
+                ca = _random_rule(space, 3, seed, symmetrize)
+                verdict = check_equivariance(GlobalMap.from_automaton(ca), sub)
+                assert check_step_equivariance(ca, sub) == verdict, (sub, seed)
+                failing += not verdict.ok
+    assert failing or name == "cyclic4"
+
+
+def _doctored_space(space, row):
+    """The space with two entries of one row of its action table swapped,
+    away from the origin and its preimage: no longer an action, but every
+    law the loader checks still holds."""
+    act = [list(r) for r in space.action.act]
+    a, b = [x for x in range(space.cells) if space.origin not in (x, act[row][x])][:2]
+    act[row][a], act[row][b] = act[row][b], act[row][a]
+    action = LeftAction(space.group, space.cells, tuple(tuple(r) for r in act))
+    return CellSpace(CoordinateSystem(action, space.origin, space.coords))
+
+
+@pytest.mark.parametrize("name", ["square", "cube"])
+def test_window_check_agrees_with_the_table_on_doctored_actions(name):
+    space = SPACES[name]
+    outcomes, wider = set(), False
+    for row in space.group.elements():
+        if row in space.coords:
+            continue
+        doctored = _doctored_space(space, row)
+        rows = shift_cells(doctored, doctored.group.elements())
+        for seed in range(3):
+            ca = _random_rule(doctored, 2, seed, True)
+            verdict = check_equivariance(GlobalMap.from_automaton(ca))
+            assert check_step_equivariance(ca) == verdict, (row, seed)
+            outcomes.add(verdict.ok)
+            nc = ca.neighbor_cells
+            for g in generator_indices(rows):
+                s = rows[g]
+                wider |= any(len(set(s[nc[m]]) | set(nc[s[m]])) > ca.arity for m in range(doctored.cells))
+    assert outcomes == {True, False} and wider
 
 
 @pytest.mark.parametrize("name", ["cyclic4", "square", "cube"])
@@ -343,9 +391,9 @@ def test_doctored_tables_agree_with_the_member_scan(name):
         for _ in range(8):
             table = true.copy()
             table[rng.randrange(total)] = rng.randrange(total)
-            gm = GlobalMap.from_table(space, 2, table)
+            gm = GlobalMap(space, 2, table)
             assert check_equivariance(gm, sub) == scan_equivariance(gm, _members(space, sub))
-        gm = GlobalMap.from_table(space, 2, rng.sample(range(total), total))
+        gm = GlobalMap(space, 2, rng.sample(range(total), total))
         assert check_equivariance(gm, sub) == scan_equivariance(gm, _members(space, sub))
 
 
@@ -360,7 +408,7 @@ def test_shift_maps_agree_with_the_member_scan(name):
     failing = 0
     for g in generator_indices(rows):
         table = digit_matrix(2, space.cells)[:, rows[g]].astype(np.int64) @ w
-        gm = GlobalMap.from_table(space, 2, table)
+        gm = GlobalMap(space, 2, table)
         verdict = check_equivariance(gm)
         assert verdict == scan_equivariance(gm, space.group.elements()), g
         failing += not verdict.ok

@@ -155,7 +155,7 @@ def test_base_axioms_fail_with_witnesses():
 
 def test_pushing_relations_through_a_map():
     space = cyclic_space(2)
-    gm = GlobalMap.from_table(space, 2, [3, 2, 1, 0])  # an involution
+    gm = GlobalMap(space, 2, [3, 2, 1, 0])  # an involution
     assert image_relation(gm, Relation.diagonal(4)) == Relation.diagonal(4)
     assert image_relation(gm, Relation.full(4)) == Relation.full(4)
     one_pair = Relation.from_pairs(4, [(0, 1)])
