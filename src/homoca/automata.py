@@ -73,6 +73,10 @@ class SemiCellularAutomaton:
         self.states = states
         self.neighborhood = neighborhood
         self.rule = rule
+        # slot for the step as a read-only table over packed configurations:
+        # laws.global_table alone reads and fills it, on its first call
+        # inside the table bound
+        self._global_table: Optional[np.ndarray] = None
 
     @property
     def arity(self) -> int:

@@ -13,6 +13,7 @@ fall back to sampling).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -288,6 +289,10 @@ def _suite_determination(ca, sub, seed) -> dict:
     gm = GlobalMap.from_automaton(ca)
     verdicts = [check_determination(ca, gm, sub)]
     q = ca.states
+    if q == 1:
+        reason = "one state admits a single global map, so there is none to perturb"
+        verdicts.append(Verdict.passing("determination-rejects-perturbed", {"reason": reason}))
+        return {"verdicts": [v.as_dict() for v in verdicts]}
     w = q**ca.space.origin
     table = gm.table.copy()
     d = int(table[0] // w % q)
@@ -574,7 +579,10 @@ def cmd_compose(args) -> int:
 # ----------------------------------------------------------------- main
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later calls: parsing
+    fills a fresh namespace and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="homoca",
         description="validate, run and law-check cellular automata over finite group actions",

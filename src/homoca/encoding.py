@@ -37,9 +37,12 @@ def digit_matrix(radix: int, width: int) -> np.ndarray:
     """All radix**width digit tuples as rows, row index == encoded value.
 
     Cached and frozen: callers index or matmul it, never write to it.
+    Stored column-major, so the digits of one position over all codes
+    are contiguous: the table kernels in laws read whole columns.
     """
     codes = np.arange(radix**width, dtype=np.int64)
-    cols = [(codes // radix**i) % radix for i in range(width)]
-    out = np.stack(cols, axis=1).astype(np.uint8) if width else np.zeros((1, 0), dtype=np.uint8)
+    out = np.empty((len(codes), width), dtype=np.uint8, order="F")
+    for i in range(width):
+        out[:, i] = (codes // radix**i) % radix
     out.setflags(write=False)
     return out

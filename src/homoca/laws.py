@@ -2,8 +2,10 @@
 
 A global map is a full lookup table over packed configurations, built by
 `global_table` only while states**cells stays within CONFIG_TABLE_BOUND;
-past it, the laws that need tables raise BoundError.  Every rule
-application goes through `step_batch`.
+past it, the laws that need tables raise BoundError.  A table is built
+cell by cell, from the digit columns of each cell's window, once per
+automaton, and kept on it read-only.  `step_batch` serves batches of
+configurations: witnesses and the collision search past the bound.
 
 Equivariance checks test generators of the symmetry scope only.  They
 are found by closing the shifts' cell maps under composition, not by
@@ -42,28 +44,55 @@ from .verdict import Verdict
 CONFIG_TABLE_BOUND = 1 << 16
 SAMPLE_COUNT = 1024
 SAMPLE_SEED = 0
-# configurations per step_batch call when tabling; bounds the
-# (rows, cells, arity) gather and so the peak memory of that loop
-GATHER_ROWS = 512
 
 
 def config_count(space: CellSpace, states: int) -> int:
     return states**space.cells
 
 
+def _pack(columns: np.ndarray, cells: Sequence[int], states: int) -> np.ndarray:
+    """Sum of columns[:, cells[i]] * states**i: for every packed
+    configuration, the code of its digits at `cells` in that order.
+
+    int32 holds every code packed here: rule codes stay below
+    MAX_RULE_TABLE, and a configuration code indexes a row of `columns`,
+    an array of far fewer than 2**31 rows.  Each product is taken in
+    int32 explicitly: under NumPy 1's value-based casting a uint8 column
+    times a small scalar stays uint8 and wraps.
+    """
+    code = np.zeros(columns.shape[0], dtype=np.int32)
+    w = 1
+    for c in cells:
+        code += np.multiply(columns[:, c], w, dtype=np.int32)
+        w *= states
+    return code
+
+
 def global_table(ca: SemiCellularAutomaton) -> np.ndarray:
-    """The step of an automaton as a table over packed configurations."""
+    """The step of an automaton as a table over packed configurations.
+
+    Cell m's image digit depends only on the digits at its window
+    neighbor_cells[m], so the table is built one cell at a time: pack the
+    window's digit columns into rule codes, look them up in the rule and
+    add the result at weight states**m.  The table is built once per
+    automaton, kept read-only in the automaton's `_global_table` slot and
+    returned from there on later calls; past the table bound every call
+    raises BoundError.
+    """
     space = ca.space
     q = ca.states
     if config_count(space, q) > CONFIG_TABLE_BOUND:
         raise BoundError(f"{q}**{space.cells} configurations exceed the table bound")
-    digits = digit_matrix(q, space.cells)
-    w = weights(q, space.cells)
-    table = np.empty(len(digits), dtype=np.int64)
-    for start in range(0, len(digits), GATHER_ROWS):
-        rows = slice(start, start + GATHER_ROWS)
-        table[rows] = step_batch(ca, digits[rows]) @ w
-    return table
+    if ca._global_table is None:
+        columns = digit_matrix(q, space.cells)
+        rule = ca.rule_array.astype(np.int32)
+        table = np.zeros(columns.shape[0], dtype=np.int32)
+        for m, window in enumerate(ca.neighbor_cells.tolist()):
+            table += rule[_pack(columns, window, q)] * np.int32(q**m)
+        table = table.astype(np.int64)
+        table.setflags(write=False)
+        ca._global_table = table
+    return ca._global_table
 
 
 def shift_cells(space: CellSpace, members: Sequence[int]) -> np.ndarray:
@@ -111,9 +140,8 @@ def generator_indices(rows: np.ndarray) -> list[int]:
 
 def shift_code_permutation(space: CellSpace, g: int, states: int) -> np.ndarray:
     """Translation by g as a permutation of packed configurations."""
-    cell_perm = shift_cells(space, [g])[0]
-    digits = digit_matrix(states, space.cells)
-    return digits[:, cell_perm].astype(np.int64) @ weights(states, space.cells)
+    cell_perm = shift_cells(space, [g])[0].tolist()
+    return _pack(digit_matrix(states, space.cells), cell_perm, states).astype(np.int64)
 
 
 class GlobalMap:
@@ -431,7 +459,7 @@ def extract(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> SemiCellularA
     """
     space = gm.space
     sub = subgroup_or_whole(space, subgroup)
-    table = gm.table  # raises BoundError when not memoized
+    table = gm.table
     eq = check_equivariance(gm, sub)
     if not eq.ok:
         raise EquivarianceError("global map is not shift-equivariant", eq.witness or {})

@@ -175,6 +175,34 @@ def test_laws_single_suite_selection(capsys):
     assert list(report_of(out)["suites"]) == ["chl"]
 
 
+def test_successive_calls_with_repeated_suites_give_independent_reports(capsys):
+    # the parser is built once per process; its append action must start
+    # every call from an empty suite list
+    path = fx("cyclic4_shift.json")
+    code, out = run_cli(capsys, "laws", path, "--suite", "chl", "--suite", "determination")
+    assert code == EXIT_PASS
+    assert sorted(report_of(out)["suites"]) == ["chl", "determination"]
+    code, out = run_cli(capsys, "laws", path, "--suite", "equivalence", "--suite", "uniformity")
+    assert code == EXIT_PASS
+    assert sorted(report_of(out)["suites"]) == ["equivalence", "uniformity"]
+    code, out = run_cli(capsys, "laws", path)
+    assert len(report_of(out)["suites"]) == 7
+
+
+def test_laws_determination_with_one_state_passes(capsys, tmp_path):
+    # with one state the step is the only global map, so no perturbed
+    # map exists to be rejected
+    path = tmp_path / "one_state.json"
+    automaton = {"space": fx("cyclic4_space.json"), "states": 1, "neighborhood": [1], "delta": [0]}
+    path.write_text(json.dumps(automaton))
+    code, out = run_cli(capsys, "laws", str(path), "--suite", "determination")
+    assert code == EXIT_PASS
+    own, perturbed = report_of(out)["suites"]["determination"]["verdicts"]
+    assert own["ok"] and own["law"] == "determination-at-origin"
+    assert perturbed["ok"] and perturbed["law"] == "determination-rejects-perturbed"
+    assert "no" in perturbed["witness"]["reason"]
+
+
 def test_laws_unknown_suite_is_an_input_error(capsys):
     code, _ = run_cli(capsys, "laws", fx("cyclic4_shift.json"), "--suite", "nonsense")
     assert code == EXIT_INPUT

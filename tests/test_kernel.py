@@ -115,15 +115,6 @@ def test_the_empty_neighborhood_steps_to_a_constant():
 # ------------------------------------------------------- global table
 
 
-@pytest.mark.parametrize("name", ["cyclic4", "square", "cube", "torus"])
-def test_global_table_does_not_depend_on_the_chunk_size(name, monkeypatch):
-    states = 3 if name != "torus" else 2
-    ca = _rule(SPACES[name], states, 11, False)
-    whole = global_table(ca)
-    monkeypatch.setattr(laws, "GATHER_ROWS", 7)
-    assert np.array_equal(global_table(ca), whole)
-
-
 def test_global_table_rows_are_steps():
     ca = _rule(SPACES["cube"], 3, 5, False)
     table = global_table(ca)

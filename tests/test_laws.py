@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from homoca.automata import SemiCellularAutomaton, shift, step
+from homoca.automata import SemiCellularAutomaton, closed_neighborhood, shift, step, step_batch
 from homoca.catalog import (
     coordinate_system_variants,
     identity_automaton,
@@ -19,10 +19,11 @@ from homoca.catalog import (
     random_rule_automaton,
 )
 from homoca.cellspace import CellSpace
-from homoca.encoding import decode, encode
+from homoca.encoding import decode, digit_matrix, encode, weights
 from homoca.errors import BoundError, EquivarianceError, InputError
 from homoca.groups import transporter
 from homoca.laws import (
+    CONFIG_TABLE_BOUND,
     GlobalMap,
     NotInvertible,
     change_coordinates,
@@ -59,10 +60,56 @@ def naive_table(ca):
     return [encode(naive_step(ca, decode(c, ca.states, ca.space.cells)), ca.states) for c in range(total)]
 
 
+def batch_table(ca):
+    """The step of every configuration through the batched kernel, packed."""
+    digits = digit_matrix(ca.states, ca.space.cells)
+    return step_batch(ca, digits) @ weights(ca.states, ca.space.cells)
+
+
+def old_shift_code_permutation(space, g, states):
+    """Translation by g as one (configurations, cells) gather and matmul."""
+    act, inv = space.action.act, space.group.inv
+    digits = digit_matrix(states, space.cells)
+    return digits[:, list(act[inv[g]])].astype(np.int64) @ weights(states, space.cells)
+
+
 @pytest.mark.parametrize("name", ["cyclic4_shift", "cyclic4_or", "square_or", "cube_identity", "cube_or"])
 def test_global_table_matches_the_naive_oracle(name, automata):
     ca = automata[name]
     assert global_table(ca).tolist() == naive_table(ca)
+    assert np.array_equal(global_table(ca), batch_table(ca))
+
+
+def _random_rules(space, states, rng):
+    """Random raw rules on closures of a few coset indices, the constant
+    rule of the empty neighbourhood first."""
+    yield SemiCellularAutomaton(space, states, (), (rng.randrange(states),))
+    for count in (1, 2, 3):
+        picked = rng.sample(range(space.num_cosets), min(count, space.num_cosets))
+        neighborhood = closed_neighborhood(space, picked)
+        if states ** len(neighborhood) <= 4096:
+            yield random_rule_automaton(space, neighborhood, states, rng, False)
+
+
+# every bundled space with every state count from 1 to 4 inside the table
+# bound: the 16-cell torus takes at most 2 states
+IN_BOUND = [(name, q) for name in ("cyclic4", "square", "cube") for q in (1, 2, 3, 4)]
+IN_BOUND += [("torus", 1), ("torus", 2)]
+
+
+@pytest.mark.parametrize("name, states", IN_BOUND)
+def test_the_column_kernel_equals_both_oracles_on_random_rules(name, states, spaces):
+    space = spaces[name]
+    assert config_count(space, states) <= CONFIG_TABLE_BOUND
+    rng = random.Random(1000 * states + space.cells)
+    for k, ca in enumerate(_random_rules(space, states, rng)):
+        table = global_table(ca)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, batch_table(ca))
+        # one naive table on the 2**16 torus costs seconds; the smallest
+        # non-constant rule there stands for the rest
+        if space.cells <= 6 or k == 1:
+            assert table.tolist() == naive_table(ca)
 
 
 def test_shift_table_frozen(automata):
@@ -84,6 +131,52 @@ def test_shift_code_permutation_matches_configuration_shift(spaces):
             config = decode(code, 2, 4)
             assert int(perm[code]) == encode(shift(space, g, config), 2)
         assert sorted(perm.tolist()) == list(range(16))
+
+
+@pytest.mark.parametrize("name, states", IN_BOUND)
+def test_shift_code_permutation_equals_the_gather_form(name, states, spaces):
+    space = spaces[name]
+    for g in space.group.elements():
+        perm = shift_code_permutation(space, g, states)
+        assert perm.dtype == np.int64
+        assert np.array_equal(perm, old_shift_code_permutation(space, g, states))
+
+
+# ------------------------------------------------------- memoized tables
+
+
+@pytest.mark.parametrize("name", ["cyclic4_shift", "square_identity", "cube_or", "torus_or"])
+def test_a_memoized_table_equals_a_fresh_automaton_table(name, automata):
+    ca = automata[name]
+    first = global_table(ca)
+    assert global_table(ca) is first
+    fresh = SemiCellularAutomaton(ca.space, ca.states, ca.neighborhood, ca.rule)
+    assert global_table(fresh) is not first
+    assert np.array_equal(global_table(fresh), first)
+
+
+def test_a_global_map_shares_the_memoized_table(automata):
+    ca = automata["square_or"]
+    assert GlobalMap.from_automaton(ca).table is global_table(ca)
+
+
+def test_a_memoized_table_is_read_only(automata):
+    ca = automata["cube_identity"]
+    table = global_table(ca)
+    with pytest.raises(ValueError):
+        table[0] = 1
+    with pytest.raises(ValueError):
+        GlobalMap.from_automaton(ca).table[1] += 1
+    assert np.array_equal(global_table(ca), np.arange(len(table)))
+
+
+def test_every_call_past_the_bound_raises(spaces):
+    ca = SemiCellularAutomaton(spaces["torus"], 3, (), (1,))
+    for _ in range(3):
+        with pytest.raises(BoundError):
+            global_table(ca)
+        with pytest.raises(BoundError):
+            GlobalMap.from_automaton(ca)
 
 
 # -------------------------------------------------------------- GlobalMap
