@@ -25,11 +25,9 @@ MAX_RULE_TABLE = 1 << 20
 
 def closed_neighborhood(space: CellSpace, coset_indices: Sequence[int]) -> tuple[int, ...]:
     """Saturate a set of relative names under the origin stabilizer."""
-    out = set(int(j) for j in coset_indices)
-    for j in list(out):
-        for h in space.stabilizer.members:
-            out.add(space.translate_coset(h, j))
-    return tuple(sorted(out))
+    given = sorted(set(int(j) for j in coset_indices))
+    moved = space.translate_cosets(space.stabilizer.members, given)
+    return tuple(sorted(set(given).union(moved.ravel().tolist())))
 
 
 class SemiCellularAutomaton:
@@ -111,10 +109,12 @@ def subgroup_or_whole(space: CellSpace, subgroup: Optional[Subgroup]) -> Subgrou
         return Subgroup.whole(space.group)
     if subgroup.parent != space.group:
         raise InputError("subgroup belongs to a different group")
-    inside = set(subgroup.members)
-    for m, g in enumerate(space.coords):
-        if g not in inside:
-            raise InputError(f"subgroup is missing the coordinate {g} of cell {m}")
+    inside = np.zeros(space.group.order, dtype=bool)
+    inside[list(subgroup.members)] = True
+    missing = np.flatnonzero(~inside[list(space.coords)])
+    if missing.size:
+        m = int(missing[0])
+        raise InputError(f"subgroup is missing the coordinate {space.coords[m]} of cell {m}")
     return subgroup
 
 

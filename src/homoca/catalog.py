@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .automata import (
     SemiCellularAutomaton,
     closed_neighborhood,
@@ -20,7 +22,7 @@ from .automata import (
 from .cellspace import CellSpace, CoordinateSystem, build_coordinate_system
 from .encoding import decode, encode
 from .errors import InputError
-from .groups import FiniteGroup, LeftAction, Subgroup, transporter
+from .groups import FiniteGroup, LeftAction, Subgroup
 
 
 def compose_permutations(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -239,8 +241,12 @@ def coordinate_system_variants(
     transporters: dict[tuple[int, int], tuple[int, ...]] = {}
     for origin in range(action.points):
         push(build_coordinate_system(action, origin))
+        # the elements carrying origin to each point, in increasing order
+        column = action.act[:, origin]
+        by_point = np.argsort(column, kind="stable")
+        bounds = np.searchsorted(column[by_point], np.arange(action.points + 1))
         for m in range(action.points):
-            transporters[origin, m] = tuple(transporter(action, origin, m))
+            transporters[origin, m] = tuple(by_point[bounds[m] : bounds[m + 1]].tolist())
 
     total_available = sum(
         _count_systems(action, origin, transporters) for origin in range(action.points)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -24,10 +25,10 @@ from .groups import (
     Coset,
     LeftAction,
     Subgroup,
-    coset_representatives,
+    coset_labels,
+    first_transporters,
     require_transitive,
     stabilizer,
-    transporter,
 )
 from .verdict import Verdict
 
@@ -50,16 +51,23 @@ class CoordinateSystem:
         if coords[self.origin] != act.group.identity:
             witness = {"origin": self.origin, "coord": coords[self.origin]}
             raise LawError(Verdict.failing("coordinate-origin-identity", witness))
-        for m, g in enumerate(coords):
-            if not 0 <= g < act.group.order:
-                raise InputError(f"coordinate {g} of cell {m} out of range")
-            if act.act[g][self.origin] != m:
-                raise LawError(
-                    Verdict.failing(
-                        "coordinate-transport",
-                        {"cell": m, "coord": g, "lands_on": act.act[g][self.origin]},
-                    )
+        # the first faulty cell is reported, and a cell's range is checked
+        # before its transport
+        valid = next(
+            (m for m, g in enumerate(coords) if not 0 <= g < act.group.order), len(coords)
+        )
+        lands = act.act[list(coords[:valid]), self.origin]
+        wrong = np.flatnonzero(lands != np.arange(valid))
+        if wrong.size:
+            m = int(wrong[0])
+            raise LawError(
+                Verdict.failing(
+                    "coordinate-transport",
+                    {"cell": m, "coord": coords[m], "lands_on": int(lands[m])},
                 )
+            )
+        if valid < len(coords):
+            raise InputError(f"coordinate {coords[valid]} of cell {valid} out of range")
 
 
 def build_coordinate_system(action: LeftAction, origin: int = 0) -> CoordinateSystem:
@@ -67,13 +75,10 @@ def build_coordinate_system(action: LeftAction, origin: int = 0) -> CoordinateSy
     transporter element at every other cell.  A cell no element reaches
     gets the identity, and CoordinateSystem then refuses the action as
     not transitive."""
-    coords = tuple(
-        action.group.identity
-        if m == origin
-        else min(transporter(action, origin, m), default=action.group.identity)
-        for m in range(action.points)
-    )
-    return CoordinateSystem(action, origin, coords)
+    coords = first_transporters(action, origin)
+    coords[coords < 0] = action.group.identity
+    coords[origin] = action.group.identity
+    return CoordinateSystem(action, origin, tuple(coords.tolist()))
 
 
 class CellSpace:
@@ -92,7 +97,8 @@ class CellSpace:
         self.coords = system.coords
         self.cells = system.action.points
         self.stabilizer: Subgroup = stabilizer(system.action, system.origin)
-        self.coset_reps: tuple[int, ...] = coset_representatives(self.group, self.stabilizer)
+        reps, self._element_coset = coset_labels(self.group, self.stabilizer)
+        self.coset_reps: tuple[int, ...] = tuple(reps.tolist())
         self.num_cosets = len(self.coset_reps)
         self._rep_index = {r: j for j, r in enumerate(self.coset_reps)}
 
@@ -105,29 +111,17 @@ class CellSpace:
         return tuple(Coset(self.stabilizer, r) for r in self.coset_reps)
 
     @cached_property
-    def _element_coset(self) -> np.ndarray:
-        """Coset index of every group element."""
-        mul = self.group.mul_array
-        members = np.array(self.stabilizer.members, dtype=np.int64)
-        canon = mul[:, members].min(axis=1)
-        reps = np.array(self.coset_reps, dtype=np.int64)
-        return np.searchsorted(reps, canon)
-
-    @cached_property
     def semi_table(self) -> np.ndarray:
         """semi_table[m, j] = cell m <| coset j."""
-        mul = self.group.mul_array
-        act = self.action.act_array
-        coords = np.array(self.coords, dtype=np.int64)
-        reps = np.array(self.coset_reps, dtype=np.int64)
-        elems = mul[coords][:, reps]  # coord[m] * rep_j
-        return act[elems, self.origin]
+        coords = np.array(self.coords)
+        elems = self.group.mul[coords[:, None], self.coset_reps]  # coord[m] * rep_j
+        return self.action.act[elems, self.origin].astype(np.int64)
 
     @cached_property
     def _cell_coset_index(self) -> tuple[int, ...]:
         # label of cell m: the transporter coset origin -> m, which is
         # exactly the coset of coord[m] (any coordinate choice gives it)
-        return tuple(int(self._element_coset[g]) for g in self.coords)
+        return tuple(self._element_coset[list(self.coords)].tolist())
 
     def coset_index(self, g: int) -> int:
         return int(self._element_coset[g])
@@ -146,7 +140,13 @@ class CellSpace:
 
     def translate_coset(self, g: int, j: int) -> int:
         """Index of g * (coset j) under left multiplication."""
-        return int(self._element_coset[self.group.mul[g][self.coset_reps[j]]])
+        return int(self._element_coset[self.group.mul[g, self.coset_reps[j]]])
+
+    def translate_cosets(self, elements: Sequence[int], coset_indices: Sequence[int]) -> np.ndarray:
+        """[i, k] = index of elements[i] * (coset coset_indices[k])."""
+        reps = [self.coset_reps[j] for j in coset_indices]
+        rows = np.asarray(elements, dtype=np.intp).reshape(-1, 1)
+        return self._element_coset[self.group.mul[rows, reps]]
 
     def origin_cells(self, coset_indices) -> tuple[int, ...]:
         """Resolve relative names at the origin."""
@@ -199,9 +199,9 @@ def defect(space: CellSpace, m: int, h: int) -> int:
     """
     group = space.group
     mul = group.mul
-    g1 = mul[space.coords[m]][h]
-    target = space.action.act[g1][space.origin]
-    return mul[group.inv[space.coords[target]]][g1]
+    g1 = mul[space.coords[m], h]
+    target = space.action.act[g1, space.origin]
+    return int(mul[group.inv[space.coords[target]], g1])
 
 
 def commutation_defect(space: CellSpace, m: int, h: int) -> int:
@@ -211,8 +211,8 @@ def commutation_defect(space: CellSpace, m: int, h: int) -> int:
     """
     group = space.group
     mul = group.mul
-    moved = space.action.act[h][m]
-    return mul[group.inv[space.coords[m]]][mul[group.inv[h]][space.coords[moved]]]
+    moved = space.action.act[h, m]
+    return int(mul[group.inv[space.coords[m]], mul[group.inv[h], space.coords[moved]]])
 
 
 def coordinate_change_defect(space: CellSpace, space2: CellSpace, h: int, m: int) -> int:
@@ -225,11 +225,11 @@ def coordinate_change_defect(space: CellSpace, space2: CellSpace, h: int, m: int
     """
     if space.action != space2.action:
         raise InputError("coordinate systems live on different actions")
-    if space.action.act[h][space.origin] != space2.origin:
+    if space.action.act[h, space.origin] != space2.origin:
         raise InputError(f"element {h} does not carry origin {space.origin} to {space2.origin}")
     group = space.group
     mul = group.mul
-    return mul[group.inv[space.coords[m]]][mul[space2.coords[m]][h]]
+    return int(mul[group.inv[space.coords[m]], mul[space2.coords[m], h]])
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .automata import SemiCellularAutomaton, is_cellular, iterate, step, subgrou
 from .catalog import coordinate_system_variants
 from .encoding import decode
 from .errors import BoundError, EquivarianceError, InputError, LawError
-from .groups import FiniteGroup, Subgroup, verify_action, verify_group
+from .groups import FiniteGroup, Subgroup, transporter, verify_action, verify_group
 from .laws import (
     CONFIG_TABLE_BOUND,
     GlobalMap,
@@ -251,11 +251,7 @@ def _suite_coordinate_independence(ca, sub, seed) -> dict:
     ][:5]
     checked = []
     for system in variants:
-        h = min(
-            g
-            for g in ca.space.group.elements()
-            if ca.space.action.act[g][ca.space.origin] == system.origin
-        )
+        h = transporter(ca.space.action, ca.space.origin, system.origin)[0]
         moved = change_coordinates(ca, system, h, sub)
         if not np.array_equal(global_table(moved), reference):
             diff = int(np.flatnonzero(global_table(moved) != reference)[0])
@@ -417,9 +413,7 @@ def _suite_uniformity(ca, sub, seed) -> dict:
     window_ok = True
     window_witness = None
     for cells, source in assignments:
-        reachable = {
-            int(space.semi_table[m, j]) for m in cells for j in ca.neighborhood
-        }
+        reachable = set(space.semi_table[np.ix_(cells, ca.neighborhood)].ravel().tolist())
         if not set(source) <= reachable:
             window_ok = False
             window_witness = {"target_cells": list(cells), "source": list(source)}

@@ -1,16 +1,20 @@
 """Finite groups and left actions as explicit lookup tables.
 
-Group elements are integers 0..order-1 and points 0..points-1; the
-multiplication and action tables are tuples of tuples so instances hash
-and compare by value.  Constructors only validate shape and size, so an
-invalid table is still representable: the verify_* checkers examine the
-axioms and report violations with witnesses instead of raising.
+Group elements are integers 0..order-1 and points 0..points-1.  The
+multiplication and action tables are read-only integer numpy arrays from
+load onwards, the only copy of each table; instances compare and hash by
+their sizes, identity and table bytes.  Constructors only validate shape
+and size, so an invalid table is still representable: the verify_*
+checkers examine the axioms and report violations with witnesses instead
+of raising.
 
-The checks that grow faster than the table work on its numpy copy
-(`mul_array`): `verify_group` sweeps associativity over magma generators
-of the table only, O(n^2 * generators) instead of O(n^3), with the same
-first failing triple; `Subgroup` checks closure on its block of the
-table, and `inv` finds all inverses in one pass.
+Every check works on whole rows and columns of the tables.
+`verify_group` sweeps associativity over magma generators of the table
+only, O(n^2 * generators) instead of O(n^3), with the same first failing
+triple; `Subgroup` checks closure on its block of the table, `inv` finds
+all inverses in one pass, and orbits, stabilizers, transporters and
+cosets are read off a column or a block of the tables.  Results leave as
+Python ints, so reports and files never see numpy scalars.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -36,10 +39,40 @@ def _two_sided_inverses(mul: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray
     return two_sided, np.flatnonzero(~two_sided.any(axis=1))
 
 
-def _as_table(
-    rows: Sequence[Sequence[int]], height: int, width: int, bound: int, what: str
-) -> tuple[tuple[int, ...], ...]:
-    """Rows of integers in 0..bound-1; floats and strings are refused, not truncated."""
+def _frozen(table) -> np.ndarray:
+    """An int32 read-only copy: every entry is below MAX_GROUP_ORDER or MAX_POINTS."""
+    out = np.array(table, dtype=np.int32)
+    out.setflags(write=False)
+    return out
+
+
+def _as_table(rows, height: int, width: int, bound: int, what: str) -> np.ndarray:
+    """Rows of integers in 0..bound-1; floats and strings are refused, not truncated.
+
+    One array conversion decides the usual input: an integer array of the
+    right shape with every entry in range, checked before the narrowing
+    cast, is the table.  Anything else (ragged or deeper nesting,
+    non-integer entries, integers too large for int64, a wrong size or an
+    entry out of range) goes through the row scan, which raises the
+    message naming the first fault or accepts what it accepted before,
+    such as a table of bools.
+    """
+    try:
+        table = np.array(rows)
+    except (ValueError, TypeError, OverflowError):
+        table = None
+    if (
+        table is not None
+        and table.dtype.kind in "iu"
+        and table.shape == (height, width)
+        and table.min() >= 0
+        and table.max() < bound
+    ):
+        return _frozen(table)
+    return _frozen(_scan_table(rows, height, width, bound, what))
+
+
+def _scan_table(rows, height: int, width: int, bound: int, what: str) -> list[tuple[int, ...]]:
     try:
         rows = [tuple(map(operator.index, row)) for row in rows]
     except TypeError:
@@ -52,13 +85,13 @@ def _as_table(
         if min(row) < 0 or max(row) >= bound:
             x = next(x for x in row if not 0 <= x < bound)
             raise InputError(f"{what}: entry {x} in row {i} out of range")
-    return tuple(rows)
+    return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     order: int
-    mul: tuple[tuple[int, ...], ...]
+    mul: np.ndarray
     identity: int
 
     def __post_init__(self):
@@ -70,45 +103,75 @@ class FiniteGroup:
         if not 0 <= self.identity < self.order:
             raise InputError(f"identity {self.identity} out of range")
 
-    @cached_property
-    def mul_array(self) -> np.ndarray:
-        return np.array(self.mul, dtype=np.int64)
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, FiniteGroup):
+            return NotImplemented
+        return (
+            self.order == other.order
+            and self.identity == other.identity
+            and np.array_equal(self.mul, other.mul)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.identity, self.mul.tobytes()))
 
     @cached_property
     def inv(self) -> tuple[int, ...]:
         """Two-sided inverses, the smallest one where there are several;
         raises for the first element that has none."""
-        two_sided, missing = _two_sided_inverses(self.mul_array, self.identity)
+        two_sided, missing = _two_sided_inverses(self.mul, self.identity)
         if missing.size:
             raise InputError(f"element {int(missing[0])} has no two-sided inverse")
         return tuple(two_sided.argmax(axis=1).tolist())
 
     def conjugate(self, g: int, a: int) -> int:
         """g a g^-1."""
-        return self.mul[self.mul[g][a]][self.inv[g]]
+        return int(self.mul[self.mul[g, a], self.inv[g]])
 
     def elements(self) -> range:
         return range(self.order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeftAction:
     group: FiniteGroup
     points: int
-    act: tuple[tuple[int, ...], ...]
+    act: np.ndarray
 
     def __post_init__(self):
         if not 1 <= self.points <= MAX_POINTS:
             raise InputError(f"point count {self.points} outside 1..{MAX_POINTS}")
-        rows = _as_table(self.act, self.group.order, self.points, self.points, "act table")
-        object.__setattr__(self, "act", rows)
+        table = _as_table(self.act, self.group.order, self.points, self.points, "act table")
+        object.__setattr__(self, "act", table)
 
-    @cached_property
-    def act_array(self) -> np.ndarray:
-        return np.array(self.act, dtype=np.int64)
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, LeftAction):
+            return NotImplemented
+        return (
+            self.points == other.points
+            and self.group == other.group
+            and np.array_equal(self.act, other.act)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.points, self.act.tobytes()))
 
     def apply(self, g: int, m: int) -> int:
-        return self.act[g][m]
+        return int(self.act[g, m])
+
+
+def _sorted_members(members) -> tuple[int, ...]:
+    """Distinct members in increasing order.  A sequence of integers
+    becomes Python ints in one conversion; anything else goes through
+    int() one member at a time."""
+    h = np.array(members)
+    if h.ndim == 1 and h.dtype.kind in "iu":
+        return tuple(sorted(set(h.tolist())))
+    return tuple(sorted(set(int(x) for x in members)))
 
 
 @dataclass(frozen=True)
@@ -126,7 +189,7 @@ class Subgroup:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        members = tuple(sorted(set(int(x) for x in self.members)))
+        members = _sorted_members(self.members)
         object.__setattr__(self, "members", members)
         n = self.parent.order
         e = self.parent.identity
@@ -136,13 +199,16 @@ class Subgroup:
             x = next(x for x in members if not 0 <= x < n)
             raise InputError(f"subgroup member {x} out of range 0..{n - 1}")
         h = np.array(members, dtype=np.int64)
-        inside = np.zeros(n, dtype=bool)
-        inside[h] = True
-        block = self.parent.mul_array[np.ix_(h, h)]  # block[i, j] = h[i] * h[j]
-        escapes = ~inside[block]
-        if escapes.any():
-            i, j = divmod(int(escapes.argmax()), len(h))
-            raise InputError(f"subgroup not closed: {h[i]}*{h[j]} = {block[i, j]} escapes")
+        if len(h) == n:
+            block = self.parent.mul  # the whole group: every product is inside
+        else:
+            inside = np.zeros(n, dtype=bool)
+            inside[h] = True
+            block = self.parent.mul[h[:, None], h]  # block[i, j] = h[i] * h[j]
+            escapes = ~inside[block]
+            if escapes.any():
+                i, j = divmod(int(escapes.argmax()), len(h))
+                raise InputError(f"subgroup not closed: {h[i]}*{h[j]} = {block[i, j]} escapes")
         # closure + identity + finiteness already force inverses, but check anyway
         lacking = np.flatnonzero(~(block == e).any(axis=1))
         if lacking.size:
@@ -156,7 +222,7 @@ class Subgroup:
 
     @classmethod
     def whole(cls, group: FiniteGroup) -> "Subgroup":
-        return cls(group, tuple(range(group.order)))
+        return cls(group, range(group.order))
 
 
 @dataclass(frozen=True)
@@ -169,16 +235,15 @@ class Coset:
 
     def __post_init__(self):
         mul = self.subgroup.parent.mul
-        members = tuple(sorted(mul[self.rep][h] for h in self.subgroup.members))
+        members = np.sort(mul[self.rep, list(self.subgroup.members)]).tolist()
         if self.rep != members[0]:
             raise InputError(f"coset rep {self.rep} is not the minimum member {members[0]}")
-        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "members", tuple(members))
 
     @classmethod
     def of(cls, subgroup: Subgroup, g: int) -> "Coset":
         mul = subgroup.parent.mul
-        rep = min(mul[g][h] for h in subgroup.members)
-        return cls(subgroup, rep)
+        return cls(subgroup, int(mul[g, list(subgroup.members)].min()))
 
 
 def magma_generators(group: FiniteGroup) -> list[int]:
@@ -190,7 +255,7 @@ def magma_generators(group: FiniteGroup) -> list[int]:
     products in the table itself; no inverse, power or associativity is
     used, since the table is not yet known to be a group.
     """
-    mul = group.mul_array
+    mul = group.mul
     seen = np.zeros(group.order, dtype=bool)
     seen[group.identity] = True
     chosen: list[int] = []
@@ -221,7 +286,7 @@ def verify_group(group: FiniteGroup) -> Verdict:
     (a, b, c) order, as in a sweep over every element.
     """
     n = group.order
-    mul = group.mul_array
+    mul = group.mul
     e = group.identity
     idx = np.arange(n)
 
@@ -238,7 +303,8 @@ def verify_group(group: FiniteGroup) -> Verdict:
         return Verdict.failing("group-inverses", {"element": int(missing[0])})
 
     for a in magma_generators(group):
-        differs = mul[mul[a], :] != mul[a][mul]  # (a*b)*c != a*(b*c) at [b, c]
+        # (a*b)*c != a*(b*c) at [b, c]
+        differs = np.take(mul, mul[a], axis=0) != np.take(mul[a], mul)
         if differs.any():
             b, c = map(int, np.argwhere(differs)[0])
             left, right = int(mul[mul[a, b], c]), int(mul[a, mul[b, c]])
@@ -251,8 +317,8 @@ def verify_group(group: FiniteGroup) -> Verdict:
 def verify_action(action: LeftAction) -> Verdict:
     """Check the identity and compatibility axioms of a left action."""
     group = action.group
-    act = action.act_array
-    mul = group.mul_array
+    act = action.act
+    mul = group.mul
     e = group.identity
 
     bad = np.flatnonzero(act[e] != np.arange(action.points))
@@ -260,18 +326,22 @@ def verify_action(action: LeftAction) -> Verdict:
         m = int(bad[0])
         return Verdict.failing("action-identity", {"point": m, "e*m": int(act[e][m])})
 
-    for g in range(group.order):
-        left = act[mul[g], :]  # left[g2, m] = (g*g2) . m
-        right = act[g][act]  # right[g2, m] = g . (g2 . m)
-        if not np.array_equal(left, right):
-            g2, m = map(int, np.argwhere(left != right)[0])
+    # a block of elements g at a time, about 2**20 entries per side
+    block = max(1, (1 << 20) // act.size)
+    for start in range(0, group.order, block):
+        gs = np.arange(start, min(start + block, group.order))
+        left = np.take(act, mul[gs], axis=0)  # left[i, g2, m] = (g*g2) . m for g = gs[i]
+        right = np.take(act[gs], act, axis=1)  # right[i, g2, m] = g . (g2 . m)
+        differs = left != right
+        if differs.any():
+            i, g2, m = map(int, np.argwhere(differs)[0])
             return Verdict.failing(
                 "action-compatibility",
                 {
-                    "pair": [g, g2],
+                    "pair": [start + i, g2],
                     "point": m,
-                    "(g*g2).m": int(left[g2][m]),
-                    "g.(g2.m)": int(right[g2][m]),
+                    "(g*g2).m": int(left[i, g2, m]),
+                    "g.(g2.m)": int(right[i, g2, m]),
                 },
             )
     return Verdict.passing("action-axioms")
@@ -284,7 +354,8 @@ def _check_point(action: LeftAction, m: int) -> None:
 
 def orbit(action: LeftAction, m: int) -> tuple[int, ...]:
     _check_point(action, m)
-    return tuple(sorted({action.act[g][m] for g in action.group.elements()}))
+    hits = np.bincount(action.act[:, m], minlength=action.points)
+    return tuple(np.flatnonzero(hits).tolist())
 
 
 def is_transitive(action: LeftAction) -> bool:
@@ -301,45 +372,54 @@ def require_transitive(action: LeftAction, origin: int) -> None:
 
 def stabilizer(action: LeftAction, m: int) -> Subgroup:
     _check_point(action, m)
-    members = tuple(g for g in action.group.elements() if action.act[g][m] == m)
-    return Subgroup(action.group, members)
+    return Subgroup(action.group, np.flatnonzero(action.act[:, m] == m))
 
 
 def transporter(action: LeftAction, m: int, m2: int) -> tuple[int, ...]:
-    """All group elements carrying m to m2 (may be empty)."""
+    """All group elements carrying m to m2 (may be empty), in increasing order."""
     _check_point(action, m)
     _check_point(action, m2)
-    return tuple(g for g in action.group.elements() if action.act[g][m] == m2)
+    return tuple(np.flatnonzero(action.act[:, m] == m2).tolist())
+
+
+def first_transporters(action: LeftAction, origin: int) -> np.ndarray:
+    """first[m]: the smallest element carrying origin to m, or -1 when
+    none does."""
+    _check_point(action, origin)
+    reached, first = np.unique(action.act[:, origin], return_index=True)
+    out = np.full(action.points, -1, dtype=np.int64)
+    out[reached] = first
+    return out
 
 
 def check_transporter_lemma(action: LeftAction, m: int, m2: int, g: int) -> Verdict:
     """For g carrying m to m2: conjugation maps the stabilizers onto each
     other and both translates of the stabilizer equal the transporter."""
-    if action.act[g][m] != m2:
+    if action.act[g, m] != m2:
         raise InputError(f"element {g} does not carry {m} to {m2}")
     group = action.group
     mul = group.mul
-    stab_m = set(stabilizer(action, m).members)
-    stab_m2 = set(stabilizer(action, m2).members)
-    trans = set(transporter(action, m, m2))
+    stab_m = list(stabilizer(action, m).members)
+    stab_m2 = list(stabilizer(action, m2).members)
+    trans = list(transporter(action, m, m2))
 
-    conj = {group.conjugate(g, a) for a in stab_m}
+    conj = np.unique(mul[mul[g, stab_m], group.inv[g]]).tolist()
     if conj != stab_m2:
         return Verdict.failing(
             "transporter-conjugation",
-            {"g": g, "conjugated": sorted(conj), "stabilizer": sorted(stab_m2)},
+            {"g": g, "conjugated": conj, "stabilizer": stab_m2},
         )
-    left = {mul[g][a] for a in stab_m}
+    left = np.unique(mul[g, stab_m]).tolist()
     if left != trans:
         return Verdict.failing(
             "transporter-left-translate",
-            {"g": g, "translate": sorted(left), "transporter": sorted(trans)},
+            {"g": g, "translate": left, "transporter": trans},
         )
-    right = {mul[a][g] for a in stab_m2}
+    right = np.unique(mul[stab_m2, g]).tolist()
     if right != trans:
         return Verdict.failing(
             "transporter-right-translate",
-            {"g": g, "translate": sorted(right), "transporter": sorted(trans)},
+            {"g": g, "translate": right, "transporter": trans},
         )
     return Verdict.passing("transporter-lemma")
 
@@ -352,27 +432,28 @@ class QuotientSet:
     action: LeftAction
 
 
+def coset_labels(group: FiniteGroup, sub: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, label): the canonical (minimum-member) representative of
+    each left coset, sorted, and the index in reps of every element's coset."""
+    canon = group.mul[:, list(sub.members)].min(axis=1)
+    is_rep = np.zeros(group.order, dtype=bool)
+    is_rep[canon] = True
+    reps = np.flatnonzero(is_rep)
+    return reps, np.searchsorted(reps, canon)
+
+
 def coset_representatives(group: FiniteGroup, sub: Subgroup) -> tuple[int, ...]:
     """Canonical (minimum-member) representative of each left coset, sorted."""
-    mul = group.mul_array
-    members = np.array(sub.members, dtype=np.int64)
-    canon = mul[:, members].min(axis=1)
-    return tuple(int(r) for r in sorted(set(canon.tolist())))
+    return tuple(coset_labels(group, sub)[0].tolist())
 
 
 def quotient_set(group: FiniteGroup, sub: Subgroup) -> QuotientSet:
     if sub.parent is not group and sub.parent != group:
         raise InputError("subgroup belongs to a different group")
-    reps = coset_representatives(group, sub)
-    index = {r: j for j, r in enumerate(reps)}
-    mul = group.mul_array
-    members = np.array(sub.members, dtype=np.int64)
-    canon = mul[:, members].min(axis=1)  # canon[g] = rep of g's coset
-    act_rows = []
-    for g in range(group.order):
-        act_rows.append(tuple(index[int(canon[group.mul[g][r]])] for r in reps))
-    cosets = tuple(Coset(sub, r) for r in reps)
-    return QuotientSet(cosets, LeftAction(group, len(reps), tuple(act_rows)))
+    reps, label = coset_labels(group, sub)
+    cosets = tuple(Coset(sub, r) for r in reps.tolist())
+    # g maps the coset of r to the coset of g*r
+    return QuotientSet(cosets, LeftAction(group, len(reps), label[group.mul[:, reps]]))
 
 
 def point_coset_labels(action: LeftAction, origin: int) -> tuple[Coset, ...]:
@@ -384,11 +465,7 @@ def point_coset_labels(action: LeftAction, origin: int) -> tuple[Coset, ...]:
     """
     require_transitive(action, origin)
     sub = stabilizer(action, origin)
-    out = []
-    for m in range(action.points):
-        rep = min(transporter(action, origin, m))
-        out.append(Coset(sub, rep))
-    return tuple(out)
+    return tuple(Coset(sub, rep) for rep in first_transporters(action, origin).tolist())
 
 
 def is_stabilizer_subgroup(action: LeftAction, sub: Subgroup) -> bool:
@@ -404,7 +481,8 @@ def conjugate_coset(action: LeftAction, g: int, coset: Coset) -> Coset:
 
 
 def _conjugate_coset(group: FiniteGroup, g: int, coset: Coset) -> Coset:
-    members = [group.conjugate(g, x) for x in coset.members]
-    sub_members = tuple(group.conjugate(g, h) for h in coset.subgroup.members)
-    sub = Subgroup(group, sub_members)
-    return Coset(sub, min(members))
+    def conjugated(xs) -> np.ndarray:
+        return group.mul[group.mul[g, list(xs)], group.inv[g]]
+
+    sub = Subgroup(group, conjugated(coset.subgroup.members))
+    return Coset(sub, int(conjugated(coset.members).min()))

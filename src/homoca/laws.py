@@ -98,8 +98,8 @@ def global_table(ca: SemiCellularAutomaton) -> np.ndarray:
 def shift_cells(space: CellSpace, members: Sequence[int]) -> np.ndarray:
     """Row k: the cell each cell reads when translating by members[k], so
     config[..., rows[k]] is the shift of config by members[k]."""
-    act, inv = space.action.act, space.group.inv
-    return np.array([act[inv[g]] for g in members], dtype=np.int64)
+    inv = space.group.inv
+    return space.action.act[[inv[g] for g in members]].astype(np.int64)
 
 
 def generator_indices(rows: np.ndarray) -> list[int]:
@@ -344,7 +344,7 @@ def change_coordinates(
     space = ca.space
     if system2.action != space.action:
         raise InputError("target coordinate system is on a different action")
-    if space.action.act[h][space.origin] != system2.origin:
+    if space.action.act[h, space.origin] != system2.origin:
         raise InputError(f"element {h} does not carry the origin to {system2.origin}")
     space2 = CellSpace(system2)
     sub = subgroup_or_whole(space, subgroup)
@@ -398,12 +398,9 @@ def compose(
             raise InputError(f"rule is not rotation-invariant: {v.witness}")
     q = outer.states
 
-    combined: set[int] = set()
-    for j in outer.neighborhood:
-        for g in space.cosets[j].members:
-            for j2 in inner.neighborhood:
-                combined.add(space.translate_coset(g, j2))
-    neighborhood = tuple(sorted(combined))
+    named = [g for j in outer.neighborhood for g in space.cosets[j].members]
+    combined = space.translate_cosets(named, inner.neighborhood)
+    neighborhood = tuple(sorted(set(combined.ravel().tolist())))
     if q ** len(neighborhood) > MAX_RULE_TABLE:
         raise BoundError(f"combined rule table would need {q}**{len(neighborhood)} entries")
     pos = {j: i for i, j in enumerate(neighborhood)}
@@ -444,8 +441,16 @@ def dependency_matrix(gm: GlobalMap) -> np.ndarray:
 
 
 def dependency_cells(gm: GlobalMap, target: int) -> tuple[int, ...]:
-    """Cells whose single-site change can move the image at `target`."""
-    return tuple(int(i) for i in np.flatnonzero(dependency_matrix(gm)[target]))
+    """Cells whose single-site change can move the image at `target`:
+    row `target` of dependency_matrix, from that cell's image digits only."""
+    q, n = gm.states, gm.space.cells
+    digit = gm.table // q**target % q
+    out = []
+    for i in range(n):
+        blocks = digit.reshape(q ** (n - 1 - i), q, q**i)
+        if (blocks[:, 1:] != blocks[:, :1]).any():
+            out.append(i)
+    return tuple(out)
 
 
 def extract(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> SemiCellularAutomaton:

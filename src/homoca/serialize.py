@@ -83,7 +83,7 @@ def load_group(source: Source, base_dir: Optional[str] = None) -> FiniteGroup:
 def dump_group(group: FiniteGroup) -> dict:
     return {
         "order": group.order,
-        "mul": [list(row) for row in group.mul],
+        "mul": group.mul.tolist(),
         "identity": group.identity,
     }
 
@@ -99,7 +99,7 @@ def dump_action(action: LeftAction) -> dict:
     return {
         "group": dump_group(action.group),
         "points": action.points,
-        "act": [list(row) for row in action.act],
+        "act": action.act.tolist(),
     }
 
 

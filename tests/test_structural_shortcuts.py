@@ -25,6 +25,7 @@ from homoca.catalog import bundled_automata, bundled_spaces, cyclic_space, rando
 from homoca.cellspace import CellSpace, CoordinateSystem
 from homoca.encoding import decode, digit_matrix
 from homoca.laws import (
+    CONFIG_TABLE_BOUND,
     GlobalMap,
     check_equivariance,
     check_step_equivariance,
@@ -454,8 +455,8 @@ def test_dependency_rows_match_the_per_target_scan_on_fixtures(name):
     deps = dependency_matrix(gm)
     assert deps.shape == (gm.space.cells, gm.space.cells)
     for target in range(gm.space.cells):
+        assert dependency_cells(gm, target) == tuple(np.flatnonzero(deps[target]).tolist())
         assert dependency_cells(gm, target) == scan_dependency_cells(gm, target)
-        assert tuple(np.flatnonzero(deps[target])) == scan_dependency_cells(gm, target)
 
 
 @pytest.mark.parametrize("symmetrize", [True, False])
@@ -473,6 +474,21 @@ def test_dependency_rows_match_the_per_target_scan_on_three_states(name, symmetr
         assert deps.any()
         for target in range(space.cells):
             assert tuple(np.flatnonzero(deps[target])) == scan_dependency_cells(gm, target)
+
+
+@pytest.mark.parametrize(
+    "name, states",
+    [(name, q) for name in SPACES for q in (2, 3) if config_count(SPACES[name], q) <= CONFIG_TABLE_BOUND],
+)
+def test_dependency_cells_is_the_matrix_row_on_random_rules(name, states):
+    """dependency_cells reads one target's image digits, the matrix all of them."""
+    space = SPACES[name]
+    for seed in range(3):
+        for symmetrize in (True, False):
+            gm = GlobalMap.from_automaton(_random_rule(space, states, seed, symmetrize))
+            deps = dependency_matrix(gm)
+            for target in range(space.cells):
+                assert dependency_cells(gm, target) == tuple(np.flatnonzero(deps[target]).tolist())
 
 
 # ------------------------------------------------------------ group layer
