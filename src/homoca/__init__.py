@@ -79,6 +79,7 @@ from .uniformity import (
     EntourageBase,
     Relation,
     agreement_relation,
+    check_agreement_intersection,
     check_uniform_continuity,
     check_uniform_isomorphism,
     check_uniformity_base,

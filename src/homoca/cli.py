@@ -37,6 +37,7 @@ from .laws import (
     check_invariance_equivalence,
     compose,
     config_count,
+    dependency_matrix,
     extract,
     global_table,
     invert,
@@ -57,6 +58,7 @@ from .serialize import (
 )
 from .uniformity import (
     RELATION_UNIVERSE_BOUND,
+    check_agreement_intersection,
     check_uniform_continuity,
     check_uniform_isomorphism,
     check_uniformity_base,
@@ -384,31 +386,18 @@ def _suite_uniformity(ca, sub, seed) -> dict:
     verdicts = []
 
     gm = GlobalMap.from_automaton(ca)
+    depends = dependency_matrix(gm)
+    base = None
     if total <= RELATION_UNIVERSE_BOUND:
         base = prodiscrete_base(space, ca.states)
         verdicts.append(check_uniformity_base(base))
-
-        intersect_ok = True
-        witness = None
-        labels = base.labels or ()
-        for i, k1 in enumerate(labels):
-            for j, k2 in enumerate(labels):
-                merged = tuple(sorted(set(k1) | set(k2)))
-                expected = base.relations[labels.index(merged)]
-                if base.relations[i].intersect(base.relations[j]) != expected:
-                    intersect_ok = False
-                    witness = {"first": list(k1), "second": list(k2)}
-                    break
-            if not intersect_ok:
-                break
-        verdicts.append(Verdict(intersect_ok, "agreement-intersection", witness))
-
-        continuity = check_uniform_continuity(gm, base)
+        verdicts.append(check_agreement_intersection(base))
+        continuity = check_uniform_continuity(gm, base, depends)
         verdicts.append(continuity.verdict)
         assignments = continuity.assignments
     else:
         out["bound_exceeded"] = f"{total} configurations exceed the relation bound"
-        assignments = continuity_assignments(gm, [(m,) for m in range(space.cells)])
+        assignments = continuity_assignments(gm, [(m,) for m in range(space.cells)], depends)
 
     window_ok = True
     window_witness = None
@@ -421,7 +410,7 @@ def _suite_uniformity(ca, sub, seed) -> dict:
     verdicts.append(Verdict(window_ok, "continuity-inside-window", window_witness))
 
     if is_cellular(ca, sub).ok:
-        iso = check_uniform_isomorphism(gm)
+        iso = check_uniform_isomorphism(gm, base, depends)
         result = invert(ca, sub, seed=seed)
         invertible = not isinstance(result, NotInvertible)
         verdicts.append(

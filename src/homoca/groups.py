@@ -266,7 +266,11 @@ def magma_generators(group: FiniteGroup) -> list[int]:
         # word is multiplied by each generator once: O(n * generators)
         grown = mul[np.flatnonzero(seen), g]
         while True:
-            fresh = np.unique(grown[~seen[grown]])
+            # the distinct unseen products, sorted; a mask and flatnonzero
+            # instead of np.unique, which imports numpy.ma under NumPy 2
+            hit = np.zeros(group.order, dtype=bool)
+            hit[grown] = True
+            fresh = np.flatnonzero(hit & ~seen)
             if not fresh.size:
                 break
             seen[fresh] = True
@@ -386,9 +390,11 @@ def first_transporters(action: LeftAction, origin: int) -> np.ndarray:
     """first[m]: the smallest element carrying origin to m, or -1 when
     none does."""
     _check_point(action, origin)
-    reached, first = np.unique(action.act[:, origin], return_index=True)
-    out = np.full(action.points, -1, dtype=np.int64)
-    out[reached] = first
+    column = action.act[:, origin]
+    order = len(column)
+    out = np.full(action.points, order, dtype=np.int64)
+    np.minimum.at(out, column, np.arange(order))
+    out[out == order] = -1
     return out
 
 

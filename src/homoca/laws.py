@@ -38,7 +38,7 @@ from .automata import (
 from .cellspace import CellSpace, CoordinateSystem
 from .encoding import decode, digit_matrix, encode, weights
 from .errors import BoundError, EquivarianceError, InputError
-from .groups import Subgroup, _conjugate_coset
+from .groups import Subgroup
 from .verdict import Verdict
 
 CONFIG_TABLE_BOUND = 1 << 16
@@ -354,13 +354,17 @@ def change_coordinates(
     if not inv_ok.ok:
         raise InputError(f"rule is not rotation-invariant: {inv_ok.witness}")
 
-    group = space.group
     q = ca.states
 
-    moved = []
-    for j in ca.neighborhood:
-        conj = _conjugate_coset(group, h, space.cosets[j])
-        moved.append(space2.coset_index_of(conj))
+    # conjugation by h carries the stabilizer onto one subgroup, built once,
+    # and the coset r Stab to h r h^-1 (h Stab h^-1): to the coset of h r h^-1
+    mul = space.group.mul
+    h_inv = space.group.inv[h]
+    conjugated = Subgroup(space.group, mul[mul[h, list(space.stabilizer.members)], h_inv])
+    if conjugated.members != space2.stabilizer.members:
+        raise InputError("coset is not a coset of the origin stabilizer")
+    reps = np.array(space.coset_reps)[list(ca.neighborhood)]
+    moved = [space2.coset_index(int(g)) for g in mul[mul[h, reps], h_inv]]
     neighborhood2 = tuple(sorted(moved))
     if len(set(neighborhood2)) != len(moved):
         raise AssertionError("conjugated neighborhood collapsed")

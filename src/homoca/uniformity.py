@@ -4,9 +4,15 @@ Entourages are binary relations over packed configurations, stored as
 dense boolean matrices; the prodiscrete base consists of the agreement
 relations E(K) = "equal on the cell set K".  Everything here is bounded
 by RELATION_UNIVERSE_BOUND configurations so relations stay explicit.
-The base check tries the member that this structure predicts before it
-scans, and continuity reads one dependency matrix of the transition
-table; both give the verdicts of the plain scans.
+
+The base checks run on a base as one stacked (R, N, N) array, and on
+its members packed into bit rows, one row of N*N bits per member: meets
+are bitwise ands of rows, and membership is a dict lookup on a row's
+bytes.  The base check tries the member that the prodiscrete structure
+predicts and scans all members only on a miss.  Continuity reads one
+dependency matrix of the transition table and re-verifies each member
+through its pullback along the table, with the source relation taken
+from the base.  All give the verdicts and witnesses of the plain scans.
 """
 
 from __future__ import annotations
@@ -103,17 +109,54 @@ class EntourageBase:
             raise InputError("one label per relation required")
 
 
+def _stacked(relations: Sequence[Relation]) -> np.ndarray:
+    """The members' matrices as one (R, N, N) array."""
+    size = relations[0].size
+    if any(r.size != size for r in relations):
+        raise InputError("relations live on different universes")
+    return np.stack([r.pairs for r in relations])
+
+
+def _pack(stack: np.ndarray) -> np.ndarray:
+    """Each matrix of the stack flattened row-major and packed to bits,
+    one row per matrix.  The bits past N*N in a row are zero in every row,
+    so bitwise meets keep them zero and two rows are equal exactly when
+    their matrices are."""
+    return np.packbits(stack.reshape(stack.shape[0], -1), axis=1)
+
+
+def _row_keys(packed: np.ndarray) -> list[bytes]:
+    """The bytes of each packed row, in row order."""
+    width = packed.shape[1]
+    buf = packed.tobytes()
+    return [buf[k : k + width] for k in range(0, len(buf), width)]
+
+
+def _first_index(keys) -> dict:
+    """key -> index of its first occurrence."""
+    index: dict = {}
+    for i, key in enumerate(keys):
+        index.setdefault(key, i)
+    return index
+
+
 def check_uniformity_base(base: EntourageBase) -> Verdict:
     """The five conditions making a family a base of entourages: nonempty,
     reflexive members, lower bounds for pairs, lower bounds for inverses,
     and relational square roots.
 
-    Each of the last three first tries the candidate that the prodiscrete
-    base predicts, since E(K) & E(K') = E(K | K'), E(K) is symmetric and
-    E(K) o E(K) = E(K): the meet itself, the inverse itself, the relation
-    as its own square root.  A hit is a member that the full scan accepts
-    as well, so the verdict is the same; only a miss runs the scan over
-    all members, which then finds the failure and its witness.
+    The members are packed once into bit rows.  Each of the last three
+    conditions first asks whether the candidate that the prodiscrete base
+    predicts is itself a member, since E(K) & E(K') = E(K | K'), E(K) is
+    symmetric and E(K) o E(K) = E(K): the meet, the inverse, the relation
+    as its own square root.  Membership is a dict lookup on the bytes of a
+    packed row; meets are taken a row at a time, inverses from one
+    transpose of the stack and squares by one matmul per member.  A hit is
+    a member that a scan over all members accepts as well, so the verdict
+    is the same; only a miss runs that scan, which then finds the failure,
+    and the witness is the first failing member or pair in row-major order.
+    Members of different sizes raise InputError once every member has
+    passed the reflexivity check.
     """
     rels = base.relations
     if not rels:
@@ -122,22 +165,69 @@ def check_uniformity_base(base: EntourageBase) -> Verdict:
         if not r.contains_diagonal():
             x = int(np.flatnonzero(~r.pairs.diagonal())[0])
             return Verdict.failing("base-reflexive", {"relation": i, "missing_pair": [x, x]})
-    members = set(rels)
-    for i, r in enumerate(rels):
-        for k, r2 in enumerate(rels):
-            meet = r.intersect(r2)
-            if meet not in members and not any(cand.issubset(meet) for cand in rels):
-                return Verdict.failing("base-meet", {"relations": [i, k]})
-    for i, r in enumerate(rels):
-        rinv = r.inverse()
-        if rinv not in members and not any(cand.issubset(rinv) for cand in rels):
+    stack = _stacked(rels)
+    packed = _pack(stack)
+    members = _first_index(_row_keys(packed))
+
+    def inside(rows: np.ndarray, row: np.ndarray) -> bool:
+        """Does one of the bit rows lie inside the relation packed in row?"""
+        return not (rows & ~row).any(axis=1).all()
+
+    # meets are symmetric, so the first failing pair (i, k) in row-major
+    # order has i <= k: row i need only meet members i onwards
+    for i in range(len(rels)):
+        meets = packed[i] & packed[i:]
+        for k, key in enumerate(_row_keys(meets)):
+            if key not in members and not inside(packed, meets[k]):
+                return Verdict.failing("base-meet", {"relations": [i, i + k]})
+    inverses = _pack(stack.transpose(0, 2, 1))
+    for i, key in enumerate(_row_keys(inverses)):
+        if key not in members and not inside(packed, inverses[i]):
             return Verdict.failing("base-inverse", {"relation": i})
-    for i, r in enumerate(rels):
-        if not rel_compose(r, r).issubset(r) and not any(
-            rel_compose(cand, cand).issubset(r) for cand in rels
-        ):
-            return Verdict.failing("base-square-root", {"relation": i})
+    # squares one member at a time, kept as bit rows, so that no float
+    # array holds the whole stack; a float sum of zeros and ones is
+    # positive exactly when some term is
+    squares = np.empty_like(packed)
+    for i, pairs in enumerate(stack):
+        weights = pairs.astype(np.float32)
+        squares[i] = np.packbits(weights @ weights > 0)
+    for i in np.flatnonzero((squares & ~packed).any(axis=1)):
+        if not inside(squares, packed[i]):
+            return Verdict.failing("base-square-root", {"relation": int(i)})
     return Verdict.passing("uniformity-base")
+
+
+def check_agreement_intersection(base: EntourageBase) -> Verdict:
+    """E(K) & E(K') = E(K | K') for every ordered pair of labeled members.
+
+    The expected member is the first one labeled with the sorted union of
+    the two labels; a pair whose union labels no member fails as well.
+    The witness is the first failing pair in row-major order.
+    """
+    if base.labels is None:
+        raise InputError("agreement intersection needs the agreement-labeled base")
+    rels, labels = base.relations, base.labels
+    if not rels:
+        return Verdict.passing("agreement-intersection")
+    packed = _pack(_stacked(rels))
+    # cell sets as bitmasks, one bit per cell that some label names
+    bit = {c: b for b, c in enumerate(set().union(*labels))}
+    masks = [sum(1 << bit[c] for c in set(label)) for label in labels]
+    # only a sorted label without repeats can equal a sorted union
+    labeled = _first_index(
+        mask if label == tuple(sorted(set(label))) else -1 for label, mask in zip(labels, masks)
+    )
+    # a pair fails exactly when its swap does, so the first failing pair
+    # (i, j) in row-major order has i <= j
+    for i, first in enumerate(masks):
+        expected = np.array([labeled.get(first | second, -1) for second in masks[i:]])
+        bad = (expected < 0) | ((packed[i] & packed[i:]) != packed[expected]).any(axis=1)
+        if bad.any():
+            j = i + int(bad.argmax())
+            return Verdict.failing(
+                "agreement-intersection", {"first": list(labels[i]), "second": list(labels[j])}
+            )
+    return Verdict.passing("agreement-intersection")
 
 
 def agreement_relation(space: CellSpace, states: int, cells: Sequence[int]) -> Relation:
@@ -189,7 +279,9 @@ class ContinuityResult:
 
 
 def continuity_assignments(
-    gm: GlobalMap, targets: Sequence[Sequence[int]]
+    gm: GlobalMap,
+    targets: Sequence[Sequence[int]],
+    depends: Optional[np.ndarray] = None,
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """For each target cell set K, the smallest source cell set L such that
     agreement on L forces the images to agree on K.
@@ -199,10 +291,12 @@ def continuity_assignments(
     outside L, none of which moves any image digit in K.  Nothing smaller
     works: a dependency cell left out of L admits a pair agreeing
     everywhere else whose images split on K.  Smallest therefore means
-    unique, not just minimal.  dependency_matrix scans the whole transition
-    table once for all cells, so no relation matrices are involved here.
+    unique, not just minimal.  `depends` is dependency_matrix(gm), computed
+    here when not given; it scans the whole transition table once for all
+    cells, so no relation matrices are involved here.
     """
-    depends = dependency_matrix(gm)
+    if depends is None:
+        depends = dependency_matrix(gm)
     out = []
     for cells in targets:
         cells = tuple(int(m) for m in cells)
@@ -211,34 +305,54 @@ def continuity_assignments(
     return tuple(out)
 
 
-def check_uniform_continuity(gm: GlobalMap, base: EntourageBase) -> ContinuityResult:
+def check_uniform_continuity(
+    gm: GlobalMap, base: EntourageBase, depends: Optional[np.ndarray] = None
+) -> ContinuityResult:
     """For each agreement entourage E(K) in the base, find the smallest
     source set L with (gm x gm)(E(L)) inside E(K), and re-verify the
-    containment on the relation matrices themselves."""
+    containment on the relation matrices themselves.
+
+    The containment is checked as E(L) inside the pullback
+    E(K)[T][:, T], with T the transition table: one gather of each member
+    along the table, and no pairs pushed through it.  E(L) is the base's
+    own member labeled L; only a source set that labels no member is built
+    with agreement_relation.  `depends` is dependency_matrix(gm), computed
+    when not given.
+    """
     if base.labels is None:
         raise InputError("continuity needs the agreement-labeled base")
-    space = gm.space
     total = config_count(gm.space, gm.states)
     if total > RELATION_UNIVERSE_BOUND:
         raise BoundError(f"{total} configurations exceed the relation bound")
-    assignments = []
-    for (cells, source), rel in zip(continuity_assignments(gm, base.labels), base.relations):
-        candidate = agreement_relation(space, gm.states, source)
-        if not image_relation(gm, candidate).issubset(rel):
+    if any(r.size != total for r in base.relations):
+        raise InputError("relations live on different universes")
+    targets = continuity_assignments(gm, base.labels, depends)
+    labeled = _first_index(cells for cells, _ in targets)
+    # flat position of (T x, T y) for each flat position of (x, y)
+    pulled = (gm.table[:, None] * total + gm.table).ravel()
+    for r, ((cells, source), rel) in enumerate(zip(targets, base.relations)):
+        if source in labeled:
+            candidate = base.relations[labeled[source]]
+        else:
+            candidate = agreement_relation(gm.space, gm.states, source)
+        if (candidate.pairs.ravel() & ~rel.pairs.ravel().take(pulled)).any():
             verdict = Verdict.failing(
                 "uniform-continuity",
                 {"target_cells": list(cells), "candidate_source": list(source)},
             )
-            return ContinuityResult(verdict, tuple(assignments))
-        assignments.append((cells, source))
+            return ContinuityResult(verdict, targets[:r])
     verdict = Verdict.passing(
         "uniform-continuity",
-        {"assignments": [[list(k), list(l)] for k, l in assignments]},
+        {"assignments": [[list(k), list(l)] for k, l in targets]},
     )
-    return ContinuityResult(verdict, tuple(assignments))
+    return ContinuityResult(verdict, targets)
 
 
-def check_uniform_isomorphism(gm: GlobalMap) -> Verdict:
+def check_uniform_isomorphism(
+    gm: GlobalMap,
+    base: Optional[EntourageBase] = None,
+    depends: Optional[np.ndarray] = None,
+) -> Verdict:
     """Bijective, with the smallest continuity witnesses computed in both
     directions.
 
@@ -247,7 +361,8 @@ def check_uniform_isomorphism(gm: GlobalMap) -> Verdict:
     continuous; what distinguishes an isomorphism is bijectivity, and the
     witnesses record how locally the two directions act.  Within the
     relation bound the witnesses are additionally re-verified against the
-    full prodiscrete base.
+    full prodiscrete base.  `base` (that base) and `depends`
+    (dependency_matrix(gm)) are built here when not given.
     """
     space = gm.space
     total = config_count(space, gm.states)
@@ -263,15 +378,24 @@ def check_uniform_isomorphism(gm: GlobalMap) -> Verdict:
     inverse_table = np.zeros(total, dtype=np.int64)
     inverse_table[table] = np.arange(total, dtype=np.int64)
     inverse = GlobalMap(space, gm.states, table=inverse_table)
+    if depends is None:
+        depends = dependency_matrix(gm)
+    inverse_depends = dependency_matrix(inverse)
     singletons = [(m,) for m in range(space.cells)]
     witness = {
-        "forward_sources": [list(l) for _, l in continuity_assignments(gm, singletons)],
-        "inverse_sources": [list(l) for _, l in continuity_assignments(inverse, singletons)],
+        "forward_sources": [list(l) for _, l in continuity_assignments(gm, singletons, depends)],
+        "inverse_sources": [
+            list(l) for _, l in continuity_assignments(inverse, singletons, inverse_depends)
+        ],
     }
     if total <= RELATION_UNIVERSE_BOUND:
-        base = prodiscrete_base(space, gm.states)
-        for name, direction in (("forward", gm), ("inverse", inverse)):
-            result = check_uniform_continuity(direction, base)
+        if base is None:
+            base = prodiscrete_base(space, gm.states)
+        for name, direction, direction_depends in (
+            ("forward", gm, depends),
+            ("inverse", inverse, inverse_depends),
+        ):
+            result = check_uniform_continuity(direction, base, direction_depends)
             if not result.verdict.ok:
                 return Verdict.failing(
                     "uniform-isomorphism",

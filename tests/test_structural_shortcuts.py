@@ -1,10 +1,13 @@
 """The exact structural shortcuts in the exhaustive laws, against slow oracles.
 
 `check_uniformity_base` tries the member a prodiscrete base predicts before
-scanning, `check_equivariance` tests generators of the scope before
-scanning all members, `check_step_equivariance` decides the same on
-neighbourhood windows without a table, and `dependency_matrix` finds every
-dependency set in one pass over the table.  In the group layer,
+scanning, on packed bit rows; `check_agreement_intersection` compares those
+rows, and `check_uniform_continuity` re-verifies each member through its
+pullback along the table.  `check_equivariance` tests generators of
+the scope before scanning all members, `check_step_equivariance` decides
+the same on neighbourhood windows without a table, and
+`dependency_matrix` finds every dependency set in one pass over the
+table.  In the group layer,
 `verify_group` sweeps associativity over magma generators only, and
 `Subgroup` and `FiniteGroup.inv` check the table with numpy.  The
 oracles below are the plain forms without those shortcuts; full verdicts,
@@ -41,9 +44,15 @@ from homoca.errors import InputError
 from homoca.groups import FiniteGroup, LeftAction, Subgroup, magma_generators, verify_group
 from homoca.serialize import load_global_map
 from homoca.uniformity import (
+    ContinuityResult,
     EntourageBase,
     Relation,
+    agreement_relation,
+    check_agreement_intersection,
+    check_uniform_continuity,
     check_uniformity_base,
+    continuity_assignments,
+    image_relation,
     prodiscrete_base,
     rel_compose,
 )
@@ -268,6 +277,218 @@ def test_random_reflexive_families_agree_with_the_scan(size, data):
         rels.append(Relation(size, pairs))
     base = EntourageBase(tuple(rels))
     assert check_uniformity_base(base) == scan_uniformity_base(base)
+
+
+def _random_family(size, rng):
+    """Reflexive members of four kinds: partitions (symmetric and
+    transitive), symmetric, transitive closures, and plain reflexive ones;
+    sometimes with the diagonal, which bounds every condition."""
+    eye = np.eye(size, dtype=bool)
+    rels = []
+    for _ in range(int(rng.integers(1, 6))):
+        kind = int(rng.integers(4))
+        if kind == 0:
+            blocks = rng.integers(0, int(rng.integers(1, size + 1)), size)
+            pairs = blocks[:, None] == blocks[None, :]
+        else:
+            pairs = (rng.random((size, size)) < rng.random()) | eye
+            if kind == 1:
+                pairs |= pairs.T
+            elif kind == 2:
+                for _ in range(size):
+                    pairs |= (pairs.astype(np.int32) @ pairs.astype(np.int32)) > 0
+        rels.append(Relation(size, pairs))
+    if rng.random() < 0.3:
+        rels.insert(int(rng.integers(len(rels) + 1)), Relation.diagonal(size))
+    return EntourageBase(tuple(rels))
+
+
+@pytest.mark.parametrize("size", [3, 5, 7])
+def test_sizes_with_padded_bit_rows_agree_with_the_scan(size):
+    # N*N is not a multiple of 8, so every packed row ends in padding bits
+    base = prodiscrete_base(cyclic_space(1), size)
+    assert check_uniformity_base(base) == scan_uniformity_base(base) == Verdict.passing("uniformity-base")
+    rng = np.random.default_rng(size)
+    laws = set()
+    for _ in range(100):
+        base = _random_family(size, rng)
+        verdict = check_uniformity_base(base)
+        assert verdict == scan_uniformity_base(base)
+        laws.add(verdict.law)
+    assert laws == {"uniformity-base", "base-meet", "base-inverse", "base-square-root"}
+
+
+@pytest.mark.parametrize("cells", [2, 3])
+def test_duplicated_members_agree_with_the_scan(cells):
+    base = prodiscrete_base(cyclic_space(cells), 2)
+    rels, labels = base.relations, base.labels
+    escaping = _doctored(base, "drop", len(rels) - 1)
+    for index in range(len(rels)):
+        twice = EntourageBase(rels[: index + 1] + rels[index:], labels[: index + 1] + labels[index:])
+        assert check_uniformity_base(twice) == scan_uniformity_base(twice) == Verdict.passing("uniformity-base")
+        assert check_agreement_intersection(twice) == scan_agreement_intersection(twice)
+        if index < len(escaping.relations):
+            doctored = EntourageBase(escaping.relations + (escaping.relations[index],))
+            assert check_uniformity_base(doctored) == scan_uniformity_base(doctored), index
+
+
+@pytest.mark.parametrize("cells", [2, 3])
+def test_unlabeled_bases_agree_with_the_scan(cells):
+    base = prodiscrete_base(cyclic_space(cells), 2)
+    unlabeled = EntourageBase(base.relations)
+    assert check_uniformity_base(unlabeled) == scan_uniformity_base(unlabeled) == check_uniformity_base(base)
+    for kind in ("drop", "asymmetric", "non-transitive"):
+        for index in range(len(base.relations)):
+            doctored = _doctored(base, kind, index)
+            assert doctored.labels is None
+            assert check_uniformity_base(doctored) == scan_uniformity_base(doctored)
+    gm = GlobalMap(cyclic_space(cells), 2, np.arange(2**cells))
+    with pytest.raises(InputError, match="agreement-labeled"):
+        check_agreement_intersection(unlabeled)
+    with pytest.raises(InputError, match="agreement-labeled"):
+        check_uniform_continuity(gm, unlabeled)
+
+
+def test_mixed_sizes_raise_after_the_reflexivity_check():
+    mixed = EntourageBase((Relation.diagonal(3), Relation.full(3), Relation.diagonal(4)))
+    for check in (check_uniformity_base, scan_uniformity_base):
+        with pytest.raises(InputError, match="different universes"):
+            check(mixed)
+    # a member missing a diagonal pair is reported first, whatever the sizes
+    lacking = np.eye(4, dtype=bool)
+    lacking[2, 2] = False
+    for tail in ((Relation(4, lacking),), (Relation(4, lacking), Relation.diagonal(5))):
+        bad = EntourageBase(mixed.relations[:2] + tail)
+        want = Verdict.failing("base-reflexive", {"relation": 2, "missing_pair": [2, 2]})
+        assert check_uniformity_base(bad) == scan_uniformity_base(bad) == want
+    labeled = EntourageBase(mixed.relations, ((0,), (), (0, 1)))
+    with pytest.raises(InputError, match="different universes"):
+        check_agreement_intersection(labeled)
+
+
+# ------------------------------------------------ agreement intersection
+
+
+def scan_agreement_intersection(base):
+    """E(K) & E(K') against the member labeled K | K', pair by pair; a
+    union that labels no member fails."""
+    labels = base.labels
+    for i, k1 in enumerate(labels):
+        for j, k2 in enumerate(labels):
+            merged = tuple(sorted(set(k1) | set(k2)))
+            if merged not in labels or (
+                base.relations[i].intersect(base.relations[j]) != base.relations[labels.index(merged)]
+            ):
+                return Verdict.failing("agreement-intersection", {"first": list(k1), "second": list(k2)})
+    return Verdict.passing("agreement-intersection")
+
+
+def _relabeled(base, relations=None, labels=None):
+    return EntourageBase(
+        tuple(base.relations if relations is None else relations),
+        tuple(base.labels if labels is None else labels),
+    )
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3, 4])
+def test_agreement_intersection_matches_the_scalar_loop(cells):
+    base = prodiscrete_base(cyclic_space(cells), 2)
+    assert check_agreement_intersection(base) == scan_agreement_intersection(base)
+    assert check_agreement_intersection(base).ok
+    rels, labels = list(base.relations), list(base.labels)
+    size = rels[0].size
+    asymmetric = np.eye(size, dtype=bool)
+    asymmetric[0, -1] = True
+    doctored = []
+    for index in range(len(rels)):
+        for replacement in (Relation.diagonal(size), Relation.full(size), Relation(size, asymmetric)):
+            doctored.append(_relabeled(base, relations=rels[:index] + [replacement] + rels[index + 1 :]))
+        # a dropped member leaves unions that label nothing
+        doctored.append(_relabeled(base, rels[:index] + rels[index + 1 :], labels[:index] + labels[index + 1 :]))
+        # a label that is not sorted never equals a union
+        if len(labels[index]) > 1:
+            reversed_label = labels[:index] + [labels[index][::-1]] + labels[index + 1 :]
+            doctored.append(_relabeled(base, labels=reversed_label))
+        # two labels swapped, or a member appended again under its label
+        other = (index * 5 + 1) % len(rels)
+        swapped = list(labels)
+        swapped[index], swapped[other] = swapped[other], swapped[index]
+        doctored.append(_relabeled(base, labels=swapped))
+        doctored.append(_relabeled(base, rels + [rels[index]], labels + [labels[index]]))
+    failures = 0
+    for candidate in doctored:
+        verdict = check_agreement_intersection(candidate)
+        assert verdict == scan_agreement_intersection(candidate), candidate.labels
+        failures += not verdict.ok
+    assert failures
+
+
+def test_agreement_intersection_reports_the_first_failing_pair():
+    base = prodiscrete_base(cyclic_space(3), 2)
+    assert base.labels[:4] == ((), (0,), (1,), (0, 1))
+    rels = list(base.relations)
+    rels[1] = Relation.diagonal(rels[1].size)
+    # E(()) & E(0) is the doctored member itself; E(0) & E(1) is not E(0, 1)
+    verdict = check_agreement_intersection(_relabeled(base, relations=rels))
+    assert verdict == Verdict.failing("agreement-intersection", {"first": [0], "second": [1]})
+    # with E(0, 1) dropped, the union of (0,) and (1,) labels nothing
+    rels, labels = base.relations, base.labels
+    verdict = check_agreement_intersection(_relabeled(base, rels[:3] + rels[4:], labels[:3] + labels[4:]))
+    assert verdict == Verdict.failing("agreement-intersection", {"first": [0], "second": [1]})
+
+
+# ------------------------------------------------------------ continuity
+
+
+def pushforward_continuity(gm, base):
+    """image_relation(E(L)) inside E(K), one labeled member at a time,
+    with E(L) built by agreement_relation."""
+    assignments = []
+    for (cells, source), rel in zip(continuity_assignments(gm, base.labels), base.relations):
+        if not image_relation(gm, agreement_relation(gm.space, gm.states, source)).issubset(rel):
+            witness = {"target_cells": list(cells), "candidate_source": list(source)}
+            return ContinuityResult(Verdict.failing("uniform-continuity", witness), tuple(assignments))
+        assignments.append((cells, source))
+    witness = {"assignments": [[list(k), list(l)] for k, l in assignments]}
+    return ContinuityResult(Verdict.passing("uniform-continuity", witness), tuple(assignments))
+
+
+@pytest.mark.parametrize(
+    "cells, states", [(1, 2), (1, 5), (2, 3), (3, 2), (3, 5), (4, 2), (4, 3), (5, 2), (6, 2)]
+)
+def test_continuity_matches_the_pushforward_on_random_tables(cells, states):
+    space = cyclic_space(cells)
+    base = prodiscrete_base(space, states)
+    rng = np.random.default_rng(cells * 10 + states)
+    total = states**cells
+    for table in (np.arange(total), rng.permutation(total), rng.integers(0, total, total)):
+        gm = GlobalMap(space, states, table)
+        result = check_uniform_continuity(gm, base)
+        assert result == pushforward_continuity(gm, base)
+        assert result.verdict.ok
+
+
+@pytest.mark.parametrize("name", ["cyclic4", "square", "cube"])
+def test_doctored_bases_fail_continuity_as_the_pushforward_does(name):
+    # E(K) replaced by the diagonal: under a local rule the source set L of
+    # K is seldom every cell, and agreement on L then seldom fixes the
+    # whole image.  The check reads E(L) from the base, so K = L is skipped.
+    space = SPACES[name]
+    base = prodiscrete_base(space, 2)
+    failures = 0
+    for seed in range(3):
+        gm = GlobalMap.from_automaton(_random_rule(space, 2, seed, symmetrize=False))
+        assert check_uniform_continuity(gm, base) == pushforward_continuity(gm, base)
+        for index, (cells, source) in enumerate(continuity_assignments(gm, base.labels)):
+            if source == cells:
+                continue
+            rels = list(base.relations)
+            rels[index] = Relation.diagonal(rels[index].size)
+            doctored = _relabeled(base, relations=rels)
+            want = pushforward_continuity(gm, doctored)
+            assert check_uniform_continuity(gm, doctored) == want
+            failures += not want.verdict.ok
+    assert failures
 
 
 # ------------------------------------------------------------ equivariance

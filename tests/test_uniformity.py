@@ -8,8 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from homoca.catalog import cyclic_space, identity_automaton, or_automaton
 from homoca.errors import InputError
-from homoca.laws import GlobalMap, NotInvertible, dependency_cells, invert
+from homoca.laws import GlobalMap, NotInvertible, dependency_cells, dependency_matrix, invert
 from homoca.uniformity import (
+    RELATION_UNIVERSE_BOUND,
     EntourageBase,
     Relation,
     agreement_relation,
@@ -21,6 +22,7 @@ from homoca.uniformity import (
     prodiscrete_base,
     rel_compose,
 )
+from homoca.verdict import Verdict
 
 # ----------------------------------------------------------------- algebra
 
@@ -242,20 +244,49 @@ def test_isomorphism_beyond_the_relation_bound_skips_matrix_checks(automata):
     assert verdict.witness["relationally_verified"] is False
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "cyclic4_identity",
-        "cyclic4_shift",
-        "cyclic4_or",
-        "square_identity",
-        "square_or",
-        "cube_identity",
-        "cube_or",
-        "torus_identity",
-        "torus_or",
-    ],
-)
+AUTOMATA = [
+    "cyclic4_identity",
+    "cyclic4_shift",
+    "cyclic4_or",
+    "square_identity",
+    "square_or",
+    "cube_identity",
+    "cube_or",
+    "torus_identity",
+    "torus_or",
+]
+
+
+@pytest.mark.parametrize("name", AUTOMATA)
+def test_a_given_base_and_dependency_matrix_change_nothing(name, automata):
+    gm = GlobalMap.from_automaton(automata[name])
+    depends = dependency_matrix(gm)
+    singletons = [(m,) for m in range(gm.space.cells)]
+    assert continuity_assignments(gm, singletons, depends) == continuity_assignments(gm, singletons)
+    base = None
+    if gm.table.size <= RELATION_UNIVERSE_BOUND:
+        base = prodiscrete_base(gm.space, 2)
+        assert check_uniform_continuity(gm, base, depends) == check_uniform_continuity(gm, base)
+    assert check_uniform_isomorphism(gm, base, depends) == check_uniform_isomorphism(gm)
+
+
+def test_isomorphism_reverifies_on_the_given_base(automata):
+    # E(0) replaced by the diagonal: agreeing on cell 1 no longer forces the
+    # shifted images into E(0), so the forward direction fails
+    gm = GlobalMap.from_automaton(automata["cyclic4_shift"])
+    base = prodiscrete_base(gm.space, 2)
+    rels = list(base.relations)
+    rels[base.labels.index((0,))] = Relation.diagonal(16)
+    doctored = EntourageBase(tuple(rels), base.labels)
+    continuity = check_uniform_continuity(gm, doctored)
+    assert continuity.verdict.witness == {"target_cells": [0], "candidate_source": [1]}
+    assert check_uniform_isomorphism(gm, doctored) == Verdict.failing(
+        "uniform-isomorphism",
+        {"reason": "forward direction not uniformly continuous", "detail": continuity.verdict.witness},
+    )
+
+
+@pytest.mark.parametrize("name", AUTOMATA)
 def test_isomorphism_agrees_with_invertibility(name, automata):
     ca = automata[name]
     iso = check_uniform_isomorphism(GlobalMap.from_automaton(ca))

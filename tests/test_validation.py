@@ -7,6 +7,9 @@ failing verdict validate reports, with the same witness.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -210,3 +213,34 @@ def test_wrong_typed_fields_are_input_errors(command, fixture, field, value, tmp
     assert (code, captured.out) == (EXIT_INPUT, "")
     assert captured.err.startswith("input error:")
     assert field in captured.err.splitlines()[0]
+
+
+NUMPY_MA_PROBE = """
+import contextlib, io, sys
+from homoca.cli import main
+if "numpy.ma" in sys.modules:
+    print("eager")
+    raise SystemExit
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(["validate", path]) for path in sys.argv[1:]]
+print(*codes)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_validate_leaves_numpy_ma_unimported():
+    # plain np.unique imports numpy.ma on first use under NumPy 2, a cost
+    # every validate process would pay; NumPy 1 imports it with numpy
+    src = str(FIXTURES.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    paths = sorted(str(p) for p in FIXTURES.glob("*.json"))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE, *paths], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    if done.stdout.strip() == "eager":
+        pytest.skip("this NumPy imports numpy.ma with numpy itself")
+    codes, imported = done.stdout.splitlines()
+    assert sorted(set(codes.split())) == [str(EXIT_PASS), str(EXIT_VIOLATION)]
+    assert len(codes.split()) == len(paths)
+    assert imported == "False"
