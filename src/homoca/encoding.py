@@ -38,7 +38,9 @@ def digit_matrix(radix: int, width: int) -> np.ndarray:
 
     Cached and frozen: callers index or matmul it, never write to it.
     Stored column-major, so the digits of one position over all codes
-    are contiguous: the table kernels in laws read whole columns.
+    are contiguous for the callers that gather columns.  The table,
+    shift and dependency kernels in laws take only half-width matrices,
+    of at most radix**ceil(cells / 2) rows, times a weight matrix.
     """
     codes = np.arange(radix**width, dtype=np.int64)
     out = np.empty((len(codes), width), dtype=np.uint8, order="F")

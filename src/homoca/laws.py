@@ -2,10 +2,15 @@
 
 A global map is a full lookup table over packed configurations, built by
 `global_table` only while states**cells stays within CONFIG_TABLE_BOUND;
-past it, the laws that need tables raise BoundError.  A table is built
-cell by cell, from the digit columns of each cell's window, once per
-automaton, and kept on it read-only.  `step_batch` serves batches of
-configurations: witnesses and the collision search past the bound.
+past it, the laws that need tables raise BoundError.  Tables are built
+on a split radix: a packed code c is lo + states**(cells // 2) * hi, and
+a sum over the digits of c is a sum over hi's digits plus one over lo's.
+So a shift permutation is one broadcast add of two half-width sums, and
+a table is built from one small block per cell, with a row per pattern
+of the cell's window on the high cells, gathered into the table by hi.
+A table is built once per automaton and kept on it read-only.
+`step_batch` serves batches of configurations: witnesses and the
+collision search past the bound.
 
 Equivariance checks test generators of the symmetry scope only.  They
 are found by closing the shifts' cell maps under composition, not by
@@ -50,46 +55,75 @@ def config_count(space: CellSpace, states: int) -> int:
     return states**space.cells
 
 
-def _pack(columns: np.ndarray, cells: Sequence[int], states: int) -> np.ndarray:
-    """Sum of columns[:, cells[i]] * states**i: for every packed
-    configuration, the code of its digits at `cells` in that order.
+def _digit_sums(states: int, width: int, weight: np.ndarray) -> np.ndarray:
+    """Row c: the digits of code c, `width` of them, times `weight`.  The
+    product is taken in int64 explicitly: under NumPy 1's value-based
+    casting a uint8 digit times a small weight can stay uint8 and wrap."""
+    return np.matmul(digit_matrix(states, width), weight, dtype=np.int64)
 
-    int32 holds every code packed here: rule codes stay below
-    MAX_RULE_TABLE, and a configuration code indexes a row of `columns`,
-    an array of far fewer than 2**31 rows.  Each product is taken in
-    int32 explicitly: under NumPy 1's value-based casting a uint8 column
-    times a small scalar stays uint8 and wraps.
-    """
-    code = np.zeros(columns.shape[0], dtype=np.int32)
-    w = 1
-    for c in cells:
-        code += np.multiply(columns[:, c], w, dtype=np.int32)
-        w *= states
-    return code
+
+def _split_pack(states: int, weight: np.ndarray) -> np.ndarray:
+    """sum(digit_j(c) * weight[j]) for every packed configuration c, as one
+    broadcast add of the sums over hi's digits and over lo's."""
+    half = len(weight) // 2
+    high = _digit_sums(states, len(weight) - half, weight[half:])
+    low = _digit_sums(states, half, weight[:half])
+    return (high[:, None] + low).ravel()
 
 
 def global_table(ca: SemiCellularAutomaton) -> np.ndarray:
     """The step of an automaton as a table over packed configurations.
 
     Cell m's image digit depends only on the digits at its window
-    neighbor_cells[m], so the table is built one cell at a time: pack the
-    window's digit columns into rule codes, look them up in the rule and
-    add the result at weight states**m.  The table is built once per
+    neighbor_cells[m].  Split each code as c = lo + q**(n // 2) * hi, so
+    the low cells' digits are lo's and the high cells' are hi's: the
+    window's rule code is the pack of its low cells, read off lo, plus the
+    pack of its high cells, read off hi.  Cell m's term rule[code] * q**m
+    is first taken on a small block, with one row per pattern of the
+    window's high cells and one column per lo, and then gathered into the
+    table, seen as a (hi, lo) array, by rows: one pass over the table per
+    cell, whatever the window's size.  The table is built once per
     automaton, kept read-only in the automaton's `_global_table` slot and
     returned from there on later calls; past the table bound every call
     raises BoundError.
     """
     space = ca.space
-    q = ca.states
+    q, n = ca.states, space.cells
     if config_count(space, q) > CONFIG_TABLE_BOUND:
-        raise BoundError(f"{q}**{space.cells} configurations exceed the table bound")
+        raise BoundError(f"{q}**{n} configurations exceed the table bound")
     if ca._global_table is None:
-        columns = digit_matrix(q, space.cells)
-        rule = ca.rule_array.astype(np.int32)
-        table = np.zeros(columns.shape[0], dtype=np.int32)
+        half = n // 2
+        # one matmul over hi's digits gives three digit sums side by side,
+        # one column per cell m (a code with fewer digits is a hi whose
+        # top digits are 0):
+        #   idx[hi, m]  hi's pattern on m's high cells, each cell ranked
+        #               by where it first appears in m's window;
+        #   low[lo, m]  the part of m's rule code read off lo's digits;
+        #   high[p, m]  the part read off the high cells in pattern p
+        weight = [[0] * (3 * n) for _ in range(n - half)]
+        depth = 0
         for m, window in enumerate(ca.neighbor_cells.tolist()):
-            table += rule[_pack(columns, window, q)] * np.int32(q**m)
-        table = table.astype(np.int64)
+            rank: dict[int, int] = {}
+            for i, cell in enumerate(window):
+                if cell < half:
+                    weight[cell][n + m] += q**i
+                else:
+                    r = rank.setdefault(cell, len(rank))
+                    weight[cell - half][m] = q**r
+                    weight[r][2 * n + m] += q**i
+            depth = max(depth, len(rank))
+        sums = _digit_sums(q, n - half, np.array(weight, dtype=np.int64))
+        idx, low, high = sums[:, :n], sums[: q**half, n : 2 * n], sums[: q**depth, 2 * n :]
+        # every entry is below q**n, inside the table bound, so the terms
+        # are added in int32, at half the memory traffic of int64, and
+        # cast once at the end
+        terms = np.multiply(weights(q, n)[:, None], ca.rule_array, dtype=np.int32)
+        flat = np.zeros(q**n, dtype=np.int32)
+        rows = flat.reshape(len(idx), len(low))
+        for term, pattern, code, at in zip(terms, high.T[:, :, None], low.T, idx.T):
+            # cell m's block, term[high[p] + low[lo]], gathered by rows
+            rows += term.take(pattern + code).take(at, axis=0)
+        table = flat.astype(np.int64)
         table.setflags(write=False)
         ca._global_table = table
     return ca._global_table
@@ -139,9 +173,12 @@ def generator_indices(rows: np.ndarray) -> list[int]:
 
 
 def shift_code_permutation(space: CellSpace, g: int, states: int) -> np.ndarray:
-    """Translation by g as a permutation of packed configurations."""
-    cell_perm = shift_cells(space, [g])[0].tolist()
-    return _pack(digit_matrix(states, space.cells), cell_perm, states).astype(np.int64)
+    """Translation by g as a permutation of packed configurations.  The
+    shifted configuration's digit at cell j is the digit at the cell it
+    reads, so each cell's digit carries the weight of every j reading it."""
+    weight = np.zeros(space.cells, dtype=np.int64)
+    np.add.at(weight, shift_cells(space, [g])[0], weights(states, space.cells))
+    return _split_pack(states, weight)
 
 
 class GlobalMap:
@@ -432,16 +469,28 @@ def compose(
 
 def dependency_matrix(gm: GlobalMap) -> np.ndarray:
     """deps[target, source]: can a single-site change at the source cell
-    move the image digit at the target cell?"""
+    move the image digit at the target cell?
+
+    Each image is spread into one field of b bits per cell, b the bit
+    length of states - 1, at most 32 bits inside the table bound; when
+    states is a power of two the packed code already is that spread.  Two
+    images differ at a cell exactly when their XOR is nonzero in its
+    field, so one OR over the XORs of all single-site changes at a source
+    reads off every target it moves.
+    """
     q, n = gm.states, gm.space.cells
-    image = digit_matrix(q, n)[gm.table]
-    deps = np.zeros((n, n), dtype=bool)
+    bits = (q - 1).bit_length()
+    shifts = bits * np.arange(n, dtype=np.int64)
+    spread = gm.table
+    if q != 1 << bits:
+        spread = _split_pack(q, np.left_shift(1, shifts, dtype=np.int64))[spread]
+    changed = np.zeros(n, dtype=np.int64)
     for i in range(n):
         # codes as (higher digits, digit i, lower digits): axis 1 varies
         # digit i alone, and entry 0 there holds the codes whose digit is 0
-        blocks = image.reshape(q ** (n - 1 - i), q, q**i, n)
-        deps[:, i] = (blocks[:, 1:] != blocks[:, :1]).any(axis=(0, 1, 2))
-    return deps
+        blocks = spread.reshape(q ** (n - 1 - i), q, q**i)
+        changed[i] = np.bitwise_or.reduce(blocks[:, 1:] ^ blocks[:, :1], axis=None)
+    return ((changed >> shifts[:, None]) & ((1 << bits) - 1)) != 0
 
 
 def dependency_cells(gm: GlobalMap, target: int) -> tuple[int, ...]:

@@ -6,8 +6,8 @@ rows, and `check_uniform_continuity` re-verifies each member through its
 pullback along the table.  `check_equivariance` tests generators of
 the scope before scanning all members, `check_step_equivariance` decides
 the same on neighbourhood windows without a table, and
-`dependency_matrix` finds every dependency set in one pass over the
-table.  In the group layer,
+`dependency_matrix` finds every dependency set from one OR per source
+cell over images spread into bit fields.  In the group layer,
 `verify_group` sweeps associativity over magma generators only, and
 `Subgroup` and `FiniteGroup.inv` check the table with numpy.  The
 oracles below are the plain forms without those shortcuts; full verdicts,
@@ -126,6 +126,18 @@ def scan_dependency_cells(gm, target):
                 deps.append(i)
                 break
     return tuple(deps)
+
+
+def reshape_dependency_matrix(gm):
+    """deps[target, source] from the image digits of every configuration,
+    one reshape per source cell."""
+    q, n = gm.states, gm.space.cells
+    image = digit_matrix(q, n)[gm.table]
+    deps = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        blocks = image.reshape(q ** (n - 1 - i), q, q**i, n)
+        deps[:, i] = (blocks[:, 1:] != blocks[:, :1]).any(axis=(0, 1, 2))
+    return deps
 
 
 def brute_closure(rows, cells):
@@ -710,6 +722,41 @@ def test_dependency_cells_is_the_matrix_row_on_random_rules(name, states):
             deps = dependency_matrix(gm)
             for target in range(space.cells):
                 assert dependency_cells(gm, target) == tuple(np.flatnonzero(deps[target]).tolist())
+
+
+# the bundled spaces and cyclic spaces of odd size, whose halves differ in
+# width, with states 2 to 5 inside the table bound
+DEPENDENCY_SPACES = {**SPACES, **{f"cyclic{n}": cyclic_space(n) for n in (1, 3, 5)}}
+
+
+@pytest.mark.parametrize(
+    "name, states",
+    [
+        (name, q)
+        for name, space in DEPENDENCY_SPACES.items()
+        for q in (2, 3, 4, 5)
+        if config_count(space, q) <= CONFIG_TABLE_BOUND
+    ],
+)
+def test_dependency_matrix_equals_the_reshape_form(name, states):
+    """On random rules, which depend on few cells, and on random tables,
+    which depend on nearly all of them."""
+    space = DEPENDENCY_SPACES[name]
+    rng = random.Random(97 * states + space.cells)
+    maps = [GlobalMap.from_automaton(_random_rule(space, states, seed, seed % 2 == 0)) for seed in range(3)]
+    total = config_count(space, states)
+    maps += [GlobalMap(space, states, [rng.randrange(total) for _ in range(total)]) for _ in range(2)]
+    # the identity, except that the top cell copies cell 0
+    codes = np.arange(total)
+    top = states ** (space.cells - 1)
+    copied = GlobalMap(space, states, codes - codes // top * top + codes % states * top)
+    expected = np.eye(space.cells, dtype=bool)
+    expected[-1] = np.arange(space.cells) == 0
+    assert np.array_equal(dependency_matrix(copied), expected)
+    for gm in maps + [copied]:
+        deps = dependency_matrix(gm)
+        assert deps.dtype == bool and deps.shape == (space.cells, space.cells)
+        assert np.array_equal(deps, reshape_dependency_matrix(gm))
 
 
 # ------------------------------------------------------------ group layer
