@@ -49,16 +49,17 @@ def _frozen(table) -> np.ndarray:
 def _as_table(rows, height: int, width: int, bound: int, what: str) -> np.ndarray:
     """Rows of integers in 0..bound-1; floats and strings are refused, not truncated.
 
-    One array conversion decides the usual input: an integer array of the
-    right shape with every entry in range, checked before the narrowing
-    cast, is the table.  Anything else (ragged or deeper nesting,
+    One array conversion decides the usual input, and none is needed when
+    the loader has already decoded a compact table to an array: an integer
+    array of the right shape with every entry in range, checked before the
+    narrowing cast, is the table.  Anything else (ragged or deeper nesting,
     non-integer entries, integers too large for int64, a wrong size or an
     entry out of range) goes through the row scan, which raises the
     message naming the first fault or accepts what it accepted before,
     such as a table of bools.
     """
     try:
-        table = np.array(rows)
+        table = np.asarray(rows)
     except (ValueError, TypeError, OverflowError):
         table = None
     if (

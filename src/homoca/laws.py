@@ -493,19 +493,6 @@ def dependency_matrix(gm: GlobalMap) -> np.ndarray:
     return ((changed >> shifts[:, None]) & ((1 << bits) - 1)) != 0
 
 
-def dependency_cells(gm: GlobalMap, target: int) -> tuple[int, ...]:
-    """Cells whose single-site change can move the image at `target`:
-    row `target` of dependency_matrix, from that cell's image digits only."""
-    q, n = gm.states, gm.space.cells
-    digit = gm.table // q**target % q
-    out = []
-    for i in range(n):
-        blocks = digit.reshape(q ** (n - 1 - i), q, q**i)
-        if (blocks[:, 1:] != blocks[:, :1]).any():
-            out.append(i)
-    return tuple(out)
-
-
 def extract(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> SemiCellularAutomaton:
     """Recover an automaton whose step is exactly gm.
 
@@ -523,7 +510,7 @@ def extract(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> SemiCellularA
         raise EquivarianceError("global map is not shift-equivariant", eq.witness or {})
     q = gm.states
 
-    depends = dependency_cells(gm, space.origin)
+    depends = np.flatnonzero(dependency_matrix(gm)[space.origin]).tolist()
     labels = {space.cell_coset(m) for m in depends}
     neighborhood = closed_neighborhood(space, tuple(sorted(labels)))
 

@@ -4,6 +4,13 @@ Nested objects may be inlined or referenced by a path relative to the
 containing file.  Writers always inline, so emitted files are
 self-contained; readers accept both.  All indices are 0-based and tables
 are row-major; inverses are computed on load rather than stored.
+
+Files are UTF-8.  A compact integer table, an object member's value
+written without whitespace as `json.dump(..., separators=(",", ":"))`
+writes it, decodes straight to an int64 array, with no Python int per
+entry; everything else, indented tables included, goes through `json`.
+Either way a file loads to the same values, and a malformed one raises
+the same error.  `write_json` output stays indented.
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ import json
 import operator
 import os
 from typing import Optional, Union
+
+import numpy as np
 
 from .automata import SemiCellularAutomaton, closed_neighborhood
 from .cellspace import CellSpace, CoordinateSystem, build_coordinate_system
@@ -23,12 +32,97 @@ from .laws import GlobalMap, config_count
 Source = Union[str, os.PathLike, dict]
 
 
+# decodes to the marker that holds a table's place while json parses the rest
+_MARKER_ESCAPE = "\\u0000"
+
+
+def _decimal_digits(values: np.ndarray) -> int:
+    """The digits the non-negative values take in decimal, without leading zeros."""
+    total, power, top = values.size, 10, values.max()
+    while power <= top:
+        total += int(np.count_nonzero(values >= power))
+        power *= 10
+    return total
+
+
+def _matrix(body: str) -> Optional[np.ndarray]:
+    """The table whose rows, without the outer brackets, `body` joins with
+    "],[", when each entry is a JSON integer in 0..2^31-1 and the rows have
+    one width; otherwise None."""
+    rows = body.split("],[")
+    flat = ",".join(rows)
+    if len({row.count(",") for row in rows}) != 1 or not flat or not flat.isascii():
+        return None
+    chars = np.frombuffer(flat.encode("ascii"), dtype=np.uint8)
+    comma = chars == ord(",")
+    if not (comma | (chars - ord("0") < 10)).all():
+        return None
+    # an empty entry leaves a comma at either end or two in a row
+    if comma[0] or comma[-1] or (comma[1:] & comma[:-1]).any():
+        return None
+    # only digits and single commas are left, so every piece parses
+    values = np.fromstring(flat, dtype=np.int64, sep=",")
+    # int64 overflow saturates, so this also refuses what did not fit;
+    # more digits than the values' decimal lengths means a leading zero
+    digits = chars.size - int(np.count_nonzero(comma))
+    if values.max() >= 1 << 31 or _decimal_digits(values) != digits:
+        return None
+    return values.reshape(len(rows), -1)
+
+
+def _loads(text: str):
+    """json.loads(text), but each compact integer table decodes straight to
+    an int64 array.
+
+    Each table is swapped for a marker string, json parses the small
+    remainder, and the arrays go back in place of their markers.  Should
+    any table fail the checks, the remainder fail to parse or a marker not
+    come back exactly once as a member value, json decodes the original
+    text, so values and error positions are those of json.loads alone.
+    """
+    if "[[" not in text or _MARKER_ESCAPE in text:
+        return json.loads(text)
+    pieces, tables, end = [], [], 0
+    start = text.find("[[")
+    while start != -1:
+        close = text.find("]]", start)
+        table = None
+        if close != -1 and text[start - 2 : start] == '":':
+            table = _matrix(text[start + 2 : close])
+        if table is None:
+            return json.loads(text)
+        pieces += [text[end:start], f'"{_MARKER_ESCAPE}{len(tables)}"']
+        tables.append(table)
+        end = close + 2
+        start = text.find("[[", end)
+    pieces.append(text[end:])
+
+    restored = []
+
+    def restore(obj: dict) -> dict:
+        for key, value in obj.items():
+            if isinstance(value, str) and value[:1] == "\0":
+                obj[key] = tables[int(value[1:])]
+                restored.append(key)
+        return obj
+
+    try:
+        data = json.loads("".join(pieces), object_hook=restore)
+    except json.JSONDecodeError:
+        return json.loads(text)
+    return data if len(restored) == len(tables) else json.loads(text)
+
+
 def _load_json(path: Union[str, os.PathLike]) -> dict:
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text: byte {e.object[e.start]:#04x}, {e.reason}") from None
+    try:
+        data = _loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
     if not isinstance(data, dict):
@@ -44,6 +138,11 @@ def _resolve(source: Source, base_dir: Optional[str]) -> tuple[dict, Optional[st
     return _load_json(path), os.path.dirname(os.path.abspath(path))
 
 
+def _shown(value):
+    """A field value as the file spells it: a decoded table shows as lists."""
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def _require(data: dict, key: str, what: str):
     if key not in data:
         raise InputError(f"{what} is missing the '{key}' field")
@@ -54,7 +153,7 @@ def _nested(data: dict, key: str, what: str, base_dir: Optional[str]) -> tuple[d
     """The object in field `key`, inline or as a path relative to the file."""
     source = _require(data, key, what)
     if not isinstance(source, (dict, str)):
-        raise InputError(f"{what} field '{key}' must be an object or a file path, got {source!r}")
+        raise InputError(f"{what} field '{key}' must be an object or a file path, got {_shown(source)!r}")
     return _resolve(source, base_dir)
 
 
@@ -63,7 +162,7 @@ def _int(data: dict, key: str, what: str) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise InputError(f"{what} field '{key}' must be an integer, got {value!r}") from None
+        raise InputError(f"{what} field '{key}' must be an integer, got {_shown(value)!r}") from None
 
 
 def _ints(data: dict, key: str, what: str) -> tuple[int, ...]:

@@ -79,6 +79,16 @@ def test_validate_missing_file_is_an_input_error(capsys):
     assert code == EXIT_INPUT
 
 
+def test_validate_refuses_a_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"order": 1, "mul": [[0]], "identity": 0, "name": "\xff"}')
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_INPUT, "")
+    assert f"input error: {path}: not UTF-8 text: byte 0xff" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_validate_and_run_agree_on_a_coset_named_twice(capsys, tmp_path):
     ca = load_automaton(fx("square_identity.json"))
     space = ca.space

@@ -34,7 +34,7 @@ from homoca.laws import (
     check_step_equivariance,
     compose,
     config_count,
-    dependency_cells,
+    dependency_matrix,
     extract,
     global_table,
     invert,
@@ -406,19 +406,23 @@ def test_composition_rejects_non_invariant_factors(spaces):
 # ----------------------------------------------------------- dependencies
 
 
-def test_dependency_cells_of_the_shift_and_identity(spaces, automata):
+def _dependency_row(gm, target):
+    return tuple(np.flatnonzero(dependency_matrix(gm)[target]).tolist())
+
+
+def test_dependency_rows_of_the_shift_and_identity(spaces, automata):
     gm = GlobalMap.from_automaton(automata["cyclic4_shift"])
     for m in range(4):
-        assert dependency_cells(gm, m) == ((m + 1) % 4,)
+        assert _dependency_row(gm, m) == ((m + 1) % 4,)
     gm = GlobalMap.from_automaton(identity_automaton(spaces["cyclic4"]))
     for m in range(4):
-        assert dependency_cells(gm, m) == (m,)
+        assert _dependency_row(gm, m) == (m,)
 
 
-def test_dependency_cells_of_the_or_rule(automata):
+def test_dependency_rows_of_the_or_rule(automata):
     gm = GlobalMap.from_automaton(automata["square_or"])
     for m in range(4):
-        assert dependency_cells(gm, m) == (0, 1, 2, 3)
+        assert _dependency_row(gm, m) == (0, 1, 2, 3)
 
 
 # ---------------------------------------------------------------- extract

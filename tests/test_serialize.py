@@ -1,6 +1,7 @@
 """JSON round trips for every file kind, path references, and rule widening."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -8,12 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homoca.automata import step
+from homoca.catalog import group_from_permutations
+from homoca.cli import validate_source
 from homoca.encoding import decode, encode
 from homoca.errors import InputError
 from homoca.laws import GlobalMap, global_table
 from homoca.serialize import (
+    _load_json,
     detect_kind,
     dump_action,
     dump_automaton,
@@ -132,6 +138,187 @@ def test_missing_file_and_bad_json_are_input_errors(tmp_path):
     with pytest.raises(InputError) as err:
         load_group(str(bad))
     assert "line" in str(err.value)
+
+
+# ------------------------------------------------- compact integer tables
+
+
+def json_load(path):
+    """The loader as plain json: the values and errors the fast path keeps."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object")
+    return data
+
+
+def _plain(value):
+    if isinstance(value, np.ndarray):
+        assert value.dtype == np.int64
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _outcome(load, path):
+    """What a loader makes of a file, as text that tells 1 from true and 1.0."""
+    try:
+        return json.dumps(_plain(load(path)))
+    except InputError as e:
+        return f"InputError: {e}"
+
+
+# entries that a compact table must not decode itself, or must decode exactly
+ODD_ENTRIES = [
+    "0", "007", "00", "-1", "-0", "+1", "1.5", "1.0", "1e3", "1E2", "true", "null", '"1"', "",
+    " 1", "1 ", "[1]", "[]", str(2**31 - 1), str(2**31), str(2**63 - 1), str(2**63),
+    str(2**64 + 7), "9" * 30,
+]
+DOCUMENTS = [
+    '{"m":%s}',
+    '{"a":1,"m":%s,"b":[1,2],"c":{"d":null}}',
+    '{"m":%s,"m":%s}',
+    '{"g":{"mul":%s,"order":2},"act":%s}',
+    '{"m": %s}',
+    '{"m":[%s]}',
+    '{"s":"%s"}',
+    '{"s":"\\":%s"}',
+    '{"s":"\\u0000","m":%s}',
+    '{"s":"\\u00000","m":%s}',
+    "[%s]",
+    "%s",
+    '[{"m":%s}]',
+    '{"m":%s}\n{}',
+]
+
+
+@st.composite
+def compact_documents(draw):
+    """Compact tables with at most one flaw each (an odd entry, a leading
+    zero, a row of another width or a spaced separator) in several
+    documents, some of them truncated."""
+
+    def table():
+        width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        rows = [[str(draw(st.integers(0, 5000))) for _ in range(width)] for _ in range(height)]
+        i, j = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+        sep = ","
+        flaw = draw(st.sampled_from(["none", "entry", "zero", "width", "separator"]))
+        if flaw == "entry":
+            rows[i][j] = draw(st.sampled_from(ODD_ENTRIES))
+        elif flaw == "zero":
+            rows[i][j] = "0" + rows[i][j]
+        elif flaw == "width":
+            rows[i] = [str(draw(st.integers(0, 9))) for _ in range(draw(st.integers(0, 5)))]
+        elif flaw == "separator":
+            sep = draw(st.sampled_from([", ", ",\n", " ,"]))
+        return "[" + sep.join("[" + ",".join(row) + "]" for row in rows) + "]"
+
+    # half are the plain document, where the table's flaw alone picks the path
+    template = DOCUMENTS[0] if draw(st.booleans()) else draw(st.sampled_from(DOCUMENTS))
+    text = template % tuple(table() for _ in range(template.count("%s")))
+    if draw(st.integers(0, 9)) == 0:
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("loader") / "table.json"
+
+
+@given(text=compact_documents())
+@settings(deadline=None)
+def test_the_loader_gives_json_values_and_errors(scratch_file, text):
+    scratch_file.write_text(text, encoding="utf-8")
+    assert _outcome(_load_json, scratch_file) == _outcome(json_load, scratch_file)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"m":[[0,1],[1,0]]}', '{"a":{"m":[[2147483647]]},"b":[[5,10,100]]}', '{"m":[[0]],"n":[0,1],"s":"]]"}'],
+)
+def test_compact_tables_decode_to_int64_arrays(tmp_path, text):
+    path = tmp_path / "table.json"
+    path.write_text(text)
+    data = _load_json(path)
+    assert _plain(data) == json.loads(text)
+    tables = [v for obj in (data, *[v for v in data.values() if isinstance(v, dict)]) for v in obj.values()]
+    assert any(isinstance(v, np.ndarray) for v in tables)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"m":[[01]]}', '{"m":[[1],[1,2]]}', '{"m":[[2147483648]]}', '{"m":[[9223372036854775808]]}',
+     '{"m":[[18446744073709551623]]}', '{"m": [[1]]}', '{"m":[[1]],"m":[[2]]}',
+     '{"m":[[0]],"s":"[[x"}', '{"m":[[1,]]}', '{"m":[[,1]]}', '{"m":[[1,,2]]}', '{"m":[[1],[]]}', '{"m":[[]]}'],
+)
+def test_tables_outside_the_compact_form_decode_through_json(tmp_path, text):
+    path = tmp_path / "table.json"
+    path.write_text(text)
+    assert _outcome(_load_json, path) == _outcome(json_load, path)
+    try:
+        data = _load_json(path)
+    except InputError:
+        return
+    assert not any(isinstance(v, np.ndarray) for v in data.values())
+
+
+@pytest.mark.parametrize(
+    "load, text, message",
+    [
+        (load_group, '{"identity":0,"mul":[[0]],"order":[[1]]}', "'order' must be an integer, got [[1]]"),
+        (load_action, '{"act":[[0]],"group":[[0]],"points":1}', "or a file path, got [[0]]"),
+        (
+            load_automaton,
+            '{"delta":[[0,1]],"neighborhood":[0],"space":"SPACE","states":2}',
+            "'delta' must be a list of integers",
+        ),
+    ],
+)
+def test_a_table_in_the_wrong_field_is_refused_as_json_spells_it(tmp_path, load, text, message):
+    path = tmp_path / "wrong.json"
+    path.write_text(text.replace("SPACE", str(FIXTURES / "cyclic4_space.json")))
+    with pytest.raises(InputError) as from_file:
+        load(str(path))
+    assert str(from_file.value).endswith(message)
+
+
+@pytest.mark.parametrize(
+    "mul", [[[0, 5], [1, 0]], [[0, 1], [1]], [[0, 1]], [[0, 1, 0], [1, 0, 1]], [[0, 1], [1, 2**31]]]
+)
+def test_compact_and_indented_bad_tables_are_refused_alike(tmp_path, mul):
+    data = {"identity": 0, "mul": mul, "order": 2}
+    messages = []
+    for name, separators in (("compact", (",", ":")), ("indented", None)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data, separators=separators, indent=None if separators else 2))
+        with pytest.raises(InputError) as err:
+            load_group(str(path))
+        messages.append(str(err.value).replace(str(path), "FILE"))
+    assert messages[0] == messages[1]
+
+
+def test_compact_and_indented_files_load_and_validate_alike(tmp_path):
+    action = group_from_permutations([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+    assert action.group.order == 120
+    cases = [(action.group, dump_group, load_group, "mul"), (action, dump_action, load_action, "act")]
+    for obj, dump, load, table in cases:
+        compact, indented = tmp_path / f"compact_{table}.json", tmp_path / f"indented_{table}.json"
+        with open(compact, "w") as fh:
+            json.dump(dump(obj), fh, separators=(",", ":"), sort_keys=True)
+        write_json(indented, dump(obj))
+        assert isinstance(_load_json(compact)[table], np.ndarray)
+        assert isinstance(_load_json(indented)[table], list)
+        assert load(str(compact)) == load(str(indented)) == obj
+        assert validate_source(str(compact)) == validate_source(str(indented))
 
 
 # ------------------------------------------------------------ auto-closing

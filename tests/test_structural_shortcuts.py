@@ -33,7 +33,6 @@ from homoca.laws import (
     check_equivariance,
     check_step_equivariance,
     config_count,
-    dependency_cells,
     dependency_matrix,
     generator_indices,
     global_table,
@@ -688,8 +687,7 @@ def test_dependency_rows_match_the_per_target_scan_on_fixtures(name):
     deps = dependency_matrix(gm)
     assert deps.shape == (gm.space.cells, gm.space.cells)
     for target in range(gm.space.cells):
-        assert dependency_cells(gm, target) == tuple(np.flatnonzero(deps[target]).tolist())
-        assert dependency_cells(gm, target) == scan_dependency_cells(gm, target)
+        assert tuple(np.flatnonzero(deps[target]).tolist()) == scan_dependency_cells(gm, target)
 
 
 @pytest.mark.parametrize("symmetrize", [True, False])
@@ -713,15 +711,14 @@ def test_dependency_rows_match_the_per_target_scan_on_three_states(name, symmetr
     "name, states",
     [(name, q) for name in SPACES for q in (2, 3) if config_count(SPACES[name], q) <= CONFIG_TABLE_BOUND],
 )
-def test_dependency_cells_is_the_matrix_row_on_random_rules(name, states):
-    """dependency_cells reads one target's image digits, the matrix all of them."""
+def test_dependency_rows_match_the_per_target_scan_on_random_rules(name, states):
     space = SPACES[name]
     for seed in range(3):
         for symmetrize in (True, False):
             gm = GlobalMap.from_automaton(_random_rule(space, states, seed, symmetrize))
             deps = dependency_matrix(gm)
             for target in range(space.cells):
-                assert dependency_cells(gm, target) == tuple(np.flatnonzero(deps[target]).tolist())
+                assert tuple(np.flatnonzero(deps[target]).tolist()) == scan_dependency_cells(gm, target)
 
 
 # the bundled spaces and cyclic spaces of odd size, whose halves differ in

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from homoca.catalog import cyclic_space, identity_automaton, or_automaton
 from homoca.errors import InputError
-from homoca.laws import GlobalMap, NotInvertible, dependency_cells, dependency_matrix, invert
+from homoca.laws import GlobalMap, NotInvertible, dependency_matrix, invert
 from homoca.uniformity import (
     RELATION_UNIVERSE_BOUND,
     EntourageBase,
@@ -193,7 +193,8 @@ def test_assignments_are_the_dependency_unions(automata):
     base = prodiscrete_base(gm.space, 2)
     result = check_uniform_continuity(gm, base)
     assert result.verdict.ok
-    depends = {m: set(dependency_cells(gm, m)) for m in range(4)}
+    deps = dependency_matrix(gm)
+    depends = {m: set(np.flatnonzero(deps[m]).tolist()) for m in range(4)}
     for cells, source in result.assignments:
         want = set()
         for m in cells:
