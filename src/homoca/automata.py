@@ -17,10 +17,13 @@ import numpy as np
 from .cellspace import CellSpace
 from .encoding import decode, digit_matrix, encode, weights
 from .errors import BoundError, InputError, LawError
-from .groups import Coset, Subgroup
+from .groups import Subgroup
 from .verdict import Verdict
 
 MAX_RULE_TABLE = 1 << 20
+# entries of a `run` trace, (steps + 1) * cells: 32 MiB of int64, and
+# iterate keeps one key of the same size per row it steps
+MAX_TRACE = 1 << 22
 
 
 def closed_neighborhood(space: CellSpace, coset_indices: Sequence[int]) -> tuple[int, ...]:
@@ -91,12 +94,15 @@ class SemiCellularAutomaton:
         return self.space.semi_table[:, cols]
 
     @cached_property
+    def kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The step's arrays, bound once: the rule table, neighbor_cells
+        and the weights that pack a local configuration into a rule index."""
+        return self.rule_array, self.neighbor_cells, weights(self.states, self.arity)
+
+    @cached_property
     def origin_neighborhood(self) -> tuple[int, ...]:
         """The neighborhood resolved at the origin, as cells."""
         return tuple(int(c) for c in self.neighbor_cells[self.space.origin])
-
-    def neighborhood_cosets(self) -> tuple[Coset, ...]:
-        return tuple(self.space.cosets[j] for j in self.neighborhood)
 
     def apply_rule(self, local: Sequence[int]) -> int:
         return self.rule[encode(local, self.states)]
@@ -189,7 +195,7 @@ def step_batch(ca: SemiCellularAutomaton, configs) -> np.ndarray:
     """The global step of every row of configs[N, cells], as an [N, cells]
     array: each cell's local configuration is gathered through the
     semi-action table, packed, and looked up in the rule table."""
-    return _apply(ca, _checked_configs(ca, configs))
+    return _apply(ca.kernel, _checked_configs(ca, configs))
 
 
 def step(ca: SemiCellularAutomaton, config: Sequence[int]) -> tuple[int, ...]:
@@ -197,18 +203,44 @@ def step(ca: SemiCellularAutomaton, config: Sequence[int]) -> tuple[int, ...]:
 
 
 def iterate(ca: SemiCellularAutomaton, config: Sequence[int], steps: int) -> np.ndarray:
-    """The trace config, step(config), ..., as steps + 1 rows."""
+    """The trace config, step(config), ..., as steps + 1 rows.
+
+    The step is deterministic on the finite set of configurations, so the
+    orbit is eventually periodic: stepping stops at the first configuration
+    that repeats an earlier row, and the rest of the trace is copied from
+    the cycle.  A trace of more than MAX_TRACE entries raises BoundError
+    before anything is allocated.
+    """
     if steps < 0:
         raise InputError(f"steps must be non-negative, got {steps}")
-    trace = np.empty((steps + 1, ca.space.cells), dtype=np.int64)
-    trace[0] = _checked_configs(ca, [config])[0]
-    for t in range(steps):
-        trace[t + 1 : t + 2] = _apply(ca, trace[t : t + 1])
+    cells = ca.space.cells
+    if (steps + 1) * cells > MAX_TRACE:
+        raise BoundError(f"a trace of {steps} steps on {cells} cells exceeds {MAX_TRACE} entries")
+    row = _checked_configs(ca, [config])[0].astype(np.int64)
+    trace = np.empty((steps + 1, cells), dtype=np.int64)
+    trace[0] = row
+    kernel = ca.kernel
+    seen = {row.tobytes(): 0}
+    for t in range(1, steps + 1):
+        row = trace[t] = _apply(kernel, row)
+        first = seen.setdefault(row.tobytes(), t)
+        if first < t:
+            # row t repeats row first: from there on row u is row
+            # first + (u - first) % period
+            period = t - first
+            u = np.arange(t + 1, steps + 1)
+            trace[t + 1 :] = trace[first + (u - first) % period]
+            break
     return trace
 
 
-def _apply(ca: SemiCellularAutomaton, configs: np.ndarray) -> np.ndarray:
-    return ca.rule_array[configs[:, ca.neighbor_cells] @ weights(ca.states, ca.arity)]
+def _apply(kernel: tuple[np.ndarray, np.ndarray, np.ndarray], configs: np.ndarray) -> np.ndarray:
+    """The step of one configuration, or of each row of a stack of them."""
+    rule, neighbor_cells, w = kernel
+    # a single row takes the plain gather: `configs[..., neighbor_cells]`
+    # costs about twice as much on a torus row
+    local = configs[neighbor_cells] if configs.ndim == 1 else configs[:, neighbor_cells]
+    return rule[local @ w]
 
 
 def _checked_configs(ca: SemiCellularAutomaton, configs) -> np.ndarray:

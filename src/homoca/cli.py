@@ -221,19 +221,34 @@ def cmd_validate(args) -> int:
 # ------------------------------------------------------------------ run
 
 
+def _trace_text(trace: np.ndarray) -> str:
+    """The trace as lines of comma-separated states, one line per row.
+
+    Each entry becomes a token, "v," inside a row and "v\\n" at its end,
+    looked up in one table over the states that occur in the trace.
+    """
+    values, inverse = np.unique(trace, return_inverse=True)
+    # depending on the NumPy version the inverse comes back flat or shaped
+    codes = inverse.reshape(trace.shape)
+    codes[:, -1] += len(values)
+    states = [str(v) for v in values.tolist()]
+    tokens = np.array([v + "," for v in states] + [v + "\n" for v in states], dtype=object)
+    return "".join(tokens[codes].ravel().tolist())
+
+
 def cmd_run(args) -> int:
     ca = load_automaton(args.automaton, auto_close=args.auto_close)
     try:
         config = tuple(int(x) for x in args.config.split(","))
     except ValueError:
         raise InputError(f"cannot parse configuration {args.config!r}")
-    trace = iterate(ca, config, args.steps).tolist()
-    sys.stdout.write("".join(",".join(map(str, c)) + "\n" for c in trace))
+    trace = iterate(ca, config, args.steps)
+    sys.stdout.write(_trace_text(trace))
     if args.out:
         report = RunReport(
             "run",
             _input_record({"automaton": args.automaton}),
-            extra={"trace": trace, "steps": args.steps},
+            extra={"trace": trace.tolist(), "steps": args.steps},
         )
         with open(args.out, "w") as fh:
             fh.write(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")

@@ -268,8 +268,7 @@ def check_step_equivariance(ca: SemiCellularAutomaton, subgroup: Optional[Subgro
     space = ca.space
     sub = subgroup_or_whole(space, subgroup)
     q, arity = ca.states, ca.arity
-    nc = ca.neighbor_cells
-    w = weights(q, arity)
+    rule, nc, w = ca.kernel
     rows = shift_cells(space, sub.members)
     first_bad: dict[bytes, Optional[np.ndarray]] = {}
     for k in generator_indices(rows):
@@ -282,8 +281,8 @@ def check_step_equivariance(ca: SemiCellularAutomaton, subgroup: Optional[Subgro
                 if q ** len(window) > MAX_RULE_TABLE:
                     raise BoundError(f"{q}**{len(window)} window patterns exceed the rule table bound")
                 patterns = digit_matrix(q, len(window))
-                shift_then_step = ca.rule_array[patterns[:, placed[:arity]] @ w]
-                step_then_shift = ca.rule_array[patterns[:, placed[arity:]] @ w]
+                shift_then_step = rule[patterns[:, placed[:arity]] @ w]
+                step_then_shift = rule[patterns[:, placed[arity:]] @ w]
                 bad = np.flatnonzero(shift_then_step != step_then_shift)
                 first_bad[key] = patterns[bad[0]] if bad.size else None
             if first_bad[key] is not None:

@@ -4,12 +4,16 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from homoca.automata import SemiCellularAutomaton, shift, step_via_origin
+from homoca.automata import SemiCellularAutomaton, shift, step, step_via_origin
 from homoca.catalog import random_rule_automaton
 from homoca.encoding import decode, encode
-from homoca.cli import EXIT_BOUND, EXIT_INPUT, EXIT_PASS, EXIT_VIOLATION, main
+from homoca.cli import EXIT_BOUND, EXIT_INPUT, EXIT_PASS, EXIT_VIOLATION, _trace_text, main
 from homoca.serialize import dump_automaton, load_automaton, write_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -157,6 +161,69 @@ def test_run_writes_a_trace_report(capsys, tmp_path):
     report = json.loads(out_path.read_text())
     assert report["trace"][0] == [1, 1, 0, 0]
     assert len(report["trace"]) == 3
+
+
+@pytest.mark.parametrize("steps", [10**18, 10**20])
+def test_run_refuses_a_trace_past_the_bound(capsys, tmp_path, steps):
+    out_path = tmp_path / "trace.json"
+    code = main(
+        ["run", fx("cyclic4_shift.json"), "--config", "1,0,0,0", "--steps", str(steps), "--out", str(out_path)]
+    )
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_BOUND, "")
+    assert captured.err.startswith("bound exceeded: ")
+    assert "Traceback" not in captured.err
+    assert not out_path.exists()
+
+
+def join_formatted(rows):
+    """How `run` printed a trace before its token table: the oracle."""
+    return "".join(",".join(map(str, c)) + "\n" for c in rows)
+
+
+@settings(deadline=None)
+@given(
+    trace=arrays(
+        np.int64,
+        st.tuples(st.integers(1, 12), st.integers(1, 9)),
+        elements=st.one_of(st.integers(0, 2), st.integers(0, 12), st.integers(0, 2**20)),
+    )
+)
+def test_the_printed_trace_matches_the_join_formatter(trace):
+    assert _trace_text(trace) == join_formatted(trace.tolist())
+
+
+def _cyclic4_file(tmp_path, states, rule):
+    """A rule on the 4-cycle over the shift's neighborhood, written to a file."""
+    shift_ca = load_automaton(fx("cyclic4_shift.json"))
+    ca = SemiCellularAutomaton(shift_ca.space, states, shift_ca.neighborhood, rule)
+    path = tmp_path / f"cyclic4_{states}.json"
+    write_json(path, dump_automaton(ca))
+    return ca, str(path)
+
+
+@pytest.mark.parametrize(
+    "states, rule, config",
+    [
+        (12, [(v + 5) % 12 for v in range(12)], (11, 3, 7, 10)),  # every state, multi-digit
+        (12, list(range(12)), (10, 0, 11, 0)),  # three of twelve states, two multi-digit
+        (2, [0, 1], (0, 0, 0, 0)),  # one of two states
+    ],
+)
+@pytest.mark.parametrize("steps", [0, 1, 30])
+def test_run_prints_and_reports_the_scalar_trace(capsys, tmp_path, states, rule, config, steps):
+    ca, path = _cyclic4_file(tmp_path, states, rule)
+    rows = [config]
+    for _ in range(steps):
+        rows.append(step(ca, rows[-1]))
+    out_path = tmp_path / "trace.json"
+    code, out = run_cli(
+        capsys, "run", path, "--config", ",".join(map(str, config)), "--steps", str(steps), "--out", str(out_path)
+    )
+    assert (code, out) == (EXIT_PASS, join_formatted(rows))
+    report = json.loads(out_path.read_text())
+    assert report["trace"] == [[int(v) for v in line.split(",")] for line in out.splitlines()]
+    assert report["steps"] == steps
 
 
 # -------------------------------------------------------------------- laws
