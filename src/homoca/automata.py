@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cellspace import CellSpace
-from .encoding import decode, digit_matrix, encode, weights
+from .encoding import decode, encode, pattern_codes, weights
 from .errors import BoundError, InputError, LawError
 from .groups import Subgroup
 from .verdict import Verdict
@@ -158,13 +158,10 @@ def is_cellular(ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None) 
     space = ca.space
     sub = subgroup_or_whole(space, subgroup)
     q = ca.states
-    codes = digit_matrix(q, ca.arity)
-    w = weights(q, ca.arity)
     rule = ca.rule_array
     for h in stabilizer_part(space, sub):
-        p = np.array(rotation_position_map(ca, h), dtype=np.int64)
-        rotated = codes[:, p] @ w if ca.arity else np.zeros(1, dtype=np.int64)
-        bad = np.flatnonzero(rule[rotated] != rule)
+        rotated = rule[pattern_codes(q, ca.arity, rotation_position_map(ca, h))]
+        bad = np.flatnonzero(rotated != rule)
         if bad.size:
             code = int(bad[0])
             return Verdict.failing(
@@ -172,7 +169,7 @@ def is_cellular(ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None) 
                 {
                     "stabilizer_element": int(h),
                     "local": list(decode(code, q, ca.arity)),
-                    "rotated_output": int(rule[rotated][code]),
+                    "rotated_output": int(rotated[code]),
                     "output": int(rule[code]),
                 },
             )
@@ -282,21 +279,12 @@ def step_via_origin(ca: SemiCellularAutomaton, config: Sequence[int]) -> tuple[i
 def essential_positions(ca: SemiCellularAutomaton) -> tuple[int, ...]:
     """Positions whose state can influence the rule's output."""
     q = ca.states
-    codes = digit_matrix(q, ca.arity)
-    w = weights(q, ca.arity)
-    rule = ca.rule_array
     essential = []
     for i in range(ca.arity):
-        base = codes.copy()
-        base[:, i] = 0
-        outputs = rule[base @ w]
-        hit = False
-        for v in range(1, q):
-            base[:, i] = v
-            if not np.array_equal(rule[base @ w], outputs):
-                hit = True
-                break
-        if hit:
+        # codes as (higher digits, digit i, lower digits): axis 1 varies
+        # digit i alone
+        blocks = ca.rule_array.reshape(q ** (ca.arity - 1 - i), q, q**i)
+        if (blocks[:, 1:] != blocks[:, :1]).any():
             essential.append(i)
     return tuple(essential)
 
@@ -308,15 +296,10 @@ def essential_neighborhood(ca: SemiCellularAutomaton) -> tuple[int, ...]:
     of them is witnessed sensitive, so no smaller subset works.
     """
     positions = essential_positions(ca)
-    keep = set(positions)
-    q = ca.states
-    codes = digit_matrix(q, ca.arity)
-    w = weights(q, ca.arity)
-    masked = codes.copy()
-    for i in range(ca.arity):
-        if i not in keep:
-            masked[:, i] = 0
-    if not np.array_equal(ca.rule_array[masked @ w], ca.rule_array):
+    restricted = pattern_codes(ca.states, ca.arity, positions)
+    factor = np.zeros(ca.states ** len(positions), dtype=np.int64)
+    factor[restricted] = ca.rule_array
+    if not np.array_equal(factor[restricted], ca.rule_array):
         raise AssertionError("rule does not factor through its sensitive positions")
     return tuple(ca.neighborhood[i] for i in positions)
 

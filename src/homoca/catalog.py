@@ -20,7 +20,7 @@ from .automata import (
     subgroup_or_whole,
 )
 from .cellspace import CellSpace, CoordinateSystem, build_coordinate_system
-from .encoding import decode, encode
+from .encoding import pattern_codes
 from .errors import InputError
 from .groups import FiniteGroup, LeftAction, Subgroup
 
@@ -130,7 +130,7 @@ def or_automaton(space: CellSpace, neighborhood: Optional[Sequence[int]] = None)
     if neighborhood is None:
         neighborhood = tuple(range(space.num_cosets))
     neighborhood = closed_neighborhood(space, neighborhood)
-    rule = tuple(0 if code == 0 else 1 for code in range(2 ** len(neighborhood)))
+    rule = np.minimum(np.arange(2 ** len(neighborhood)), 1)
     return SemiCellularAutomaton(space, 2, neighborhood, rule)
 
 
@@ -140,8 +140,7 @@ def projection_automaton(
     """Copy one position of the full neighborhood; rotation-invariant only
     when the origin stabilizer fixes that position."""
     neighborhood = tuple(range(space.num_cosets))
-    width = len(neighborhood)
-    rule = tuple(decode(code, states, width)[position] for code in range(states**width))
+    rule = pattern_codes(states, len(neighborhood), [position])
     return SemiCellularAutomaton(space, states, neighborhood, rule)
 
 
@@ -210,13 +209,11 @@ def random_rule_automaton(
     if not symmetrize:
         return ca
     sub = subgroup_or_whole(space, subgroup)
-    maps = [rotation_position_map(ca, h) for h in stabilizer_part(space, sub)]
-    rule = []
-    for code in range(states**width):
-        local = decode(code, states, width)
-        canon = min(encode(tuple(local[p[i]] for i in range(width)), states) for p in maps)
-        rule.append(raw[canon])
-    return SemiCellularAutomaton(space, states, neighborhood, tuple(rule))
+    # the identity is in every stabilizer part, and its rotation leaves codes as they are
+    canon = np.arange(states**width)
+    for h in stabilizer_part(space, sub):
+        np.minimum(canon, pattern_codes(states, width, rotation_position_map(ca, h)), out=canon)
+    return SemiCellularAutomaton(space, states, neighborhood, ca.rule_array[canon])
 
 
 # --------------------------------------------- alternate coordinate systems

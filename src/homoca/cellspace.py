@@ -148,10 +148,6 @@ class CellSpace:
         rows = np.asarray(elements, dtype=np.intp).reshape(-1, 1)
         return self._element_coset[self.group.mul[rows, reps]]
 
-    def origin_cells(self, coset_indices) -> tuple[int, ...]:
-        """Resolve relative names at the origin."""
-        return tuple(self.semi_cell(self.origin, j) for j in coset_indices)
-
 
 def semi_act(space: CellSpace, m: int, coset: Coset) -> int:
     """Resolve the relative name `coset` at cell m."""

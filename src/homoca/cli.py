@@ -98,6 +98,8 @@ class RunReport:
         return False
 
     def any_bound(self) -> bool:
+        if self.extra.get("bound_exceeded"):
+            return True
         sampled = any(v.get("sampled") for v in self.verdicts)
         for suite in self.suites.values():
             if suite.get("bound_exceeded"):
@@ -221,19 +223,25 @@ def cmd_validate(args) -> int:
 # ------------------------------------------------------------------ run
 
 
-def _trace_text(trace: np.ndarray) -> str:
-    """The trace as lines of comma-separated states, one line per row.
+def _print_trace(trace: np.ndarray, out) -> None:
+    """Write the trace to `out` as lines of comma-separated states, one
+    line per row.
 
-    Each entry becomes a token, "v," inside a row and "v\\n" at its end,
-    looked up in one table over the states that occur in the trace.
+    Rows go out in blocks of at most 2**16 entries (or one row, if it is
+    longer), so the printer's memory stays flat however long the trace.
+    In a block each entry becomes a token, "v," inside a row and "v\\n" at
+    its end, looked up in one table over the states the block holds.
     """
-    values, inverse = np.unique(trace, return_inverse=True)
-    # depending on the NumPy version the inverse comes back flat or shaped
-    codes = inverse.reshape(trace.shape)
-    codes[:, -1] += len(values)
-    states = [str(v) for v in values.tolist()]
-    tokens = np.array([v + "," for v in states] + [v + "\n" for v in states], dtype=object)
-    return "".join(tokens[codes].ravel().tolist())
+    rows = max(1, (1 << 16) // trace.shape[1])
+    for start in range(0, len(trace), rows):
+        block = trace[start : start + rows]
+        values, inverse = np.unique(block, return_inverse=True)
+        # depending on the NumPy version the inverse comes back flat or shaped
+        codes = inverse.reshape(block.shape)
+        codes[:, -1] += len(values)
+        states = [str(v) for v in values.tolist()]
+        tokens = np.array([v + "," for v in states] + [v + "\n" for v in states], dtype=object)
+        out.write("".join(tokens[codes].ravel().tolist()))
 
 
 def cmd_run(args) -> int:
@@ -243,7 +251,7 @@ def cmd_run(args) -> int:
     except ValueError:
         raise InputError(f"cannot parse configuration {args.config!r}")
     trace = iterate(ca, config, args.steps)
-    sys.stdout.write(_trace_text(trace))
+    _print_trace(trace, sys.stdout)
     if args.out:
         report = RunReport(
             "run",
@@ -522,7 +530,12 @@ def cmd_invert(args) -> int:
         _input_record({"automaton": args.automaton}),
         subgroup=list(sub.members) if sub else None,
     )
-    result = invert(ca, sub)
+    try:
+        result = invert(ca, sub)
+    except BoundError as e:
+        # neither refuted nor certified: exit 3, whatever was expected
+        report.extra["bound_exceeded"] = str(e)
+        return _finish(report, args)
     if isinstance(result, NotInvertible):
         witness = dict(result.witness)
         if "colliding" in witness:
@@ -556,11 +569,15 @@ def cmd_compose(args) -> int:
         subgroup=list(sub.members) if sub else None,
     )
     combined = compose(outer, inner, sub)
-    if config_count(outer.space, outer.states) <= CONFIG_TABLE_BOUND:
+    total = config_count(outer.space, outer.states)
+    if total <= CONFIG_TABLE_BOUND:
         expected = global_table(outer)[global_table(inner)]
         if not np.array_equal(global_table(combined), expected):
             raise AssertionError("composition failed to reproduce outer-after-inner")
         report.add(Verdict.passing("composition-step"))
+    else:
+        unchecked = f"{total} configurations exceed the table bound: composition-step unchecked"
+        report.extra["bound_exceeded"] = unchecked
     report.add(
         Verdict.passing(
             "composition-neighborhood",

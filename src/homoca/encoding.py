@@ -3,6 +3,12 @@
 A tuple (d_0, ..., d_{w-1}) with digits below `radix` is packed as
 sum(d_i * radix**i).  Local rules and whole configurations are both
 indexed this way, with positions in a fixed sorted order.
+
+Re-indexing a local rule (rotating it by a stabilizer element, widening
+it to a closed neighborhood, conjugating it into other coordinates,
+composing two rules, projecting onto some positions) re-packs every
+pattern through a map of positions.  `pattern_codes` is that one
+re-pack; the rule tables read their new entries through it.
 """
 
 from __future__ import annotations
@@ -48,3 +54,18 @@ def digit_matrix(radix: int, width: int) -> np.ndarray:
         out[:, i] = (codes // radix**i) % radix
     out.setflags(write=False)
     return out
+
+
+def pattern_codes(radix: int, width: int, positions) -> np.ndarray:
+    """Each of the radix**width patterns re-packed through `positions`.
+
+    For positions p of length k, entry c is the code of the k-tuple
+    (d_{p[0]}, ..., d_{p[k-1]}) of pattern c's digits; for a 2-d array of
+    positions, entry [c, r] re-packs pattern c through row r.  So
+    table[pattern_codes(...)] is a table over the width-digit patterns
+    that reads each one's entry at the re-packed code.  The product is
+    taken in int64 explicitly, so uint8 digits never wrap.
+    """
+    positions = np.asarray(positions, dtype=np.intp)
+    w = weights(radix, positions.shape[-1])
+    return np.matmul(digit_matrix(radix, width)[:, positions], w, dtype=np.int64)

@@ -35,13 +35,12 @@ from .automata import (
     MAX_RULE_TABLE,
     SemiCellularAutomaton,
     closed_neighborhood,
-    configuration_observing,
     is_cellular,
     step_batch,
     subgroup_or_whole,
 )
 from .cellspace import CellSpace, CoordinateSystem
-from .encoding import decode, digit_matrix, encode, weights
+from .encoding import decode, digit_matrix, encode, pattern_codes, weights
 from .errors import BoundError, EquivarianceError, InputError
 from .groups import Subgroup
 from .verdict import Verdict
@@ -268,7 +267,7 @@ def check_step_equivariance(ca: SemiCellularAutomaton, subgroup: Optional[Subgro
     space = ca.space
     sub = subgroup_or_whole(space, subgroup)
     q, arity = ca.states, ca.arity
-    rule, nc, w = ca.kernel
+    rule, nc, _ = ca.kernel
     rows = shift_cells(space, sub.members)
     first_bad: dict[bytes, Optional[np.ndarray]] = {}
     for k in generator_indices(rows):
@@ -280,11 +279,10 @@ def check_step_equivariance(ca: SemiCellularAutomaton, subgroup: Optional[Subgro
             if key not in first_bad:
                 if q ** len(window) > MAX_RULE_TABLE:
                     raise BoundError(f"{q}**{len(window)} window patterns exceed the rule table bound")
-                patterns = digit_matrix(q, len(window))
-                shift_then_step = rule[patterns[:, placed[:arity]] @ w]
-                step_then_shift = rule[patterns[:, placed[arity:]] @ w]
-                bad = np.flatnonzero(shift_then_step != step_then_shift)
-                first_bad[key] = patterns[bad[0]] if bad.size else None
+                # column 0 reads shift-then-step, column 1 step-then-shift
+                reads = rule[pattern_codes(q, len(window), placed.reshape(2, arity))]
+                bad = np.flatnonzero(reads[:, 0] != reads[:, 1])
+                first_bad[key] = digit_matrix(q, len(window))[bad[0]] if bad.size else None
             if first_bad[key] is not None:
                 config = [0] * space.cells
                 for cell, digit in zip(window.tolist(), first_bad[key].tolist()):
@@ -408,11 +406,8 @@ def change_coordinates(
     # rule2(local2) = rule(i -> local2 at the new position of the i-th name)
     position = {j2: idx for idx, j2 in enumerate(neighborhood2)}
     p = [position[moved[i]] for i in range(ca.arity)]
-    codes = digit_matrix(q, ca.arity)
-    w = weights(q, ca.arity)
-    gather = codes[:, p].astype(np.int64) @ w if ca.arity else np.zeros(1, dtype=np.int64)
-    rule2 = ca.rule_array[gather]
-    return SemiCellularAutomaton(space2, q, neighborhood2, tuple(int(x) for x in rule2))
+    rule2 = ca.rule_array[pattern_codes(q, ca.arity, p)]
+    return SemiCellularAutomaton(space2, q, neighborhood2, rule2)
 
 
 def compose(
@@ -443,27 +438,15 @@ def compose(
     neighborhood = tuple(sorted(set(combined.ravel().tolist())))
     if q ** len(neighborhood) > MAX_RULE_TABLE:
         raise BoundError(f"combined rule table would need {q}**{len(neighborhood)} entries")
-    pos = {j: i for i, j in enumerate(neighborhood)}
 
-    # block[i][k]: where outer position i finds inner position k inside the
+    # block[i, k]: where outer position i finds inner position k inside the
     # combined local configuration: the coordinate of the cell named by the
     # outer coset, multiplied onto the inner coset
-    block = np.zeros((outer.arity, inner.arity), dtype=np.int64)
-    for i, j in enumerate(outer.neighborhood):
-        cell = space.semi_cell(space.origin, j)
-        coord = space.coords[cell]
-        for k, j2 in enumerate(inner.neighborhood):
-            block[i, k] = pos[space.translate_coset(coord, j2)]
-
-    codes = digit_matrix(q, len(neighborhood))
-    w_inner = weights(q, inner.arity)
-    w_outer = weights(q, outer.arity)
-    inner_out = np.zeros((codes.shape[0], outer.arity), dtype=np.int64)
-    for i in range(outer.arity):
-        inner_codes = codes[:, block[i]].astype(np.int64) @ w_inner
-        inner_out[:, i] = inner.rule_array[inner_codes]
-    rule = outer.rule_array[inner_out @ w_outer]
-    return SemiCellularAutomaton(space, q, neighborhood, tuple(int(x) for x in rule))
+    coords = [space.coords[cell] for cell in outer.origin_neighborhood]
+    block = np.searchsorted(neighborhood, space.translate_cosets(coords, inner.neighborhood))
+    inner_out = inner.rule_array[pattern_codes(q, len(neighborhood), block)]
+    rule = outer.rule_array[inner_out @ weights(q, outer.arity)]
+    return SemiCellularAutomaton(space, q, neighborhood, rule)
 
 
 def dependency_matrix(gm: GlobalMap) -> np.ndarray:
@@ -498,8 +481,10 @@ def extract(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> SemiCellularA
     gm must be shift-equivariant (checked; violations raise with a
     witness).  The neighborhood is the stabilizer closure of the labels of
     the cells the origin output actually depends on, and the rule is read
-    off by probing gm on configurations that realize each local pattern at
-    the origin over a default background.
+    off the origin digit of gm on the configurations that realize each
+    local pattern at the origin and are 0 elsewhere (see
+    configuration_observing): the pattern's digits, packed at the weights
+    of the cells its names resolve to at the origin.
     """
     space = gm.space
     sub = subgroup_or_whole(space, subgroup)
@@ -513,17 +498,28 @@ def extract(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> SemiCellularA
     labels = {space.cell_coset(m) for m in depends}
     neighborhood = closed_neighborhood(space, tuple(sorted(labels)))
 
-    probe = SemiCellularAutomaton(space, q, neighborhood, [0] * q ** len(neighborhood))
-    rule = []
-    origin_weight = q ** space.origin
-    for code in range(q ** len(neighborhood)):
-        local = decode(code, q, len(neighborhood))
-        config = configuration_observing(probe, local, space.origin, default=0)
-        rule.append(int(table[encode(config, q)] // origin_weight % q))
+    window_weights = weights(q, space.cells)[space.semi_table[space.origin, list(neighborhood)]]
+    probes = np.matmul(digit_matrix(q, len(neighborhood)), window_weights, dtype=np.int64)
+    rule = table[probes] // q**space.origin % q
     ca = SemiCellularAutomaton(space, q, neighborhood, rule)
     if not np.array_equal(global_table(ca), table):
         raise AssertionError("extracted automaton does not reproduce the map")
     return ca
+
+
+def table_inverse(table: np.ndarray) -> Union[np.ndarray, tuple[int, int, int]]:
+    """The inverse of a table over packed configurations, or, when two
+    codes share an image, the codes (image, first, second) of the smallest
+    such image and its two smallest preimages."""
+    total = len(table)
+    counts = np.bincount(table, minlength=total)
+    if counts.max() > 1:
+        image = int(np.flatnonzero(counts > 1)[0])
+        first, second = np.flatnonzero(table == image)[:2].tolist()
+        return image, first, second
+    inverse = np.empty(total, dtype=np.int64)
+    inverse[table] = np.arange(total, dtype=np.int64)
+    return inverse
 
 
 @dataclass(frozen=True)
@@ -565,21 +561,10 @@ def invert(
         raise BoundError("cannot certify invertibility beyond the table bound")
 
     table = global_table(ca)
-    counts = np.bincount(table, minlength=total)
-    if counts.max() > 1:
-        image = int(np.flatnonzero(counts > 1)[0])
-        pair = np.flatnonzero(table == image)[:2]
-        return NotInvertible(
-            {
-                "colliding": [
-                    list(decode(int(pair[0]), q, space.cells)),
-                    list(decode(int(pair[1]), q, space.cells)),
-                ],
-                "image": list(decode(image, q, space.cells)),
-            }
-        )
-    inverse_table = np.zeros(total, dtype=np.int64)
-    inverse_table[table] = np.arange(total, dtype=np.int64)
+    inverse_table = table_inverse(table)
+    if isinstance(inverse_table, tuple):
+        image, first, second = (list(decode(code, q, space.cells)) for code in inverse_table)
+        return NotInvertible({"colliding": [first, second], "image": image})
     inverse = extract(GlobalMap(space, q, table=inverse_table), sub)
     back = global_table(inverse)
     if not (np.array_equal(back[table], np.arange(total)) and np.array_equal(table[back], np.arange(total))):

@@ -22,9 +22,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .automata import SemiCellularAutomaton, closed_neighborhood
+from .automata import MAX_RULE_TABLE, SemiCellularAutomaton, closed_neighborhood
 from .cellspace import CellSpace, CoordinateSystem, build_coordinate_system
-from .encoding import decode, encode
+from .encoding import pattern_codes
 from .errors import InputError
 from .groups import FiniteGroup, LeftAction
 from .laws import GlobalMap, config_count
@@ -255,13 +255,14 @@ def automaton_on(space: CellSpace, data: dict, auto_close: bool = False) -> Semi
         raise InputError(
             f"rule table has {len(rule)} entries, expected {states ** len(given)} before closure"
         )
+    if states < 1 or states ** len(closed) > MAX_RULE_TABLE:
+        # the constructor refuses these before the gather below would allocate
+        return SemiCellularAutomaton(space, states, closed, rule)
     # the added names are ignored: the widened rule projects onto the given ones
     positions = [closed.index(j) for j in given]
-    widened = []
-    for code in range(states ** len(closed)):
-        local = decode(code, states, len(closed))
-        widened.append(rule[encode(tuple(local[p] for p in positions), states)])
-    return SemiCellularAutomaton(space, states, closed, tuple(widened))
+    # as Python ints, so the constructor reports an out-of-range entry of any size
+    widened = np.array(rule, dtype=object)[pattern_codes(states, len(closed), positions)]
+    return SemiCellularAutomaton(space, states, closed, widened)
 
 
 def load_automaton(

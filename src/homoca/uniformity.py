@@ -26,7 +26,7 @@ import numpy as np
 from .cellspace import CellSpace
 from .encoding import digit_matrix
 from .errors import BoundError, InputError
-from .laws import GlobalMap, config_count, dependency_matrix
+from .laws import GlobalMap, config_count, dependency_matrix, table_inverse
 from .verdict import Verdict
 
 RELATION_UNIVERSE_BOUND = 256
@@ -366,17 +366,12 @@ def check_uniform_isomorphism(
     """
     space = gm.space
     total = config_count(space, gm.states)
-    table = gm.table
-    counts = np.bincount(table, minlength=total)
-    if counts.max() > 1:
-        image = int(np.flatnonzero(counts > 1)[0])
-        pair = np.flatnonzero(table == image)[:2]
+    inverse_table = table_inverse(gm.table)
+    if isinstance(inverse_table, tuple):
         return Verdict.failing(
             "uniform-isomorphism",
-            {"reason": "not injective", "colliding_codes": [int(pair[0]), int(pair[1])]},
+            {"reason": "not injective", "colliding_codes": list(inverse_table[1:])},
         )
-    inverse_table = np.zeros(total, dtype=np.int64)
-    inverse_table[table] = np.arange(total, dtype=np.int64)
     inverse = GlobalMap(space, gm.states, table=inverse_table)
     if depends is None:
         depends = dependency_matrix(gm)

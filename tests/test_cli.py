@@ -1,7 +1,9 @@
 """Command-line behavior: exit codes, report structure, determinism."""
 
+import io
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from homoca.automata import SemiCellularAutomaton, shift, step, step_via_origin
-from homoca.catalog import random_rule_automaton
+from homoca.catalog import identity_automaton, random_rule_automaton, torus_space
 from homoca.encoding import decode, encode
-from homoca.cli import EXIT_BOUND, EXIT_INPUT, EXIT_PASS, EXIT_VIOLATION, _trace_text, main
+from homoca.cli import EXIT_BOUND, EXIT_INPUT, EXIT_PASS, EXIT_VIOLATION, _print_trace, main
 from homoca.serialize import dump_automaton, load_automaton, write_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -190,7 +192,36 @@ def join_formatted(rows):
     )
 )
 def test_the_printed_trace_matches_the_join_formatter(trace):
-    assert _trace_text(trace) == join_formatted(trace.tolist())
+    out = io.StringIO()
+    _print_trace(trace, out)
+    assert out.getvalue() == join_formatted(trace.tolist())
+
+
+@pytest.mark.parametrize("cells", [1, 5, 70000])
+def test_a_trace_longer_than_a_print_block_matches_the_join_formatter(cells):
+    # 200k entries or more: several blocks of 2**16, or one row per block
+    # when a row is longer than that
+    rng = np.random.default_rng(cells)
+    trace = rng.integers(0, 12, size=(max(3, 200_000 // cells), cells))
+    out = io.StringIO()
+    _print_trace(trace, out)
+    assert out.getvalue() == join_formatted(trace.tolist())
+
+
+def test_printing_a_trace_at_the_bound_takes_a_bounded_block_of_memory():
+    class Sink:
+        def write(self, text):
+            pass
+
+    trace = np.random.default_rng(0).integers(0, 3, size=(1 << 18, 16))
+    tracemalloc.start()
+    try:
+        _print_trace(trace, Sink())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a word per entry would be 32 MiB; a block of 2**16 entries takes ~3 MiB
+    assert peak < 8 << 20
 
 
 def _cyclic4_file(tmp_path, states, rule):
@@ -395,6 +426,24 @@ def test_invert_expect_fail(capsys):
     assert code == EXIT_VIOLATION
 
 
+def _torus3_identity_file(tmp_path):
+    """The identity on the torus with 3 states: 3**16 configurations, past
+    the table bound, and injective, so no sampled collision refutes it."""
+    path = tmp_path / "torus3_identity.json"
+    write_json(path, dump_automaton(identity_automaton(torus_space(), 3)))
+    return str(path)
+
+
+@pytest.mark.parametrize("expect_fail", [False, True])
+def test_invert_past_the_table_bound_reports_the_bound(capsys, tmp_path, expect_fail):
+    flags = ["--expect-fail"] if expect_fail else []
+    code, out = run_cli(capsys, "invert", _torus3_identity_file(tmp_path), *flags)
+    assert code == EXIT_BOUND
+    report = report_of(out)
+    assert isinstance(report["bound_exceeded"], str)
+    assert "verdicts" not in report and "automaton" not in report
+
+
 # ----------------------------------------------------------------- compose
 
 
@@ -406,6 +455,16 @@ def test_compose_two_shifts(capsys):
     assert laws["composition-step"]["ok"]
     assert laws["composition-neighborhood"]["witness"]["representatives"] == [2]
     assert report["automaton"]["delta"] == [0, 1]
+
+
+def test_compose_past_the_table_bound_reports_the_bound(capsys, tmp_path):
+    path = _torus3_identity_file(tmp_path)
+    code, out = run_cli(capsys, "compose", path, path)
+    assert code == EXIT_BOUND
+    report = report_of(out)
+    assert isinstance(report["bound_exceeded"], str)
+    assert [v["law"] for v in report["verdicts"]] == ["composition-neighborhood"]
+    assert report["automaton"]["delta"] == [0, 1, 2]
 
 
 def test_compose_requires_matching_spaces(capsys):
