@@ -125,8 +125,52 @@ def subgroup_or_whole(space: CellSpace, subgroup: Optional[Subgroup]) -> Subgrou
 
 
 def stabilizer_part(space: CellSpace, subgroup: Subgroup) -> tuple[int, ...]:
-    inside = set(subgroup.members)
-    return tuple(h for h in space.stabilizer.members if h in inside)
+    """The stabilizer members inside the subgroup, in increasing order."""
+    if len(subgroup) == space.group.order:
+        return space.stabilizer.members
+    inside = np.zeros(space.group.order, dtype=bool)
+    inside[list(subgroup.members)] = True
+    stab = np.array(space.stabilizer.members, dtype=np.intp)
+    return tuple(stab[inside[stab]].tolist())
+
+
+def generator_indices(rows: np.ndarray) -> list[int]:
+    """Greedy generators of a set of maps, given as rows: row k maps i to
+    rows[k, i], and maps e and s compose to e[s].
+
+    Row k is chosen when it is not in the closure, under composition, of
+    the rows chosen before it; so every row lies in the closure of the
+    chosen ones.  The closure is built on the maps, not on the group
+    table: loaded tables are not checked for the group axioms, but maps
+    compose associatively whatever the table says, so a property that
+    the chosen maps keep and that composing keeps (a global map commuting
+    with shifts of cells, a rule invariant under rotations of positions)
+    holds for every row in their closure on any input.  Products that are
+    not rows are dropped, which bounds the closure by len(rows) and can
+    only leave a row out of it (it then becomes a generator), never put
+    one in wrongly.
+    """
+    by_key = {row.tobytes(): row for row in rows}
+    identity = np.arange(rows.shape[1], dtype=rows.dtype)
+    closure = {identity.tobytes(): identity}
+    chosen: list[int] = []
+    for k, row in enumerate(rows):
+        if row.tobytes() in closure:
+            continue
+        chosen.append(k)
+        # applying e and then s is applying e[s]; right products with the
+        # chosen rows reach every word in them from the identity
+        frontier = list(closure.values())
+        while frontier:
+            grown = []
+            for e in frontier:
+                for g in chosen:
+                    key = e[rows[g]].tobytes()
+                    if key in by_key and key not in closure:
+                        closure[key] = by_key[key]
+                        grown.append(by_key[key])
+            frontier = grown
+    return chosen
 
 
 def rotation_position_map(ca: SemiCellularAutomaton, h: int) -> tuple[int, ...]:
@@ -154,25 +198,52 @@ def rotate_local(ca: SemiCellularAutomaton, h: int, local: Sequence[int]) -> tup
 
 def is_cellular(ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None) -> Verdict:
     """A rule is cellular when rotating its input never changes its output,
-    quantified over the stabilizer part of the symmetry scope."""
+    quantified over the stabilizer part of the symmetry scope.
+
+    Only generators of the rotations' position maps are tested, in member
+    order (see generator_indices): if rule[local o p] == rule[local] for
+    every local under two maps p and r, then also under p[r], so a rule
+    invariant under the generators is invariant under every member.  The
+    first failing member is still reported: every member before it
+    passes, and a member that is not a generator composes from generators
+    before it, so it would pass too.  The witness is its failing pattern
+    with the smallest code.  A rotation that leaves the neighborhood,
+    which a table that is not a group action allows, raises InputError
+    unless a member before it fails.
+    """
     space = ca.space
     sub = subgroup_or_whole(space, subgroup)
     q = ca.states
     rule = ca.rule_array
-    for h in stabilizer_part(space, sub):
-        rotated = rule[pattern_codes(q, ca.arity, rotation_position_map(ca, h))]
-        bad = np.flatnonzero(rotated != rule)
-        if bad.size:
-            code = int(bad[0])
+    members = stabilizer_part(space, sub)
+    # maps[k, i]: the position rotation by members[k] reads for position
+    # i, as rotation_position_map gives it, or -1 off the neighborhood
+    moved = space.translate_cosets(np.asarray(space.group.inv)[list(members)], ca.neighborhood)
+    lookup = np.full(space.num_cosets, -1, dtype=np.intp)
+    lookup[list(ca.neighborhood)] = np.arange(ca.arity)
+    maps = lookup[moved]
+    leaving = np.flatnonzero((maps < 0).any(axis=1))
+    end = int(leaving[0]) if leaving.size else len(members)
+    gens = generator_indices(maps[:end])
+    if gens:
+        rotated = rule[pattern_codes(q, ca.arity, maps[gens])]
+        bad = rotated != rule[:, None]
+        failing = np.flatnonzero(bad.any(axis=0))
+        if failing.size:
+            k = int(failing[0])
+            code = int(bad[:, k].argmax())
             return Verdict.failing(
                 "rule-rotation-invariance",
                 {
-                    "stabilizer_element": int(h),
+                    "stabilizer_element": members[gens[k]],
                     "local": list(decode(code, q, ca.arity)),
-                    "rotated_output": int(rotated[code]),
+                    "rotated_output": int(rotated[code, k]),
                     "output": int(rule[code]),
                 },
             )
+    if leaving.size:
+        i = int((maps[end] < 0).argmax())
+        raise InputError(f"rotation by {members[end]} leaves the neighborhood (coset {int(moved[end, i])})")
     return Verdict.passing("rule-rotation-invariance")
 
 

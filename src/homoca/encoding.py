@@ -56,6 +56,11 @@ def digit_matrix(radix: int, width: int) -> np.ndarray:
     return out
 
 
+# digits pattern_codes gathers and multiplies at once: 64 KiB of uint8
+# and their 512 KiB int64 copy
+GATHER_BLOCK = 1 << 16
+
+
 def pattern_codes(radix: int, width: int, positions) -> np.ndarray:
     """Each of the radix**width patterns re-packed through `positions`.
 
@@ -64,8 +69,17 @@ def pattern_codes(radix: int, width: int, positions) -> np.ndarray:
     positions, entry [c, r] re-packs pattern c through row r.  So
     table[pattern_codes(...)] is a table over the width-digit patterns
     that reads each one's entry at the re-packed code.  The product is
-    taken in int64 explicitly, so uint8 digits never wrap.
+    taken in int64 explicitly, so uint8 digits never wrap, and on blocks
+    of at most GATHER_BLOCK gathered digits, so the int64 copy the
+    product makes of them is one block's, not the whole gather's: the
+    peak stays near the result's size.
     """
     positions = np.asarray(positions, dtype=np.intp)
+    digits = digit_matrix(radix, width)
     w = weights(radix, positions.shape[-1])
-    return np.matmul(digit_matrix(radix, width)[:, positions], w, dtype=np.int64)
+    out = np.empty((len(digits),) + positions.shape[:-1], dtype=np.int64)
+    rows = max(1, GATHER_BLOCK // max(positions.size, 1))
+    for start in range(0, len(digits), rows):
+        block = slice(start, start + rows)
+        np.matmul(digits[block, positions], w, dtype=np.int64, out=out[block])
+    return out

@@ -11,8 +11,9 @@ of raising.
 Every check works on whole rows and columns of the tables.
 `verify_group` sweeps associativity over magma generators of the table
 only, O(n^2 * generators) instead of O(n^3), with the same first failing
-triple; `Subgroup` checks closure on its block of the table, `inv` finds
-all inverses in one pass, and orbits, stabilizers, transporters and
+triple; `Subgroup` checks closure on its block of the table, and the
+whole group as a subgroup is built and checked once per group; `inv`
+finds all inverses in one pass, and orbits, stabilizers, transporters and
 cosets are read off a column or a block of the tables.  Results leave as
 Python ints, so reports and files never see numpy scalars.
 """
@@ -127,6 +128,12 @@ class FiniteGroup:
             raise InputError(f"element {int(missing[0])} has no two-sided inverse")
         return tuple(two_sided.argmax(axis=1).tolist())
 
+    @cached_property
+    def whole(self) -> "Subgroup":
+        """The group as a subgroup of itself, built and closure-checked on
+        first use; raises, and caches nothing, when the check fails."""
+        return Subgroup(self, range(self.order))
+
     def conjugate(self, g: int, a: int) -> int:
         """g a g^-1."""
         return int(self.mul[self.mul[g, a], self.inv[g]])
@@ -221,9 +228,9 @@ class Subgroup:
     def __contains__(self, g: int) -> bool:
         return g in set(self.members)
 
-    @classmethod
-    def whole(cls, group: FiniteGroup) -> "Subgroup":
-        return cls(group, range(group.order))
+    @staticmethod
+    def whole(group: FiniteGroup) -> "Subgroup":
+        return group.whole
 
 
 @dataclass(frozen=True)

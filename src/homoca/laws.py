@@ -35,6 +35,7 @@ from .automata import (
     MAX_RULE_TABLE,
     SemiCellularAutomaton,
     closed_neighborhood,
+    generator_indices,
     is_cellular,
     step_batch,
     subgroup_or_whole,
@@ -133,42 +134,6 @@ def shift_cells(space: CellSpace, members: Sequence[int]) -> np.ndarray:
     config[..., rows[k]] is the shift of config by members[k]."""
     inv = space.group.inv
     return space.action.act[[inv[g] for g in members]].astype(np.int64)
-
-
-def generator_indices(rows: np.ndarray) -> list[int]:
-    """Greedy generators of a set of shifts, given as shift_cells rows.
-
-    Row k is chosen when it is not in the closure, under composition, of
-    the rows chosen before it; so every row lies in the closure of the
-    chosen ones.  The closure is built on the cell maps, not on the group
-    table: loaded tables are not checked for the group axioms, but maps
-    on configurations compose associatively whatever the table says, so a
-    global map commuting with the chosen shifts commutes with every shift
-    in their closure for any input.  Products that are not rows are
-    dropped, which bounds the closure by len(rows) and can only leave a
-    row out of it (it then becomes a generator), never put one in wrongly.
-    """
-    by_key = {row.tobytes(): row for row in rows}
-    identity = np.arange(rows.shape[1], dtype=rows.dtype)
-    closure = {identity.tobytes(): identity}
-    chosen: list[int] = []
-    for k, row in enumerate(rows):
-        if row.tobytes() in closure:
-            continue
-        chosen.append(k)
-        # shifting by e and then by s is shifting by e[s]; right products
-        # with the chosen rows reach every word in them from the identity
-        frontier = list(closure.values())
-        while frontier:
-            grown = []
-            for e in frontier:
-                for g in chosen:
-                    key = e[rows[g]].tobytes()
-                    if key in by_key and key not in closure:
-                        closure[key] = by_key[key]
-                        grown.append(by_key[key])
-            frontier = grown
-    return chosen
 
 
 def shift_code_permutation(space: CellSpace, g: int, states: int) -> np.ndarray:
@@ -548,16 +513,25 @@ def invert(
     total = config_count(space, q)
     if total > CONFIG_TABLE_BOUND:
         rng = random.Random(seed)
-        configs = [decode(rng.randrange(total), q, space.cells) for _ in range(SAMPLE_COUNT)]
-        images = step_batch(ca, configs).tolist()
-        seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for config, image in zip(configs, map(tuple, images)):
-            if image in seen and seen[image] != config:
-                return NotInvertible(
-                    {"colliding": [list(seen[image]), list(config)], "image": list(image)},
-                    sampled=True,
-                )
-            seen[image] = config
+        # codes past int64 are decoded as Python ints in an object array
+        dtype = np.int64 if total <= np.iinfo(np.int64).max else object
+        codes = np.array([rng.randrange(total) for _ in range(SAMPLE_COUNT)], dtype=dtype)
+        place = np.array([q**i for i in range(space.cells)], dtype=dtype)
+        configs = (codes[:, None] // place % q).astype(np.int64)
+        images = step_batch(ca, configs)
+        # sample i collides when its code differs from that of the first
+        # sample with its image; until the first collision, every sample
+        # with that image has the same code, so the pair is the first one
+        # met in sample order
+        _, first, label = np.unique(images, axis=0, return_index=True, return_inverse=True)
+        earlier = first[label.ravel()]
+        colliding = np.flatnonzero(codes != codes[earlier])
+        if colliding.size:
+            i = int(colliding[0])
+            return NotInvertible(
+                {"colliding": [configs[earlier[i]].tolist(), configs[i].tolist()], "image": images[i].tolist()},
+                sampled=True,
+            )
         raise BoundError("cannot certify invertibility beyond the table bound")
 
     table = global_table(ca)

@@ -10,7 +10,11 @@ written without whitespace as `json.dump(..., separators=(",", ":"))`
 writes it, decodes straight to an int64 array, with no Python int per
 entry; everything else, indented tables included, goes through `json`.
 Either way a file loads to the same values, and a malformed one raises
-the same error.  `write_json` output stays indented.
+the same error.  A compact table's text must be digits and single
+commas between its row brackets; its rows must hold one width and its
+entries no leading zeros, which one check decides: each row is as long
+as its decoded values' decimal lengths plus the commas between them.
+`write_json` output stays indented.
 """
 
 from __future__ import annotations
@@ -36,22 +40,13 @@ Source = Union[str, os.PathLike, dict]
 _MARKER_ESCAPE = "\\u0000"
 
 
-def _decimal_digits(values: np.ndarray) -> int:
-    """The digits the non-negative values take in decimal, without leading zeros."""
-    total, power, top = values.size, 10, values.max()
-    while power <= top:
-        total += int(np.count_nonzero(values >= power))
-        power *= 10
-    return total
-
-
 def _matrix(body: str) -> Optional[np.ndarray]:
     """The table whose rows, without the outer brackets, `body` joins with
     "],[", when each entry is a JSON integer in 0..2^31-1 and the rows have
     one width; otherwise None."""
     rows = body.split("],[")
     flat = ",".join(rows)
-    if len({row.count(",") for row in rows}) != 1 or not flat or not flat.isascii():
+    if not flat or not flat.isascii():
         return None
     chars = np.frombuffer(flat.encode("ascii"), dtype=np.uint8)
     comma = chars == ord(",")
@@ -60,14 +55,25 @@ def _matrix(body: str) -> Optional[np.ndarray]:
     # an empty entry leaves a comma at either end or two in a row
     if comma[0] or comma[-1] or (comma[1:] & comma[:-1]).any():
         return None
-    # only digits and single commas are left, so every piece parses
+    # only digits and single commas are left, so every piece parses;
+    # int64 overflow saturates, so the bound also refuses what did not fit
     values = np.fromstring(flat, dtype=np.int64, sep=",")
-    # int64 overflow saturates, so this also refuses what did not fit;
-    # more digits than the values' decimal lengths means a leading zero
-    digits = chars.size - int(np.count_nonzero(comma))
-    if values.max() >= 1 << 31 or _decimal_digits(values) != digits:
+    top = values.max()
+    if top >= 1 << 31 or values.size % len(rows):
         return None
-    return values.reshape(len(rows), -1)
+    table = values.reshape(len(rows), -1)
+    # every row is as long as its values' decimal lengths plus the commas
+    # between them exactly when each holds `width` entries without leading
+    # zeros: the lengths add up only without leading zeros, and then the
+    # first row holding another count of entries is shorter or longer
+    lengths = np.full(len(rows), 2 * table.shape[1] - 1)
+    power = 10
+    while power <= top:
+        lengths += np.count_nonzero(table >= power, axis=1)
+        power *= 10
+    if not np.array_equal(lengths, np.fromiter(map(len, rows), np.int64, len(rows))):
+        return None
+    return table
 
 
 def _loads(text: str):
@@ -80,10 +86,10 @@ def _loads(text: str):
     come back exactly once as a member value, json decodes the original
     text, so values and error positions are those of json.loads alone.
     """
-    if "[[" not in text or _MARKER_ESCAPE in text:
+    start = text.find("[[")
+    if start == -1:
         return json.loads(text)
     pieces, tables, end = [], [], 0
-    start = text.find("[[")
     while start != -1:
         close = text.find("]]", start)
         table = None
@@ -96,6 +102,10 @@ def _loads(text: str):
         end = close + 2
         start = text.find("[[", end)
     pieces.append(text[end:])
+    # a table holds only digits, commas and brackets, so the escape can
+    # only be in the text around the tables
+    if any(_MARKER_ESCAPE in piece for piece in pieces[::2]):
+        return json.loads(text)
 
     restored = []
 

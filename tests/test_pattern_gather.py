@@ -8,6 +8,7 @@ the positions a rule depends on) gathers its entries through
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homoca.automata import (
+    MAX_RULE_TABLE,
     SemiCellularAutomaton,
     closed_neighborhood,
     configuration_observing,
@@ -94,6 +96,27 @@ def test_pattern_codes_at_the_edges(radix, width, positions):
     got = pattern_codes(radix, width, positions)
     assert got.dtype == np.int64
     assert np.array_equal(got, looped_codes(radix, width, positions))
+
+
+@pytest.mark.parametrize("rows", [None, 2])
+def test_pattern_codes_at_the_rule_table_bound_peak_near_their_result(rows):
+    # the int64 result and one block of the gather; the whole gather
+    # cast to int64 at once peaked at 188 MB for the 8 MiB result
+    # rows * 2**width codes, MAX_RULE_TABLE of them: an 8 MiB result
+    width = (MAX_RULE_TABLE // (rows or 1)).bit_length() - 1
+    reverse = list(range(width))[::-1]
+    positions = reverse if rows is None else [reverse, list(range(width))]
+    digit_matrix(2, width)  # cached, and not the gather's to pay for
+    tracemalloc.start()
+    try:
+        codes = pattern_codes(2, width, positions)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * codes.nbytes
+    c = np.arange(2**width)
+    flipped = sum(((c >> i) & 1) << (width - 1 - i) for i in range(width))
+    assert np.array_equal(codes, flipped if rows is None else np.stack([flipped, c], axis=1))
 
 
 def test_uint8_digits_times_int64_weights_stay_int64():
