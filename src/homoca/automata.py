@@ -126,8 +126,6 @@ def subgroup_or_whole(space: CellSpace, subgroup: Optional[Subgroup]) -> Subgrou
 
 def stabilizer_part(space: CellSpace, subgroup: Subgroup) -> tuple[int, ...]:
     """The stabilizer members inside the subgroup, in increasing order."""
-    if len(subgroup) == space.group.order:
-        return space.stabilizer.members
     inside = np.zeros(space.group.order, dtype=bool)
     inside[list(subgroup.members)] = True
     stab = np.array(space.stabilizer.members, dtype=np.intp)
@@ -173,22 +171,34 @@ def generator_indices(rows: np.ndarray) -> list[int]:
     return chosen
 
 
+def rotation_position_maps(ca: SemiCellularAutomaton, members: Sequence[int]) -> np.ndarray:
+    """Row k is the position map of rotation by members[k], as
+    rotation_position_map gives it, with -1 at each position whose name
+    the rotation moves off the neighborhood; one gather builds every row."""
+    space = ca.space
+    moved = space.translate_cosets(np.asarray(space.group.inv)[list(members)], ca.neighborhood)
+    lookup = np.full(space.num_cosets, -1, dtype=np.intp)
+    lookup[list(ca.neighborhood)] = np.arange(ca.arity)
+    return lookup[moved]
+
+
+def leaving_error(ca: SemiCellularAutomaton, h: int, row: np.ndarray) -> InputError:
+    """The error for rotation by h, whose position map row holds a -1."""
+    i = int((row < 0).argmax())
+    moved = ca.space.translate_coset(ca.space.group.inv[h], ca.neighborhood[i])
+    return InputError(f"rotation by {h} leaves the neighborhood (coset {moved})")
+
+
 def rotation_position_map(ca: SemiCellularAutomaton, h: int) -> tuple[int, ...]:
     """Position permutation p with (h . local)[i] = local[p[i]].
 
     Rotating a local configuration by a stabilizer element h reads each
     name n_i at the translated name h^-1 * n_i.
     """
-    space = ca.space
-    hinv = space.group.inv[h]
-    positions = []
-    lookup = {j: i for i, j in enumerate(ca.neighborhood)}
-    for j in ca.neighborhood:
-        moved = space.translate_coset(hinv, j)
-        if moved not in lookup:
-            raise InputError(f"rotation by {h} leaves the neighborhood (coset {moved})")
-        positions.append(lookup[moved])
-    return tuple(positions)
+    row = rotation_position_maps(ca, [h])[0]
+    if (row < 0).any():
+        raise leaving_error(ca, h, row)
+    return tuple(row.tolist())
 
 
 def rotate_local(ca: SemiCellularAutomaton, h: int, local: Sequence[int]) -> tuple[int, ...]:
@@ -211,39 +221,29 @@ def is_cellular(ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None) 
     which a table that is not a group action allows, raises InputError
     unless a member before it fails.
     """
-    space = ca.space
-    sub = subgroup_or_whole(space, subgroup)
+    sub = subgroup_or_whole(ca.space, subgroup)
     q = ca.states
     rule = ca.rule_array
-    members = stabilizer_part(space, sub)
-    # maps[k, i]: the position rotation by members[k] reads for position
-    # i, as rotation_position_map gives it, or -1 off the neighborhood
-    moved = space.translate_cosets(np.asarray(space.group.inv)[list(members)], ca.neighborhood)
-    lookup = np.full(space.num_cosets, -1, dtype=np.intp)
-    lookup[list(ca.neighborhood)] = np.arange(ca.arity)
-    maps = lookup[moved]
+    members = stabilizer_part(ca.space, sub)
+    maps = rotation_position_maps(ca, members)
     leaving = np.flatnonzero((maps < 0).any(axis=1))
     end = int(leaving[0]) if leaving.size else len(members)
-    gens = generator_indices(maps[:end])
-    if gens:
-        rotated = rule[pattern_codes(q, ca.arity, maps[gens])]
-        bad = rotated != rule[:, None]
-        failing = np.flatnonzero(bad.any(axis=0))
-        if failing.size:
-            k = int(failing[0])
-            code = int(bad[:, k].argmax())
+    for k in generator_indices(maps[:end]):
+        rotated = rule[pattern_codes(q, ca.arity, maps[k])]
+        bad = np.flatnonzero(rotated != rule)
+        if bad.size:
+            code = int(bad[0])
             return Verdict.failing(
                 "rule-rotation-invariance",
                 {
-                    "stabilizer_element": members[gens[k]],
+                    "stabilizer_element": members[k],
                     "local": list(decode(code, q, ca.arity)),
-                    "rotated_output": int(rotated[code, k]),
+                    "rotated_output": int(rotated[code]),
                     "output": int(rule[code]),
                 },
             )
     if leaving.size:
-        i = int((maps[end] < 0).argmax())
-        raise InputError(f"rotation by {members[end]} leaves the neighborhood (coset {int(moved[end, i])})")
+        raise leaving_error(ca, members[end], maps[end])
     return Verdict.passing("rule-rotation-invariance")
 
 

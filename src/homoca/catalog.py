@@ -15,7 +15,8 @@ import numpy as np
 from .automata import (
     SemiCellularAutomaton,
     closed_neighborhood,
-    rotation_position_map,
+    leaving_error,
+    rotation_position_maps,
     stabilizer_part,
     subgroup_or_whole,
 )
@@ -209,10 +210,16 @@ def random_rule_automaton(
     if not symmetrize:
         return ca
     sub = subgroup_or_whole(space, subgroup)
+    members = stabilizer_part(space, sub)
+    maps = rotation_position_maps(ca, members)
+    leaving = np.flatnonzero((maps < 0).any(axis=1))
+    if leaving.size:
+        k = int(leaving[0])
+        raise leaving_error(ca, members[k], maps[k])
     # the identity is in every stabilizer part, and its rotation leaves codes as they are
     canon = np.arange(states**width)
-    for h in stabilizer_part(space, sub):
-        np.minimum(canon, pattern_codes(states, width, rotation_position_map(ca, h)), out=canon)
+    for p in maps:
+        np.minimum(canon, pattern_codes(states, width, p), out=canon)
     return SemiCellularAutomaton(space, states, neighborhood, ca.rule_array[canon])
 
 

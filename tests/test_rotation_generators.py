@@ -21,6 +21,8 @@ from homoca.automata import (
     generator_indices,
     is_cellular,
     rotation_position_map,
+    rotation_position_maps,
+    stabilizer_part,
     subgroup_or_whole,
 )
 from homoca.catalog import bundled_automata, bundled_spaces, group_from_permutations, random_rule_automaton
@@ -33,6 +35,20 @@ from homoca.verdict import Verdict
 SPACES = bundled_spaces()
 
 
+def looped_position_map(ca, h):
+    """rotation_position_map as it translated one name at a time."""
+    space = ca.space
+    hinv = space.group.inv[h]
+    positions = []
+    lookup = {j: i for i, j in enumerate(ca.neighborhood)}
+    for j in ca.neighborhood:
+        moved = space.translate_coset(hinv, j)
+        if moved not in lookup:
+            raise InputError(f"rotation by {h} leaves the neighborhood (coset {moved})")
+        positions.append(lookup[moved])
+    return tuple(positions)
+
+
 def looped_is_cellular(ca, subgroup=None):
     """is_cellular as it gathered the rule once per stabilizer member."""
     space = ca.space
@@ -41,7 +57,7 @@ def looped_is_cellular(ca, subgroup=None):
     rule = ca.rule_array
     inside = set(sub.members)
     for h in (h for h in space.stabilizer.members if h in inside):
-        rotated = rule[pattern_codes(q, ca.arity, rotation_position_map(ca, h))]
+        rotated = rule[pattern_codes(q, ca.arity, looped_position_map(ca, h))]
         bad = np.flatnonzero(rotated != rule)
         if bad.size:
             code = int(bad[0])
@@ -163,13 +179,23 @@ def test_the_first_failing_member_need_not_be_the_first_generator():
         members = space.stabilizer.members
         for seed in range(4):
             ca = _rules(space, seed)[2]
-            maps = np.array([rotation_position_map(ca, h) for h in members], dtype=np.intp)
+            maps = np.array([looped_position_map(ca, h) for h in members], dtype=np.intp)
             verdict = is_cellular(ca)
             assert verdict == looped_is_cellular(ca)
             if not verdict.ok:
                 first = members[generator_indices(maps)[0]]
                 later += verdict.witness["stabilizer_element"] != first
     assert later >= 4
+
+
+@pytest.mark.parametrize("name", sorted(SPACES_AND_SN))
+def test_the_batch_position_maps_are_the_per_member_maps(name):
+    space = SPACES_AND_SN[name]
+    ca = _rules(space, 0)[0]
+    members = space.stabilizer.members
+    maps = rotation_position_maps(ca, members)
+    assert maps.tolist() == [list(looped_position_map(ca, h)) for h in members]
+    assert [rotation_position_map(ca, h) for h in members] == [tuple(row) for row in maps.tolist()]
 
 
 def test_a_passing_rule_reads_no_per_member_rotation(monkeypatch):
@@ -230,6 +256,31 @@ def test_a_rotation_off_the_neighborhood_raises_as_the_member_loop_does():
     assert kinds == {str, Verdict}
     with pytest.raises(InputError, match=f"rotation by {h} leaves the neighborhood"):
         is_cellular(SemiCellularAutomaton(space, 2, neighborhood, [0] * 2 ** len(neighborhood)))
+
+
+def _map_or_error(position_map, ca, h):
+    try:
+        return position_map(ca, h)
+    except InputError as e:
+        return f"InputError: {e}"
+
+
+def test_position_maps_off_the_neighborhood_raise_as_the_member_loop_does():
+    space, h, neighborhood = _doctored_space()
+    ca = SemiCellularAutomaton(space, 2, neighborhood, [0] * 2 ** len(neighborhood))
+    members = stabilizer_part(space, subgroup_or_whole(space, None))
+    got = [_map_or_error(rotation_position_map, ca, g) for g in members]
+    assert got == [_map_or_error(looped_position_map, ca, g) for g in members]
+    maps = rotation_position_maps(ca, members)
+    errors = [m for m in got if isinstance(m, str)]
+    assert [isinstance(m, str) for m in got] == (maps < 0).any(axis=1).tolist()
+    assert [m for m in got if not isinstance(m, str)] == [tuple(row) for row in maps.tolist() if min(row) >= 0]
+    assert f"rotation by {h} leaves" in "".join(errors)
+    # symmetrizing a rule raises at the first member that leaves, as the
+    # per-member loop did
+    with pytest.raises(InputError) as raised:
+        random_rule_automaton(space, neighborhood, 2, random.Random(0), symmetrize=True)
+    assert f"InputError: {raised.value}" == errors[0]
 
 
 # -------------------------------------------------- the whole-group scope
