@@ -14,16 +14,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bounds import MAX_RULE_TABLE, MAX_TRACE
 from .cellspace import CellSpace
 from .encoding import decode, encode, pattern_codes, weights
 from .errors import BoundError, InputError, LawError
 from .groups import Subgroup
 from .verdict import Verdict
-
-MAX_RULE_TABLE = 1 << 20
-# entries of a `run` trace, (steps + 1) * cells: 32 MiB of int64, and
-# iterate keeps one key of the same size per row it steps
-MAX_TRACE = 1 << 22
 
 
 def closed_neighborhood(space: CellSpace, coset_indices: Sequence[int]) -> tuple[int, ...]:

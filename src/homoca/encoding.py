@@ -18,6 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .bounds import GATHER_BLOCK
+
 
 def encode(digits: Sequence[int], radix: int) -> int:
     code = 0
@@ -54,11 +56,6 @@ def digit_matrix(radix: int, width: int) -> np.ndarray:
         out[:, i] = (codes // radix**i) % radix
     out.setflags(write=False)
     return out
-
-
-# digits pattern_codes gathers and multiplies at once: 64 KiB of uint8
-# and their 512 KiB int64 copy
-GATHER_BLOCK = 1 << 16
 
 
 def pattern_codes(radix: int, width: int, positions) -> np.ndarray:

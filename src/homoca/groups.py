@@ -6,7 +6,9 @@ load onwards, the only copy of each table; instances compare and hash by
 their sizes, identity and table bytes.  Constructors only validate shape
 and size, so an invalid table is still representable: the verify_*
 checkers examine the axioms and report violations with witnesses instead
-of raising.
+of raising.  A self-check that only such a table can fail calls
+`require_group_action` before it raises, so the error names the broken
+axiom.
 
 Every check works on whole rows and columns of the tables.
 `verify_group` sweeps associativity over magma generators of the table
@@ -26,11 +28,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .bounds import ACTION_CHECK_BLOCK, MAX_GROUP_ORDER, MAX_POINTS
 from .errors import InputError, LawError
 from .verdict import Verdict
-
-MAX_GROUP_ORDER = 5040
-MAX_POINTS = 4096
 
 
 def _two_sided_inverses(mul: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,10 +134,6 @@ class FiniteGroup:
         first use; raises, and caches nothing, when the check fails."""
         return Subgroup(self, range(self.order))
 
-    def conjugate(self, g: int, a: int) -> int:
-        """g a g^-1."""
-        return int(self.mul[self.mul[g, a], self.inv[g]])
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -167,9 +163,6 @@ class LeftAction:
 
     def __hash__(self) -> int:
         return hash((self.group, self.points, self.act.tobytes()))
-
-    def apply(self, g: int, m: int) -> int:
-        return int(self.act[g, m])
 
 
 def _sorted_members(members) -> tuple[int, ...]:
@@ -224,9 +217,6 @@ class Subgroup:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, g: int) -> bool:
-        return g in set(self.members)
 
     @staticmethod
     def whole(group: FiniteGroup) -> "Subgroup":
@@ -338,8 +328,8 @@ def verify_action(action: LeftAction) -> Verdict:
         m = int(bad[0])
         return Verdict.failing("action-identity", {"point": m, "e*m": int(act[e][m])})
 
-    # a block of elements g at a time, about 2**20 entries per side
-    block = max(1, (1 << 20) // act.size)
+    # a block of elements g at a time, about ACTION_CHECK_BLOCK entries per side
+    block = max(1, ACTION_CHECK_BLOCK // act.size)
     for start in range(0, group.order, block):
         gs = np.arange(start, min(start + block, group.order))
         left = np.take(act, mul[gs], axis=0)  # left[i, g2, m] = (g*g2) . m for g = gs[i]
@@ -357,6 +347,17 @@ def verify_action(action: LeftAction) -> Verdict:
                 },
             )
     return Verdict.passing("action-axioms")
+
+
+def require_group_action(action: LeftAction) -> None:
+    """Raise LawError with the first failing verdict of verify_group and
+    verify_action.  Only failure paths call it: a self-check that fails on
+    tables passing both is a bug, and its caller re-raises it."""
+    verdict = verify_group(action.group)
+    if verdict.ok:
+        verdict = verify_action(action)
+    if not verdict.ok:
+        raise LawError(verdict)
 
 
 def _check_point(action: LeftAction, m: int) -> None:

@@ -1,8 +1,9 @@
 """Global transition functions and the checkable laws tying them to rules.
 
 A global map is a full lookup table over packed configurations, built by
-`global_table` only while states**cells stays within CONFIG_TABLE_BOUND;
-past it, the laws that need tables raise BoundError.  Tables are built
+`global_table` only while states**cells stays within CONFIG_TABLE_BOUND
+(see `homoca.bounds`); past it `global_table` raises BoundError, and the
+laws that need tables pass that error on.  Tables are built
 on a split radix: a packed code c is lo + states**(cells // 2) * hi, and
 a sum over the digits of c is a sum over hi's digits plus one over lo's.
 So a shift permutation is one broadcast add of two half-width sums, and
@@ -32,7 +33,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .automata import (
-    MAX_RULE_TABLE,
     SemiCellularAutomaton,
     closed_neighborhood,
     generator_indices,
@@ -40,14 +40,13 @@ from .automata import (
     step_batch,
     subgroup_or_whole,
 )
+from .bounds import CONFIG_TABLE_BOUND, MAX_RULE_TABLE, SAMPLE_COUNT
 from .cellspace import CellSpace, CoordinateSystem
 from .encoding import decode, digit_matrix, encode, pattern_codes, weights
 from .errors import BoundError, EquivarianceError, InputError
-from .groups import Subgroup
+from .groups import Subgroup, require_group_action
 from .verdict import Verdict
 
-CONFIG_TABLE_BOUND = 1 << 16
-SAMPLE_COUNT = 1024
 SAMPLE_SEED = 0
 
 
@@ -90,7 +89,7 @@ def global_table(ca: SemiCellularAutomaton) -> np.ndarray:
     space = ca.space
     q, n = ca.states, space.cells
     if config_count(space, q) > CONFIG_TABLE_BOUND:
-        raise BoundError(f"{q}**{n} configurations exceed the table bound")
+        raise BoundError("global tables beyond the exhaustive bound")
     if ca._global_table is None:
         half = n // 2
         # one matmul over hi's digits gives three digit sums side by side,
@@ -149,7 +148,10 @@ class GlobalMap:
     """A function on configurations, as a table over packed configurations."""
 
     def __init__(self, space: CellSpace, states: int, table):
-        table = np.asarray(table, dtype=np.int64)
+        try:
+            table = np.asarray(table, dtype=np.int64)
+        except OverflowError:
+            raise InputError("table entry out of range") from None
         expected = config_count(space, states)
         if table.shape != (expected,):
             raise InputError(f"table has shape {table.shape}, expected ({expected},)")
@@ -366,6 +368,7 @@ def change_coordinates(
     moved = [space2.coset_index(int(g)) for g in mul[mul[h, reps], h_inv]]
     neighborhood2 = tuple(sorted(moved))
     if len(set(neighborhood2)) != len(moved):
+        require_group_action(space.action)
         raise AssertionError("conjugated neighborhood collapsed")
 
     # rule2(local2) = rule(i -> local2 at the new position of the i-th name)
@@ -468,6 +471,7 @@ def extract(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> SemiCellularA
     rule = table[probes] // q**space.origin % q
     ca = SemiCellularAutomaton(space, q, neighborhood, rule)
     if not np.array_equal(global_table(ca), table):
+        require_group_action(space.action)
         raise AssertionError("extracted automaton does not reproduce the map")
     return ca
 
@@ -511,7 +515,9 @@ def invert(
         raise InputError(f"rule is not rotation-invariant: {inv_ok.witness}")
     q = ca.states
     total = config_count(space, q)
-    if total > CONFIG_TABLE_BOUND:
+    try:
+        table = global_table(ca)
+    except BoundError:
         rng = random.Random(seed)
         # codes past int64 are decoded as Python ints in an object array
         dtype = np.int64 if total <= np.iinfo(np.int64).max else object
@@ -532,15 +538,20 @@ def invert(
                 {"colliding": [configs[earlier[i]].tolist(), configs[i].tolist()], "image": images[i].tolist()},
                 sampled=True,
             )
-        raise BoundError("cannot certify invertibility beyond the table bound")
+        raise BoundError("cannot certify invertibility beyond the table bound") from None
 
-    table = global_table(ca)
     inverse_table = table_inverse(table)
     if isinstance(inverse_table, tuple):
         image, first, second = (list(decode(code, q, space.cells)) for code in inverse_table)
         return NotInvertible({"colliding": [first, second], "image": image})
-    inverse = extract(GlobalMap(space, q, table=inverse_table), sub)
+    try:
+        # on a group action the inverse of an equivariant bijection is equivariant
+        inverse = extract(GlobalMap(space, q, table=inverse_table), sub)
+    except EquivarianceError:
+        require_group_action(space.action)
+        raise
     back = global_table(inverse)
     if not (np.array_equal(back[table], np.arange(total)) and np.array_equal(table[back], np.arange(total))):
+        require_group_action(space.action)
         raise AssertionError("inverse automaton fails the round trip")
     return inverse

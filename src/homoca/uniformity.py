@@ -3,7 +3,9 @@
 Entourages are binary relations over packed configurations, stored as
 dense boolean matrices; the prodiscrete base consists of the agreement
 relations E(K) = "equal on the cell set K".  Everything here is bounded
-by RELATION_UNIVERSE_BOUND configurations so relations stay explicit.
+by RELATION_UNIVERSE_BOUND configurations (see `homoca.bounds`) so
+relations stay explicit: `agreement_relation` and
+`check_uniform_continuity` raise BoundError past it.
 
 The base checks run on a base as one stacked (R, N, N) array, and on
 its members packed into bit rows, one row of N*N bits per member: meets
@@ -23,13 +25,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bounds import RELATION_UNIVERSE_BOUND
 from .cellspace import CellSpace
 from .encoding import digit_matrix
 from .errors import BoundError, InputError
 from .laws import GlobalMap, config_count, dependency_matrix, table_inverse
 from .verdict import Verdict
-
-RELATION_UNIVERSE_BOUND = 256
 
 
 @dataclass(frozen=True)
@@ -248,10 +249,8 @@ def agreement_relation(space: CellSpace, states: int, cells: Sequence[int]) -> R
 
 
 def prodiscrete_base(space: CellSpace, states: int) -> EntourageBase:
-    """All agreement relations E(K), K over every subset of the cells."""
-    total = config_count(space, states)
-    if total > RELATION_UNIVERSE_BOUND:
-        raise BoundError(f"{total} configurations exceed the relation bound")
+    """All agreement relations E(K), K over every subset of the cells;
+    past the relation bound the first agreement_relation raises BoundError."""
     labels = []
     relations = []
     for mask in range(1 << space.cells):
@@ -365,7 +364,6 @@ def check_uniform_isomorphism(
     (dependency_matrix(gm)) are built here when not given.
     """
     space = gm.space
-    total = config_count(space, gm.states)
     inverse_table = table_inverse(gm.table)
     if isinstance(inverse_table, tuple):
         return Verdict.failing(
@@ -383,7 +381,7 @@ def check_uniform_isomorphism(
             list(l) for _, l in continuity_assignments(inverse, singletons, inverse_depends)
         ],
     }
-    if total <= RELATION_UNIVERSE_BOUND:
+    try:
         if base is None:
             base = prodiscrete_base(space, gm.states)
         for name, direction, direction_depends in (
@@ -397,6 +395,6 @@ def check_uniform_isomorphism(
                     {"reason": f"{name} direction not uniformly continuous", "detail": result.verdict.witness},
                 )
         witness["relationally_verified"] = True
-    else:
+    except BoundError:
         witness["relationally_verified"] = False
     return Verdict.passing("uniform-isomorphism", witness)

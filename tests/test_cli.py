@@ -322,7 +322,7 @@ def test_laws_torus_reports_bounds_not_failures(capsys):
     report = report_of(out)
     for suite in report["suites"].values():
         assert all(v["ok"] for v in suite.get("verdicts", []))
-    assert "bound_exceeded" in report["suites"]["uniformity"]
+    assert report["suites"]["uniformity"]["bound_exceeded"] == "65536 configurations exceed the relation bound"
 
 
 def test_laws_output_is_byte_deterministic(capsys):
@@ -440,7 +440,7 @@ def test_invert_past_the_table_bound_reports_the_bound(capsys, tmp_path, expect_
     code, out = run_cli(capsys, "invert", _torus3_identity_file(tmp_path), *flags)
     assert code == EXIT_BOUND
     report = report_of(out)
-    assert isinstance(report["bound_exceeded"], str)
+    assert report["bound_exceeded"] == "cannot certify invertibility beyond the table bound"
     assert "verdicts" not in report and "automaton" not in report
 
 
@@ -462,7 +462,7 @@ def test_compose_past_the_table_bound_reports_the_bound(capsys, tmp_path):
     code, out = run_cli(capsys, "compose", path, path)
     assert code == EXIT_BOUND
     report = report_of(out)
-    assert isinstance(report["bound_exceeded"], str)
+    assert report["bound_exceeded"] == "43046721 configurations exceed the table bound: composition-step unchecked"
     assert [v["law"] for v in report["verdicts"]] == ["composition-neighborhood"]
     assert report["automaton"]["delta"] == [0, 1, 2]
 
@@ -594,3 +594,4 @@ def test_laws_preconditions_on_a_rule_inside_the_bound(capsys):
     for name in ("determination", "chl", "uniformity"):
         assert "bound_exceeded" not in suites[name] and suites[name]["verdicts"]
     assert code == EXIT_VIOLATION
+

@@ -16,9 +16,10 @@ from homoca.catalog import (
     square_symmetry_action,
     torus_quarter_turn_action,
 )
-from homoca.errors import InputError
+from homoca.errors import InputError, LawError
 from homoca.groups import (
     FiniteGroup,
+    LeftAction,
     Subgroup,
     check_transporter_lemma,
     conjugate_coset,
@@ -28,6 +29,7 @@ from homoca.groups import (
     orbit,
     point_coset_labels,
     quotient_set,
+    require_group_action,
     stabilizer,
     transporter,
     verify_action,
@@ -148,6 +150,25 @@ def test_broken_action_identity_is_reported():
     )
     assert not verdict.ok
     assert verdict.law == "action-identity"
+
+
+def test_require_group_action_names_the_first_broken_axiom(spaces):
+    action = spaces["cyclic4"].action
+    assert require_group_action(action) is None
+    mul = action.group.mul.copy()
+    mul[3, 3] = 0
+    act = action.act.copy()
+    act[3, 2] = 3
+    # a broken group is reported before the action it acts by
+    broken_group = LeftAction(FiniteGroup(4, mul, 0), 4, act)
+    broken_action = LeftAction(action.group, 4, act)
+    cases = ((broken_group, verify_group(broken_group.group)), (broken_action, verify_action(broken_action)))
+    for broken, expected in cases:
+        with pytest.raises(LawError) as caught:
+            require_group_action(broken)
+        assert caught.value.verdict == expected
+    assert verify_group(broken_group.group).law == "group-associativity"
+    assert verify_action(broken_action).law == "action-compatibility"
 
 
 # --------------------------------------------- orbits, stabilizers, cosets
