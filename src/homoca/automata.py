@@ -58,14 +58,14 @@ class SemiCellularAutomaton:
             raise BoundError(
                 f"rule table would need {states}**{len(neighborhood)} entries"
             )
-        rule = tuple(int(x) for x in rule)
+        rule = tuple(map(int, rule))
         if len(rule) != states ** len(neighborhood):
             raise InputError(
                 f"rule table has {len(rule)} entries, expected {states ** len(neighborhood)}"
             )
-        for x in rule:
-            if not 0 <= x < states:
-                raise InputError(f"rule output {x} out of range")
+        if min(rule) < 0 or max(rule) >= states:
+            x = next(x for x in rule if not 0 <= x < states)
+            raise InputError(f"rule output {x} out of range")
         self.space = space
         self.states = states
         self.neighborhood = neighborhood

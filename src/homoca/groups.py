@@ -13,11 +13,16 @@ axiom.
 Every check works on whole rows and columns of the tables.
 `verify_group` sweeps associativity over magma generators of the table
 only, O(n^2 * generators) instead of O(n^3), with the same first failing
-triple; `Subgroup` checks closure on its block of the table, and the
-whole group as a subgroup is built and checked once per group; `inv`
-finds all inverses in one pass, and orbits, stabilizers, transporters and
-cosets are read off a column or a block of the tables.  Results leave as
-Python ints, so reports and files never see numpy scalars.
+triple, and its verdict is computed once per group.  `verify_action`
+sweeps compatibility over the same generators when the table is a
+group: the elements compatible with every g2 and m are closed under
+products, so the first failing element is a generator and the witness
+is the full sweep's.  `Subgroup` checks closure on its block of the
+table, and the whole group as a subgroup is built and checked once per
+group; `inv` finds all inverses in one pass, and orbits, stabilizers,
+transporters and cosets are read off a column or a block of the tables.
+Results leave as Python ints, so reports and files never see numpy
+scalars.
 """
 
 from __future__ import annotations
@@ -127,6 +132,13 @@ class FiniteGroup:
         if missing.size:
             raise InputError(f"element {int(missing[0])} has no two-sided inverse")
         return tuple(two_sided.argmax(axis=1).tolist())
+
+    @cached_property
+    def checked(self) -> tuple[Verdict, tuple[int, ...]]:
+        """verify_group's verdict, computed on first use, and the magma
+        generators its associativity sweep read: empty when an earlier
+        axiom failed.  Tables are read-only, so neither goes stale."""
+        return _check_group(self)
 
     @cached_property
     def whole(self) -> "Subgroup":
@@ -285,8 +297,13 @@ def verify_group(group: FiniteGroup) -> Verdict:
     so if every generator passes, every element does.  A non-generator is
     a word in smaller generators, so the first failing a in label order is
     a generator, and the reported triple is the first failing one in
-    (a, b, c) order, as in a sweep over every element.
+    (a, b, c) order, as in a sweep over every element.  The verdict is
+    computed once per group (FiniteGroup.checked).
     """
+    return group.checked[0]
+
+
+def _check_group(group: FiniteGroup) -> tuple[Verdict, tuple[int, ...]]:
     n = group.order
     mul = group.mul
     e = group.identity
@@ -295,29 +312,38 @@ def verify_group(group: FiniteGroup) -> Verdict:
     bad = np.flatnonzero((mul[e] != idx) | (mul[:, e] != idx))
     if bad.size:
         a = int(bad[0])
-        return Verdict.failing(
-            "group-identity",
-            {"element": a, "e*a": int(mul[e][a]), "a*e": int(mul[a][e])},
-        )
+        witness = {"element": a, "e*a": int(mul[e][a]), "a*e": int(mul[a][e])}
+        return Verdict.failing("group-identity", witness), ()
 
     _, missing = _two_sided_inverses(mul, e)
     if missing.size:
-        return Verdict.failing("group-inverses", {"element": int(missing[0])})
+        return Verdict.failing("group-inverses", {"element": int(missing[0])}), ()
 
-    for a in magma_generators(group):
+    generators = tuple(magma_generators(group))
+    for a in generators:
         # (a*b)*c != a*(b*c) at [b, c]
         differs = np.take(mul, mul[a], axis=0) != np.take(mul[a], mul)
         if differs.any():
             b, c = map(int, np.argwhere(differs)[0])
             left, right = int(mul[mul[a, b], c]), int(mul[a, mul[b, c]])
-            return Verdict.failing(
-                "group-associativity", {"triple": [a, b, c], "(a*b)*c": left, "a*(b*c)": right}
-            )
-    return Verdict.passing("group-axioms")
+            witness = {"triple": [a, b, c], "(a*b)*c": left, "a*(b*c)": right}
+            return Verdict.failing("group-associativity", witness), generators
+    return Verdict.passing("group-axioms"), generators
 
 
 def verify_action(action: LeftAction) -> Verdict:
-    """Check the identity and compatibility axioms of a left action."""
+    """Check the identity and compatibility axioms of a left action.
+
+    When the table passes verify_group, compatibility is swept over its
+    magma generators only, as verify_group sweeps associativity.  Given
+    associativity and the identity law, the elements g with
+    (g*g2).m == g.(g2.m) for all g2 and m hold e and are closed under
+    products: for a and b among them, ((a*b)*g2).m = (a*(b*g2)).m =
+    a.((b*g2).m) = a.(b.(g2.m)) = (a*b).(g2.m).  So if every generator
+    passes, every element does; the first failing g in label order is a
+    generator, and the witness is the full sweep's.  On any other table
+    every element is swept, a block at a time.
+    """
     group = action.group
     act = action.act
     mul = group.mul
@@ -328,10 +354,12 @@ def verify_action(action: LeftAction) -> Verdict:
         m = int(bad[0])
         return Verdict.failing("action-identity", {"point": m, "e*m": int(act[e][m])})
 
+    verdict, generators = group.checked
+    swept = np.array(generators, dtype=np.int64) if verdict.ok else np.arange(group.order)
     # a block of elements g at a time, about ACTION_CHECK_BLOCK entries per side
     block = max(1, ACTION_CHECK_BLOCK // act.size)
-    for start in range(0, group.order, block):
-        gs = np.arange(start, min(start + block, group.order))
+    for start in range(0, swept.size, block):
+        gs = swept[start : start + block]
         left = np.take(act, mul[gs], axis=0)  # left[i, g2, m] = (g*g2) . m for g = gs[i]
         right = np.take(act[gs], act, axis=1)  # right[i, g2, m] = g . (g2 . m)
         differs = left != right
@@ -340,7 +368,7 @@ def verify_action(action: LeftAction) -> Verdict:
             return Verdict.failing(
                 "action-compatibility",
                 {
-                    "pair": [start + i, g2],
+                    "pair": [int(gs[i]), g2],
                     "point": m,
                     "(g*g2).m": int(left[i, g2, m]),
                     "g.(g2.m)": int(right[i, g2, m]),

@@ -5,16 +5,20 @@ containing file.  Writers always inline, so emitted files are
 self-contained; readers accept both.  All indices are 0-based and tables
 are row-major; inverses are computed on load rather than stored.
 
-Files are UTF-8.  A compact integer table, an object member's value
+Files are UTF-8, read as `open(path, encoding="utf-8")` reads them, with
+universal newlines.  A compact integer table, an object member's value
 written without whitespace as `json.dump(..., separators=(",", ":"))`
 writes it, decodes straight to an int64 array, with no Python int per
 entry; everything else, indented tables included, goes through `json`.
 Either way a file loads to the same values, and a malformed one raises
-the same error.  A compact table's text must be digits and single
-commas between its row brackets; its rows must hold one width and its
-entries no leading zeros, which one check decides: each row is as long
-as its decoded values' decimal lengths plus the commas between them.
-`write_json` output stays indented.
+the same error.  A file is read once, as bytes: one numpy scan of its
+"]" bytes finds each table's end and its row boundaries, the rows go to
+`np.fromstring` joined, and only the text around the tables is decoded.
+A compact table's text must be digits and single commas between its row
+brackets; its rows must hold one width and its entries no leading
+zeros, which one check decides: each row is as long as its decoded
+values' decimal lengths plus the commas between them.  `write_json`
+output stays indented.
 """
 
 from __future__ import annotations
@@ -37,20 +41,42 @@ Source = Union[str, os.PathLike, dict]
 
 
 # decodes to the marker that holds a table's place while json parses the rest
-_MARKER_ESCAPE = "\\u0000"
+_MARKER_ESCAPE = b"\\u0000"
 
 
-def _matrix(body: str) -> Optional[np.ndarray]:
-    """The table whose rows, without the outer brackets, `body` joins with
-    "],[", when each entry is a JSON integer in 0..2^31-1 and the rows have
-    one width; otherwise None."""
-    rows = body.split("],[")
-    flat = ",".join(rows)
-    if not flat or not flat.isascii():
+def _text(raw: bytes) -> str:
+    """The text open(path, encoding="utf-8") reads from a file holding
+    `raw`: newlines are universal, so "\\r\\n" and a lone "\\r" read as
+    "\\n".  Raises UnicodeDecodeError for the first byte that is not UTF-8."""
+    text = raw.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _matrix(body, closes: np.ndarray) -> Optional[np.ndarray]:
+    """The table whose rows, without the outer brackets, the bytes `body`
+    join with "],[", when each entry is a JSON integer in 0..2^31-1 and the
+    rows have one width; otherwise None.  `closes` holds the offsets of
+    the "]" bytes in body, in increasing order."""
+    chars = np.frombuffer(body, dtype=np.uint8)
+    # each "]" must begin a row boundary "],["; a "[" anywhere else is
+    # left in the joined rows and refused there
+    if closes.size and (
+        closes[-1] + 2 >= chars.size
+        or not ((chars[closes + 1] == ord(",")) & (chars[closes + 2] == ord("["))).all()
+    ):
         return None
-    chars = np.frombuffer(flat.encode("ascii"), dtype=np.uint8)
+    starts = np.concatenate(([0], closes + 3))
+    stops = np.concatenate((closes, [chars.size]))
+    view = memoryview(body)
+    flat = b",".join([view[a:b] for a, b in zip(starts.tolist(), stops.tolist())])
+    if not flat:
+        return None
+    chars = np.frombuffer(flat, dtype=np.uint8)
     comma = chars == ord(",")
-    if not (comma | (chars - ord("0") < 10)).all():
+    # digits and commas only: nothing above "9", and below "0" only commas
+    if chars.max() > ord("9") or np.count_nonzero(chars < ord("0")) != np.count_nonzero(comma):
         return None
     # an empty entry leaves a comma at either end or two in a row
     if comma[0] or comma[-1] or (comma[1:] & comma[:-1]).any():
@@ -59,53 +85,62 @@ def _matrix(body: str) -> Optional[np.ndarray]:
     # int64 overflow saturates, so the bound also refuses what did not fit
     values = np.fromstring(flat, dtype=np.int64, sep=",")
     top = values.max()
-    if top >= 1 << 31 or values.size % len(rows):
+    if top >= 1 << 31 or values.size % starts.size:
         return None
-    table = values.reshape(len(rows), -1)
+    table = values.reshape(starts.size, -1)
     # every row is as long as its values' decimal lengths plus the commas
     # between them exactly when each holds `width` entries without leading
     # zeros: the lengths add up only without leading zeros, and then the
     # first row holding another count of entries is shorter or longer
-    lengths = np.full(len(rows), 2 * table.shape[1] - 1)
+    lengths = np.full(starts.size, 2 * table.shape[1] - 1)
     power = 10
     while power <= top:
         lengths += np.count_nonzero(table >= power, axis=1)
         power *= 10
-    if not np.array_equal(lengths, np.fromiter(map(len, rows), np.int64, len(rows))):
+    if not np.array_equal(lengths, stops - starts):
         return None
     return table
 
 
-def _loads(text: str):
-    """json.loads(text), but each compact integer table decodes straight to
-    an int64 array.
+def _loads(raw: bytes):
+    """json.loads of the text a file holding `raw` reads as, but each
+    compact integer table decodes straight to an int64 array.
 
-    Each table is swapped for a marker string, json parses the small
-    remainder, and the arrays go back in place of their markers.  Should
-    any table fail the checks, the remainder fail to parse or a marker not
-    come back exactly once as a member value, json decodes the original
-    text, so values and error positions are those of json.loads alone.
+    One scan of the "]" bytes finds every table's end, the first "]]"
+    after its "[[", and every row boundary inside it.  Each table is
+    swapped for a marker string, and only the text around the tables is
+    decoded; json parses that small remainder, and the arrays go back in
+    place of their markers.  Should any table fail the checks, the
+    remainder fail to decode or parse, or a marker not come back exactly
+    once as a member value, json decodes the whole text, so values and
+    errors are those of json.loads alone.
     """
-    start = text.find("[[")
+    start = raw.find(b"[[")
     if start == -1:
-        return json.loads(text)
+        return json.loads(_text(raw))
+    closes = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("]"))
+    # the first "]" of each "]]"
+    ends = closes[:-1][np.diff(closes) == 1]
+    view = memoryview(raw)
     pieces, tables, end = [], [], 0
     while start != -1:
-        close = text.find("]]", start)
+        i = int(np.searchsorted(ends, start))
         table = None
-        if close != -1 and text[start - 2 : start] == '":':
-            table = _matrix(text[start + 2 : close])
+        if i < ends.size and raw[start - 2 : start] == b'":':
+            close = int(ends[i])
+            inside = closes[np.searchsorted(closes, start) : np.searchsorted(closes, close)]
+            table = _matrix(view[start + 2 : close], inside - (start + 2))
         if table is None:
-            return json.loads(text)
-        pieces += [text[end:start], f'"{_MARKER_ESCAPE}{len(tables)}"']
+            return json.loads(_text(raw))
+        pieces += [raw[end:start], b'"%s%d"' % (_MARKER_ESCAPE, len(tables))]
         tables.append(table)
         end = close + 2
-        start = text.find("[[", end)
-    pieces.append(text[end:])
+        start = raw.find(b"[[", end)
+    pieces.append(raw[end:])
     # a table holds only digits, commas and brackets, so the escape can
     # only be in the text around the tables
     if any(_MARKER_ESCAPE in piece for piece in pieces[::2]):
-        return json.loads(text)
+        return json.loads(_text(raw))
 
     restored = []
 
@@ -117,22 +152,22 @@ def _loads(text: str):
         return obj
 
     try:
-        data = json.loads("".join(pieces), object_hook=restore)
-    except json.JSONDecodeError:
-        return json.loads(text)
-    return data if len(restored) == len(tables) else json.loads(text)
+        data = json.loads(_text(b"".join(pieces)), object_hook=restore)
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return json.loads(_text(raw))
+    return data if len(restored) == len(tables) else json.loads(_text(raw))
 
 
 def _load_json(path: Union[str, os.PathLike]) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
+    try:
+        data = _loads(raw)
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not UTF-8 text: byte {e.object[e.start]:#04x}, {e.reason}") from None
-    try:
-        data = _loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
     if not isinstance(data, dict):

@@ -78,6 +78,14 @@ def test_rule_table_shape_is_validated(spaces):
         SemiCellularAutomaton(space, 2, (0,), (0, 2))  # output out of range
 
 
+@pytest.mark.parametrize(
+    "rule, offender", [((0, 1, 5, -1), 5), ((-1, 0, 1, 7), -1), ((1, 0, 0, 2), 2), ((0, 1, 1, 10**30), 10**30)]
+)
+def test_the_first_rule_output_out_of_range_is_named(spaces, rule, offender):
+    with pytest.raises(InputError, match=f"^rule output {offender} out of range$"):
+        SemiCellularAutomaton(spaces["cyclic4"], 2, (0, 1), rule)
+
+
 # ----------------------------------------------------------------- rotation
 
 

@@ -1,11 +1,13 @@
 """The compact-table decoder against the checks it replaced.
 
-`serialize._matrix` checks row widths and leading zeros by comparing
-each row's length with the decimal lengths of its decoded values.  The
-oracle is the decoder as it was, kept verbatim: a set of per-row comma
-counts and a count of the values' decimal digits.  Over text built from
-digits, commas, brackets, signs, spaces and a non-ASCII digit, both must
-accept the same bodies and decode them to the same arrays.
+`serialize._matrix` reads a table's body as bytes, and checks row
+widths and leading zeros by comparing each row's length with the decimal
+lengths of its decoded values.  The oracle is the decoder as it was,
+kept verbatim: a set of per-row comma counts and a count of the values'
+decimal digits, over text.  Over text built from digits, commas,
+brackets, signs, spaces and a non-ASCII digit, the decoder given the
+UTF-8 bytes and the oracle given the text must accept the same bodies
+and decode them to the same arrays.
 """
 
 import json
@@ -81,6 +83,12 @@ def bodies(draw):
     return "],[".join(rows)
 
 
+def matrix(body: str) -> Optional[np.ndarray]:
+    """_matrix given the body's UTF-8 bytes and the offsets of its "]" bytes."""
+    raw = body.encode()
+    return _matrix(raw, np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("]")))
+
+
 def _same(got, want):
     if want is None:
         return got is None
@@ -106,13 +114,13 @@ def _same(got, want):
 @example("٣,2")
 @example("")
 def test_the_decoder_accepts_what_the_comma_counts_accepted(body):
-    assert _same(_matrix(body), comma_count_matrix(body))
+    assert _same(matrix(body), comma_count_matrix(body))
 
 
 def test_the_marker_escape_outside_a_table_falls_back_to_json():
     # the escape decodes to the marker that holds a table's place
     text = '{"mul":[[0,1],[1,0]],"note":"\\u00000"}'
-    data = _loads(text)
+    data = _loads(text.encode())
     assert data == {"mul": data["mul"], "note": "\x000"}
     assert data == json.loads(text)
     assert isinstance(data["mul"], list)
@@ -120,4 +128,4 @@ def test_the_marker_escape_outside_a_table_falls_back_to_json():
 
 def test_a_marker_spelled_inside_a_table_is_refused_as_json_refuses_it():
     text = '{"mul":[[0,"\\u00000"],[1,0]]}'
-    assert _loads(text) == json.loads(text)
+    assert _loads(text.encode()) == json.loads(text)

@@ -145,8 +145,11 @@ def test_missing_file_and_bad_json_are_input_errors(tmp_path):
 
 def json_load(path):
     """The loader as plain json: the values and errors the fast path keeps."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text: byte {e.object[e.start]:#04x}, {e.reason}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -269,6 +272,44 @@ def test_tables_outside_the_compact_form_decode_through_json(tmp_path, text):
     except InputError:
         return
     assert not any(isinstance(v, np.ndarray) for v in data.values())
+
+
+S5_MUL = group_from_permutations([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]).group.mul.tolist()
+
+# raw file bytes, and whether the loader decodes a table in them itself
+RAW_FILES = {
+    "crlf, a JSON error after the table": (b'{"mul":[[0,1],[1,0]],\r\n"order":2,\r\n"x":}', False),
+    "crlf": (b'{\r\n"mul":[[0,1],[1,0]],\r\n"order":2\r\n}\r\n', True),
+    "a lone cr, a JSON error after the table": (b'{"mul":[[0,1],[1,0]],\r"x":\r[1,}', False),
+    "a lone cr": (b'{"mul":[[0,1],[1,0]],\r"s":"a",\r"n":1}', True),
+    "a utf-8 bom": (b'\xef\xbb\xbf{"mul":[[0,1],[1,0]]}', False),
+    "non-utf-8 in a table": (b'{"mul":[[0,1],[1,\xff0]]}', False),
+    "non-utf-8 after a table": (b'{"mul":[[0,1],[1,0]],"s":"\xff"}', False),
+    "non-utf-8 before a table": (b'{"s":"\xe2","mul":[[0,1],[1,0]]}', False),
+    "non-utf-8 at the end": (b'{"mul":[[0,1],[1,0]]}\xe2\x82', False),
+    "utf-8 around a table": ('{"s":"\u00e9\u2192","mul":[[0,1],[1,0]],"t":"\U0001f600"}'.encode(), True),
+    "brackets in a string after a table": (b'{"mul":[[0,1],[1,0]],"s":"]],[x],[1]]"}', True),
+    # the "[[" in the string is not a member value, so json reads the file
+    "a table spelled in a string after a table": (b'{"mul":[[0,1],[1,0]],"s":"x[[1]]"}', False),
+    "two tables": (b'{"act":[[1,0],[0,1]],"group":{"mul":[[0,1],[1,0]],"order":2}}', True),
+    "a table as the last member": (b'{"order":2,"mul":[[0,1],[1,0]]}', True),
+    "an s5 table": (json.dumps({"identity": 0, "mul": S5_MUL, "order": 120}, separators=(",", ":")).encode(), True),
+}
+
+
+@pytest.mark.parametrize("name", RAW_FILES)
+def test_the_loader_reads_bytes_as_the_text_mode_read_gives_them(tmp_path, name):
+    raw, decoded = RAW_FILES[name]
+    path = tmp_path / "table.json"
+    path.write_bytes(raw)
+    assert _outcome(_load_json, path) == _outcome(json_load, path)
+    try:
+        data = _load_json(path)
+    except InputError:
+        assert not decoded
+        return
+    tables = [v for obj in (data, *[v for v in data.values() if isinstance(v, dict)]) for v in obj.values()]
+    assert any(isinstance(v, np.ndarray) for v in tables) == decoded
 
 
 @pytest.mark.parametrize(
