@@ -9,7 +9,7 @@ is indexed by their mixed-radix packing.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -144,27 +144,82 @@ def generator_indices(rows: np.ndarray) -> list[int]:
     only leave a row out of it (it then becomes a generator), never put
     one in wrongly.
     """
-    by_key = {row.tobytes(): row for row in rows}
-    identity = np.arange(rows.shape[1], dtype=rows.dtype)
-    closure = {identity.tobytes(): identity}
+    count, width = rows.shape
+    if width < 2:
+        # the one map of at most one point is the identity
+        return []
+    # the identity, then every row; a map is named by the first of them
+    # with its content, or by count + 1 when it is none of them.  inside
+    # marks the names in the closure, and count + 1 too, so that a product
+    # that is no row is never followed
+    known = np.concatenate([np.arange(width, dtype=rows.dtype)[None, :], rows])
+    names, find = _row_names(known)
+    inside = [True] + [False] * count + [True]
     chosen: list[int] = []
-    for k, row in enumerate(rows):
-        if row.tobytes() in closure:
+    moves: list[list[int]] = []
+    for k, name in enumerate(names[1:]):
+        if inside[name]:
             continue
         chosen.append(k)
-        # applying e and then s is applying e[s]; right products with the
-        # chosen rows reach every word in them from the identity
-        frontier = list(closure.values())
+        # applying e and then s is applying e[s]: moves[j][e] names e's
+        # right product with the j-th chosen row, all found in one batch,
+        # and following moves from the names inside reaches every word in
+        # the chosen rows
+        moves.append(find(known[:, rows[k]]).tolist())
+        frontier = [e for e in range(count + 1) if inside[e]]
         while frontier:
             grown = []
             for e in frontier:
-                for g in chosen:
-                    key = e[rows[g]].tobytes()
-                    if key in by_key and key not in closure:
-                        closure[key] = by_key[key]
-                        grown.append(by_key[key])
+                for move in moves:
+                    if not inside[move[e]]:
+                        inside[move[e]] = True
+                        grown.append(move[e])
             frontier = grown
     return chosen
+
+
+@lru_cache(maxsize=64)
+def _radix(width: int) -> np.ndarray:
+    """width**i for each position i, as uint64; cached and frozen."""
+    radix = np.uint64(width) ** np.arange(width, dtype=np.uint64)
+    radix.setflags(write=False)
+    return radix
+
+
+def _row_names(known: np.ndarray):
+    """Each row of `known` named by the index of the first row equal to
+    it, as a list, and a lookup of maps, rows like those of known, that
+    names each the same way, or len(known) when it equals no row.
+
+    Each row gets one key: exact in a uint64 when its entries, below its
+    width, pack into 64 bits, and otherwise its bytes as one opaque value.
+    Sorting the keys orders equal rows together, in index order, so one
+    searchsorted names a whole batch."""
+    total, width = known.shape
+    if width**width <= 1 << 64:
+        radix = _radix(width)
+
+        def keys(maps: np.ndarray) -> np.ndarray:
+            return np.matmul(maps, radix, dtype=np.uint64, casting="unsafe")
+
+    else:
+        kind = np.dtype((np.void, known.dtype.itemsize * width))
+
+        def keys(maps: np.ndarray) -> np.ndarray:
+            return np.ascontiguousarray(maps).view(kind).ravel()
+
+    key = keys(known)
+    order = key.argsort(kind="stable")
+    ordered = key[order]
+
+    def find(maps: np.ndarray) -> np.ndarray:
+        key = keys(maps)
+        at = np.minimum(ordered.searchsorted(key), total - 1)
+        index = order[at]
+        index[ordered[at] != key] = total
+        return index
+
+    return order[ordered.searchsorted(key)].tolist(), find
 
 
 def rotation_position_maps(ca: SemiCellularAutomaton, members: Sequence[int]) -> np.ndarray:

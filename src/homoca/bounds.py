@@ -27,3 +27,7 @@ RELATION_UNIVERSE_BOUND = 256
 GATHER_BLOCK = 1 << 16
 # entries of a trace the `run` printer turns into text at once, so its memory stays flat
 PRINT_BLOCK = 1 << 16
+# entries of a table (rows times its first row's) from which the loader decodes it
+# straight to an array; json parses smaller tables, and lists of them convert,
+# faster than numpy decodes them
+TABLE_DECODE_ENTRIES = 1024

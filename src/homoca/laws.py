@@ -227,9 +227,12 @@ def check_step_equivariance(ca: SemiCellularAutomaton, subgroup: Optional[Subgro
 
     Which patterns fail depends only on where each read falls in U, so
     cells and generators that place their reads alike share the search.
-    A window is the neighborhood's cells when the action table is an
-    action, and at most twice as wide otherwise; past MAX_RULE_TABLE
-    patterns it raises BoundError.
+    Every cell's window and placement for a generator come from one pass
+    over the (cells, 2 * arity) array of reads (`_windows`), and only the
+    placements not met before are searched.  A window is the
+    neighborhood's cells when the action table is an action, and at most
+    twice as wide otherwise; the first one past MAX_RULE_TABLE patterns
+    raises BoundError.
     """
     space = ca.space
     sub = subgroup_or_whole(space, subgroup)
@@ -239,20 +242,20 @@ def check_step_equivariance(ca: SemiCellularAutomaton, subgroup: Optional[Subgro
     first_bad: dict[bytes, Optional[np.ndarray]] = {}
     for k in generator_indices(rows):
         s = rows[k]
+        ordered, fresh, placed = _windows(np.concatenate([s[nc], nc[s]], axis=1))
         witness = None
-        for m in range(space.cells):
-            window, placed = np.unique(np.concatenate([s[nc[m]], nc[s[m]]]), return_inverse=True)
-            key = placed.tobytes()
+        for m, (key, size) in enumerate(zip(placed, np.count_nonzero(fresh, axis=1).tolist())):
+            key = key.tobytes()
             if key not in first_bad:
-                if q ** len(window) > MAX_RULE_TABLE:
-                    raise BoundError(f"{q}**{len(window)} window patterns exceed the rule table bound")
+                if q**size > MAX_RULE_TABLE:
+                    raise BoundError(f"{q}**{size} window patterns exceed the rule table bound")
                 # column 0 reads shift-then-step, column 1 step-then-shift
-                reads = rule[pattern_codes(q, len(window), placed.reshape(2, arity))]
+                reads = rule[pattern_codes(q, size, placed[m].reshape(2, arity))]
                 bad = np.flatnonzero(reads[:, 0] != reads[:, 1])
-                first_bad[key] = digit_matrix(q, len(window))[bad[0]] if bad.size else None
+                first_bad[key] = digit_matrix(q, size)[bad[0]] if bad.size else None
             if first_bad[key] is not None:
                 config = [0] * space.cells
-                for cell, digit in zip(window.tolist(), first_bad[key].tolist()):
+                for cell, digit in zip(ordered[m][fresh[m]].tolist(), first_bad[key].tolist()):
                     config[cell] = digit
                 if witness is None or config[::-1] < witness[::-1]:
                     witness = config
@@ -260,6 +263,21 @@ def check_step_equivariance(ca: SemiCellularAutomaton, subgroup: Optional[Subgro
             image, shifted_image = step_batch(ca, [witness, [witness[c] for c in s]])
             return _equivariance_failure(sub.members[k], witness, image[s].tolist(), shifted_image.tolist())
     return Verdict.passing("shift-equivariance")
+
+
+def _windows(reads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.unique with its inverse, for every row of reads in one pass: the
+    row sorted, a mask of the first of each run of equal cells in it, so
+    row m's window is ordered[m][fresh[m]], and each read's place in that
+    window, the rank of its run."""
+    row = np.arange(len(reads))[:, None]
+    order = np.argsort(reads, axis=1, kind="stable")
+    ordered = reads[row, order]
+    fresh = np.ones(reads.shape, dtype=bool)
+    fresh[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    placed = np.empty(reads.shape, dtype=np.intp)
+    placed[row, order] = np.cumsum(fresh, axis=1, dtype=np.intp) - 1
+    return ordered, fresh, placed
 
 
 def check_invariance_equivalence(ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None) -> Verdict:
@@ -491,6 +509,28 @@ def table_inverse(table: np.ndarray) -> Union[np.ndarray, tuple[int, int, int]]:
     return inverse
 
 
+def first_alike(images: np.ndarray, states: int) -> np.ndarray:
+    """earlier[i]: the first row of images, an [N, cells] array of digits
+    below `states`, equal to row i.
+
+    Each row is packed into int64 codes of as many digits as one holds,
+    so into one code when states**cells fits, and the rows are sorted
+    stably on their codes: equal rows end up side by side, each run in
+    row order, so a run's first row is the first of its rows."""
+    count, cells = images.shape
+    span = 1
+    while states ** (span + 1) <= 1 << 63 and span < cells:
+        span += 1
+    codes = [images[:, a : a + span] @ weights(states, min(span, cells - a)) for a in range(0, cells, span)]
+    order = np.lexsort(codes[::-1])
+    ordered = np.array(codes)[:, order]
+    starts = np.ones(count, dtype=bool)
+    starts[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    earlier = np.empty(count, dtype=np.intp)
+    earlier[order] = order[np.flatnonzero(starts)][np.cumsum(starts) - 1]
+    return earlier
+
+
 @dataclass(frozen=True)
 class NotInvertible:
     witness: dict
@@ -506,7 +546,9 @@ def invert(
     bijective on configurations, and the inverse is itself the step of an
     automaton, recovered by extraction.  Beyond the table bound only a
     seeded collision search is possible: it can refute invertibility
-    (sampled witness) but not certify it.
+    (sampled witness) but not certify it.  Its SAMPLE_COUNT samples are
+    stepped in one batch and grouped by image with `first_alike`, and the
+    witness is the first collision in sample order.
     """
     space = ca.space
     sub = subgroup_or_whole(space, subgroup)
@@ -529,8 +571,7 @@ def invert(
         # sample with its image; until the first collision, every sample
         # with that image has the same code, so the pair is the first one
         # met in sample order
-        _, first, label = np.unique(images, axis=0, return_index=True, return_inverse=True)
-        earlier = first[label.ravel()]
+        earlier = first_alike(images, q)
         colliding = np.flatnonzero(codes != codes[earlier])
         if colliding.size:
             i = int(colliding[0])

@@ -6,19 +6,21 @@ self-contained; readers accept both.  All indices are 0-based and tables
 are row-major; inverses are computed on load rather than stored.
 
 Files are UTF-8, read as `open(path, encoding="utf-8")` reads them, with
-universal newlines.  A compact integer table, an object member's value
-written without whitespace as `json.dump(..., separators=(",", ":"))`
-writes it, decodes straight to an int64 array, with no Python int per
-entry; everything else, indented tables included, goes through `json`.
-Either way a file loads to the same values, and a malformed one raises
-the same error.  A file is read once, as bytes: one numpy scan of its
-"]" bytes finds each table's end and its row boundaries, the rows go to
-`np.fromstring` joined, and only the text around the tables is decoded.
-A compact table's text must be digits and single commas between its row
-brackets; its rows must hold one width and its entries no leading
-zeros, which one check decides: each row is as long as its decoded
-values' decimal lengths plus the commas between them.  `write_json`
-output stays indented.
+universal newlines.  An integer table, an object member's value opening
+two lists, decodes straight to an int64 array, with no Python int per
+entry, when it holds TABLE_DECODE_ENTRIES entries or more (see
+`homoca.bounds`); json parses smaller tables faster.  The table may be
+compact, as `json.dump(..., separators=(",", ":"))` writes it, or carry
+JSON whitespace between its tokens, as `write_json` indents it, but never
+inside a number.  Either way a file loads to the same values, and a
+malformed one raises the same error.  A file is read once, as bytes: one
+numpy scan of its "]" bytes finds each table's end and its row
+boundaries, the rows go to `np.fromstring` joined, and only the text
+around the tables is decoded.  A table's text, its whitespace removed,
+must be digits and single commas between its row brackets; its rows must
+hold one width and its entries no leading zeros, which one check
+decides: each row is as long as its decoded values' decimal lengths plus
+the commas between them.  `write_json` output stays indented.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ from __future__ import annotations
 import json
 import operator
 import os
+import re
 from typing import Optional, Union
 
 import numpy as np
 
 from .automata import MAX_RULE_TABLE, SemiCellularAutomaton, closed_neighborhood
+from .bounds import TABLE_DECODE_ENTRIES
 from .cellspace import CellSpace, CoordinateSystem, build_coordinate_system
 from .encoding import pattern_codes
 from .errors import InputError
@@ -42,6 +46,16 @@ Source = Union[str, os.PathLike, dict]
 
 # decodes to the marker that holds a table's place while json parses the rest
 _MARKER_ESCAPE = b"\\u0000"
+# JSON's whitespace, allowed between the tokens of a table but not inside a number
+_WHITESPACE = b" \t\n\r"
+_IS_WHITESPACE = np.zeros(256, dtype=bool)
+_IS_WHITESPACE[list(_WHITESPACE)] = True
+_SKIP_WHITESPACE = re.compile(rb"[ \t\n\r]*")
+# a member value opening two lists; group 1 is the outer "["
+_TABLE_START = re.compile(rb'":[ \t\n\r]*(\[)[ \t\n\r]*\[')
+# rows shorter than this many bytes, on average, are joined by one
+# bytes.replace, longer ones from one memoryview slice each
+_SLICED_ROW_BYTES = 128
 
 
 def _text(raw: bytes) -> str:
@@ -69,8 +83,12 @@ def _matrix(body, closes: np.ndarray) -> Optional[np.ndarray]:
         return None
     starts = np.concatenate(([0], closes + 3))
     stops = np.concatenate((closes, [chars.size]))
-    view = memoryview(body)
-    flat = b",".join([view[a:b] for a, b in zip(starts.tolist(), stops.tolist())])
+    if chars.size < _SLICED_ROW_BYTES * starts.size:
+        # short rows: one pass over the bytes costs less than a slice per row
+        flat = bytes(body).replace(b"],[", b",")
+    else:
+        view = memoryview(body)
+        flat = b",".join([view[a:b] for a, b in zip(starts.tolist(), stops.tolist())])
     if not flat:
         return None
     chars = np.frombuffer(flat, dtype=np.uint8)
@@ -91,54 +109,112 @@ def _matrix(body, closes: np.ndarray) -> Optional[np.ndarray]:
     # every row is as long as its values' decimal lengths plus the commas
     # between them exactly when each holds `width` entries without leading
     # zeros: the lengths add up only without leading zeros, and then the
-    # first row holding another count of entries is shorter or longer
-    lengths = np.full(starts.size, 2 * table.shape[1] - 1)
-    power = 10
+    # first row holding another count of entries is shorter or longer.
+    # An entry below 2^31 has at most 9 digits past its first, counted in
+    # place in the bytes of the first comparison
+    extra = (table >= 10).view(np.uint8)
+    power = 100
     while power <= top:
-        lengths += np.count_nonzero(table >= power, axis=1)
+        extra += table >= power
         power *= 10
-    if not np.array_equal(lengths, stops - starts):
+    if (extra.sum(axis=1) != stops - starts - (2 * table.shape[1] - 1)).any():
         return None
     return table
 
 
+def _spaced_matrix(body: bytes) -> Optional[np.ndarray]:
+    """_matrix of a table body with JSON whitespace between its tokens, as
+    `write_json` indents it.  Whitespace inside a number is refused, as
+    json refuses it: removing the whitespace must not join two numbers, so
+    the body's runs of digits are as many as the table's entries."""
+    packed = body.translate(None, _WHITESPACE)
+    if len(packed) == len(body):
+        return None
+    table = _matrix(packed, np.flatnonzero(np.frombuffer(packed, dtype=np.uint8) == ord("]")))
+    if table is None:
+        return None
+    digit = np.frombuffer(body, dtype=np.uint8) - ord("0") < 10
+    runs = np.count_nonzero(digit[1:] > digit[:-1]) + int(digit[0])
+    return table if runs == table.size else None
+
+
+def _table_ends(raw: bytes, chars: np.ndarray, closes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The "]" bytes that another "]" follows after at most whitespace, and
+    the offset just past that second "]", for each of them: a table's body
+    ends at the first of these after its start."""
+    after = closes + 1
+    if after.size and after[-1] == chars.size:
+        # a "]" that ends the file ends no table
+        after = after[:-1]
+    for k in np.flatnonzero(_IS_WHITESPACE[chars[after]]).tolist():
+        after[k] = _SKIP_WHITESPACE.match(raw, after[k]).end()
+    within = after < chars.size
+    end = within.copy()
+    end[within] = chars[after[within]] == ord("]")
+    return closes[: after.size][end], after[end] + 1
+
+
 def _loads(raw: bytes):
     """json.loads of the text a file holding `raw` reads as, but each
-    compact integer table decodes straight to an int64 array.
+    integer table of TABLE_DECODE_ENTRIES or more entries decodes
+    straight to an int64 array.
 
-    One scan of the "]" bytes finds every table's end, the first "]]"
-    after its "[[", and every row boundary inside it.  Each table is
-    swapped for a marker string, and only the text around the tables is
-    decoded; json parses that small remainder, and the arrays go back in
-    place of their markers.  Should any table fail the checks, the
-    remainder fail to decode or parse, or a marker not come back exactly
-    once as a member value, json decodes the whole text, so values and
-    errors are those of json.loads alone.
+    A table is a member value opening two lists, compact or with JSON
+    whitespace between its tokens.  One scan of the "]" bytes finds every
+    table's end, the first "]" that another "]" follows after at most
+    whitespace, and every row boundary inside it; its size is its rows
+    times the entries of its first row, and a table too small even with
+    a row for every "]" after it is left to json before its end is found.
+    Each table that decodes is
+    swapped for a marker string, and only the text around those tables is
+    decoded; json parses it, smaller tables and tables that fail the
+    checks included, and the arrays go back in place of their markers.
+    Should that text fail to decode or parse, or a marker not come back
+    exactly once as a member value, json decodes the whole text, so
+    values and errors are those of json.loads alone.
     """
-    start = raw.find(b"[[")
-    if start == -1:
+    # a table of TABLE_DECODE_ENTRIES entries spells at least a digit and a comma for each
+    match = _TABLE_START.search(raw) if len(raw) >= 2 * TABLE_DECODE_ENTRIES else None
+    if match is None:
         return json.loads(_text(raw))
-    closes = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("]"))
-    # the first "]" of each "]]"
-    ends = closes[:-1][np.diff(closes) == 1]
+    chars = np.frombuffer(raw, dtype=np.uint8)
+    closes = np.flatnonzero(chars == ord("]"))
+    ends = stops = None
     view = memoryview(raw)
     pieces, tables, end = [], [], 0
-    while start != -1:
-        i = int(np.searchsorted(ends, start))
-        table = None
-        if i < ends.size and raw[start - 2 : start] == b'":':
-            close = int(ends[i])
-            inside = closes[np.searchsorted(closes, start) : np.searchsorted(closes, close)]
-            table = _matrix(view[start + 2 : close], inside - (start + 2))
-        if table is None:
-            return json.loads(_text(raw))
-        pieces += [raw[end:start], b'"%s%d"' % (_MARKER_ESCAPE, len(tables))]
-        tables.append(table)
-        end = close + 2
-        start = raw.find(b"[[", end)
+    while match is not None:
+        start, inner = match.start(1), match.end()
+        first = int(np.searchsorted(closes, inner))
+        if first == closes.size:
+            break
+        width = raw.count(b",", inner, int(closes[first])) + 1
+        resume = inner
+        # a table has no more rows than "]" bytes after its start, so one
+        # that cannot reach the floor is left to json before its end is found
+        if (closes.size - first) * width >= TABLE_DECODE_ENTRIES:
+            if ends is None:
+                ends, stops = _table_ends(raw, chars, closes)
+            i = int(np.searchsorted(ends, inner))
+            if i == ends.size:
+                break
+            close, resume = int(ends[i]), int(stops[i])
+            last = int(np.searchsorted(closes, close))
+            if (last - first + 1) * width >= TABLE_DECODE_ENTRIES:
+                table = None
+                if inner - start == 2 and resume - close == 2:
+                    table = _matrix(view[inner:close], closes[first:last] - inner)
+                if table is None:
+                    table = _spaced_matrix(raw[inner:close])
+                if table is not None:
+                    pieces += [raw[end:start], b'"%s%d"' % (_MARKER_ESCAPE, len(tables))]
+                    tables.append(table)
+                    end = resume
+        match = _TABLE_START.search(raw, resume)
+    if not tables:
+        return json.loads(_text(raw))
     pieces.append(raw[end:])
-    # a table holds only digits, commas and brackets, so the escape can
-    # only be in the text around the tables
+    # a decoded table holds only digits, commas, brackets and whitespace,
+    # so the escape can only be in the text around the tables
     if any(_MARKER_ESCAPE in piece for piece in pieces[::2]):
         return json.loads(_text(raw))
 

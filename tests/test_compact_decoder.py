@@ -7,16 +7,20 @@ kept verbatim: a set of per-row comma counts and a count of the values'
 decimal digits, over text.  Over text built from digits, commas,
 brackets, signs, spaces and a non-ASCII digit, the decoder given the
 UTF-8 bytes and the oracle given the text must accept the same bodies
-and decode them to the same arrays.
+and decode them to the same arrays, whether it joins the rows with one
+`bytes.replace` (short rows) or from one slice per row (long rows).
 """
 
 import json
 from typing import Optional
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from homoca import serialize
 from homoca.serialize import _loads, _matrix
 
 
@@ -117,10 +121,40 @@ def test_the_decoder_accepts_what_the_comma_counts_accepted(body):
     assert _same(matrix(body), comma_count_matrix(body))
 
 
+@settings(deadline=None)
+@given(bodies())
+@example("1,2],[3")
+@example("01,2],[3,4")
+def test_rows_joined_from_slices_decode_as_the_comma_counts_decoded(body):
+    # these bodies are short, so their rows are joined with one replace
+    # unless every row counts as long
+    with mock.patch.object(serialize, "_SLICED_ROW_BYTES", 0):
+        assert _same(matrix(body), comma_count_matrix(body))
+
+
+def _wide_bodies():
+    """Rows of up to 3000 entries, far wider than the drawn bodies, each
+    whole and with a leading zero or one entry too many in the last row."""
+    for width in (30, 300, 3000):
+        rows = [[str((7 * i + j) % 100000) for j in range(width)] for i in range(3)]
+        yield "],[".join(",".join(row) for row in rows)
+        for flawed in ("0" + rows[2][-1], rows[2][-1] + ",5"):
+            edited = [row[:] for row in rows]
+            edited[2][-1] = flawed
+            yield "],[".join(",".join(row) for row in edited)
+
+
+@pytest.mark.parametrize("body", list(_wide_bodies()), ids=lambda body: f"{len(body)}b")
+def test_wide_rows_decode_as_the_comma_counts_decoded(body):
+    assert _same(matrix(body), comma_count_matrix(body))
+
+
 def test_the_marker_escape_outside_a_table_falls_back_to_json():
-    # the escape decodes to the marker that holds a table's place
+    # the escape decodes to the marker that holds a table's place; the
+    # loader decodes this table itself only with its floor at 1
     text = '{"mul":[[0,1],[1,0]],"note":"\\u00000"}'
-    data = _loads(text.encode())
+    with mock.patch.object(serialize, "TABLE_DECODE_ENTRIES", 1):
+        data = _loads(text.encode())
     assert data == {"mul": data["mul"], "note": "\x000"}
     assert data == json.loads(text)
     assert isinstance(data["mul"], list)
@@ -128,4 +162,5 @@ def test_the_marker_escape_outside_a_table_falls_back_to_json():
 
 def test_a_marker_spelled_inside_a_table_is_refused_as_json_refuses_it():
     text = '{"mul":[[0,"\\u00000"],[1,0]]}'
-    assert _loads(text.encode()) == json.loads(text)
+    with mock.patch.object(serialize, "TABLE_DECODE_ENTRIES", 1):
+        assert _loads(text.encode()) == json.loads(text)

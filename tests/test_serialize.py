@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from homoca.catalog import group_from_permutations
 from homoca.cli import validate_source
 from homoca.encoding import decode, encode
 from homoca.errors import InputError
+from homoca import serialize
 from homoca.laws import GlobalMap, global_table
 from homoca.serialize import (
     _load_json,
@@ -237,11 +239,25 @@ def scratch_file(tmp_path_factory):
     return tmp_path_factory.mktemp("loader") / "table.json"
 
 
+def decoding_tables_from(entries):
+    """The loader with its decode floor moved to `entries`: at 1 it decodes
+    every table that passes its checks, small ones included."""
+    return mock.patch.object(serialize, "TABLE_DECODE_ENTRIES", entries)
+
+
+def _decoded(data):
+    """Does a loaded file hold a table decoded to an array, at any depth?"""
+    if isinstance(data, dict):
+        return any(_decoded(v) for v in data.values())
+    return isinstance(data, np.ndarray)
+
+
 @given(text=compact_documents())
 @settings(deadline=None)
 def test_the_loader_gives_json_values_and_errors(scratch_file, text):
     scratch_file.write_text(text, encoding="utf-8")
-    assert _outcome(_load_json, scratch_file) == _outcome(json_load, scratch_file)
+    with decoding_tables_from(1):
+        assert _outcome(_load_json, scratch_file) == _outcome(json_load, scratch_file)
 
 
 @pytest.mark.parametrize(
@@ -249,12 +265,15 @@ def test_the_loader_gives_json_values_and_errors(scratch_file, text):
     ['{"m":[[0,1],[1,0]]}', '{"a":{"m":[[2147483647]]},"b":[[5,10,100]]}', '{"m":[[0]],"n":[0,1],"s":"]]"}'],
 )
 def test_compact_tables_decode_to_int64_arrays(tmp_path, text):
+    # these tables are far below the decode floor, so json parses them;
+    # with the floor at 1 the loader decodes them itself
     path = tmp_path / "table.json"
     path.write_text(text)
-    data = _load_json(path)
+    assert _plain(_load_json(path)) == json.loads(text) and not _decoded(_load_json(path))
+    with decoding_tables_from(1):
+        data = _load_json(path)
     assert _plain(data) == json.loads(text)
-    tables = [v for obj in (data, *[v for v in data.values() if isinstance(v, dict)]) for v in obj.values()]
-    assert any(isinstance(v, np.ndarray) for v in tables)
+    assert _decoded(data)
 
 
 @pytest.mark.parametrize(
@@ -264,19 +283,26 @@ def test_compact_tables_decode_to_int64_arrays(tmp_path, text):
      '{"m":[[0]],"s":"[[x"}', '{"m":[[1,]]}', '{"m":[[,1]]}', '{"m":[[1,,2]]}', '{"m":[[1],[]]}', '{"m":[[]]}'],
 )
 def test_tables_outside_the_compact_form_decode_through_json(tmp_path, text):
+    # refused tables reach json whatever the floor; with the floor at 1 the
+    # spaced table decodes, and so does the table next to a "[[" that only
+    # a string holds
     path = tmp_path / "table.json"
     path.write_text(text)
-    assert _outcome(_load_json, path) == _outcome(json_load, path)
-    try:
-        data = _load_json(path)
-    except InputError:
-        return
-    assert not any(isinstance(v, np.ndarray) for v in data.values())
+    for entries in (serialize.TABLE_DECODE_ENTRIES, 1):
+        with decoding_tables_from(entries):
+            assert _outcome(_load_json, path) == _outcome(json_load, path)
+            try:
+                data = _load_json(path)
+            except InputError:
+                continue
+        assert _decoded(data) == (entries == 1 and text in ('{"m": [[1]]}', '{"m":[[0]],"s":"[[x"}'))
 
 
 S5_MUL = group_from_permutations([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]).group.mul.tolist()
 
 # raw file bytes, and whether the loader decodes a table in them itself
+# when it decodes every table it can; at its decode floor it decodes only
+# the s5 table, the one of 1024 entries or more
 RAW_FILES = {
     "crlf, a JSON error after the table": (b'{"mul":[[0,1],[1,0]],\r\n"order":2,\r\n"x":}', False),
     "crlf": (b'{\r\n"mul":[[0,1],[1,0]],\r\n"order":2\r\n}\r\n', True),
@@ -289,8 +315,8 @@ RAW_FILES = {
     "non-utf-8 at the end": (b'{"mul":[[0,1],[1,0]]}\xe2\x82', False),
     "utf-8 around a table": ('{"s":"\u00e9\u2192","mul":[[0,1],[1,0]],"t":"\U0001f600"}'.encode(), True),
     "brackets in a string after a table": (b'{"mul":[[0,1],[1,0]],"s":"]],[x],[1]]"}', True),
-    # the "[[" in the string is not a member value, so json reads the file
-    "a table spelled in a string after a table": (b'{"mul":[[0,1],[1,0]],"s":"x[[1]]"}', False),
+    # the "[[" in the string is not a member value, so it stays text
+    "a table spelled in a string after a table": (b'{"mul":[[0,1],[1,0]],"s":"x[[1]]"}', True),
     "two tables": (b'{"act":[[1,0],[0,1]],"group":{"mul":[[0,1],[1,0]],"order":2}}', True),
     "a table as the last member": (b'{"order":2,"mul":[[0,1],[1,0]]}', True),
     "an s5 table": (json.dumps({"identity": 0, "mul": S5_MUL, "order": 120}, separators=(",", ":")).encode(), True),
@@ -302,14 +328,15 @@ def test_the_loader_reads_bytes_as_the_text_mode_read_gives_them(tmp_path, name)
     raw, decoded = RAW_FILES[name]
     path = tmp_path / "table.json"
     path.write_bytes(raw)
-    assert _outcome(_load_json, path) == _outcome(json_load, path)
-    try:
-        data = _load_json(path)
-    except InputError:
-        assert not decoded
-        return
-    tables = [v for obj in (data, *[v for v in data.values() if isinstance(v, dict)]) for v in obj.values()]
-    assert any(isinstance(v, np.ndarray) for v in tables) == decoded
+    for entries in (serialize.TABLE_DECODE_ENTRIES, 1):
+        with decoding_tables_from(entries):
+            assert _outcome(_load_json, path) == _outcome(json_load, path)
+            try:
+                data = _load_json(path)
+            except InputError:
+                assert not decoded
+                return
+        assert _decoded(data) == (decoded and (entries == 1 or name == "an s5 table"))
 
 
 @pytest.mark.parametrize(
@@ -356,10 +383,131 @@ def test_compact_and_indented_files_load_and_validate_alike(tmp_path):
         with open(compact, "w") as fh:
             json.dump(dump(obj), fh, separators=(",", ":"), sort_keys=True)
         write_json(indented, dump(obj))
-        assert isinstance(_load_json(compact)[table], np.ndarray)
-        assert isinstance(_load_json(indented)[table], list)
+        # S5's 120x120 mul table is past the decode floor in either
+        # spelling, its 120x5 act table below it
+        for path in (compact, indented):
+            assert isinstance(_load_json(path)[table], np.ndarray if table == "mul" else list)
         assert load(str(compact)) == load(str(indented)) == obj
         assert validate_source(str(compact)) == validate_source(str(indented))
+
+
+# ------------------------------------------------ tables with whitespace
+
+SPACES = ["", "", " ", "\n      ", "\t", "\r\n", "\r", " \n\t "]
+
+
+@st.composite
+def spaced_documents(draw):
+    """Tables with JSON whitespace between their tokens, at most one flaw
+    each (whitespace inside a number, an odd entry or a row of another
+    width), in the documents the compact ones fill, some truncated."""
+
+    def space():
+        return draw(st.sampled_from(SPACES))
+
+    def spaced(items):
+        return "[" + space() + (space() + "," + space()).join(items) + space() + "]"
+
+    def table():
+        width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        rows = [[str(draw(st.integers(0, 5000))) for _ in range(width)] for _ in range(height)]
+        i, j = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+        flaw = draw(st.sampled_from(["none", "none", "split", "entry", "width"]))
+        if flaw == "split":
+            entry = rows[i][j] + "7"
+            cut = draw(st.integers(1, len(entry) - 1))
+            rows[i][j] = entry[:cut] + draw(st.sampled_from(SPACES[2:])) + entry[cut:]
+        elif flaw == "entry":
+            rows[i][j] = draw(st.sampled_from(ODD_ENTRIES))
+        elif flaw == "width":
+            rows[i] = [str(draw(st.integers(0, 9))) for _ in range(draw(st.integers(0, 5)))]
+        return spaced([spaced(row) for row in rows])
+
+    template = DOCUMENTS[0] if draw(st.booleans()) else draw(st.sampled_from(DOCUMENTS))
+    text = template % tuple(table() for _ in range(template.count("%s")))
+    if draw(st.integers(0, 9)) == 0:
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@given(text=spaced_documents())
+@settings(deadline=None)
+def test_spaced_tables_load_as_json_loads_them(scratch_file, text):
+    scratch_file.write_bytes(text.encode("utf-8"))
+    for entries in (serialize.TABLE_DECODE_ENTRIES, 1):
+        with decoding_tables_from(entries):
+            assert _outcome(_load_json, scratch_file) == _outcome(json_load, scratch_file)
+
+
+def _square(side, width=None):
+    width = side if width is None else width
+    return [[(i * width + j) % 1000 for j in range(width)] for i in range(side)]
+
+
+def _big_indented(indent=2):
+    """A file with tables on both sides of the decode floor: 32x32 and
+    1x1024 entries, at the floor, and 31x33, one entry below it."""
+    data = {"at": _square(32), "row": _square(1, 1024), "below": _square(31, 33), "n": 1}
+    return json.dumps(data, indent=indent, sort_keys=True)
+
+
+# raw file bytes, and the members the loader decodes itself at its floor
+INDENTED_FILES = {
+    "write_json's layout": (_big_indented().encode(), {"at", "row"}),
+    "crlf": (_big_indented().replace("\n", "\r\n").encode(), {"at", "row"}),
+    "a lone cr": (_big_indented().replace("\n", "\r").encode(), {"at", "row"}),
+    "tabs": (_big_indented(indent="\t").encode(), {"at", "row"}),
+    "whitespace around the row boundaries": (
+        json.dumps({"at": _square(32)}, separators=(",", ": ")).replace("],[", "]\n ,\t[").encode(),
+        {"at"},
+    ),
+    "json.dump's default spacing": (json.dumps({"at": _square(32), "n": [1]}).encode(), {"at"}),
+    "a number split by a space": (_big_indented().replace("\n      17,", "\n      1 7,", 1).encode(), set()),
+    "a number split by a newline": (_big_indented().replace("\n      17,", "\n      1\n7,", 1).encode(), set()),
+    "a small table inside a string": (json.dumps({"s": '": [[1, 2], [3, 4]]', "at": _square(32)}).encode(), {"at"}),
+    # decoded, its marker breaks the string, so json reads the whole file
+    "a table past the floor inside a string": (
+        json.dumps({"s": '": ' + json.dumps(_square(32), separators=(",", ":")), "at": _square(32)}).encode(),
+        set(),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", INDENTED_FILES)
+def test_indented_tables_past_the_floor_decode_and_load_as_json_loads_them(tmp_path, name):
+    raw, decoded = INDENTED_FILES[name]
+    path = tmp_path / "table.json"
+    path.write_bytes(raw)
+    assert _outcome(_load_json, path) == _outcome(json_load, path)
+    try:
+        data = _load_json(path)
+    except InputError:
+        assert not decoded
+        return
+    assert {key for key, value in data.items() if isinstance(value, np.ndarray)} == decoded
+
+
+def _tables(data):
+    """Every member value that is a list of lists, at any depth."""
+    for value in data.values():
+        if isinstance(value, dict):
+            yield from _tables(value)
+        elif isinstance(value, (list, np.ndarray)) and len(value) and isinstance(value[0], (list, np.ndarray)):
+            yield value
+
+
+def test_bundled_fixtures_and_written_files_decode_every_table_past_the_floor(tmp_path, automata):
+    written = tmp_path / "torus_or.json"
+    write_json(written, dump_automaton(automata["torus_or"]))
+    paths = sorted(FIXTURES.glob("*.json")) + [written]
+    decoded = 0
+    for path in paths:
+        assert _outcome(_load_json, path) == _outcome(json_load, path)
+        for table in _tables(_load_json(path)):
+            large = len(table) * len(table[0]) >= serialize.TABLE_DECODE_ENTRIES
+            assert isinstance(table, np.ndarray) == large, path
+            decoded += large
+    assert decoded >= 10
 
 
 # ------------------------------------------------------------ auto-closing
