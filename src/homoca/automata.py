@@ -145,9 +145,6 @@ def generator_indices(rows: np.ndarray) -> list[int]:
     one in wrongly.
     """
     count, width = rows.shape
-    if width < 2:
-        # the one map of at most one point is the identity
-        return []
     # the identity, then every row; a map is named by the first of them
     # with its content, or by count + 1 when it is none of them.  inside
     # marks the names in the closure, and count + 1 too, so that a product

@@ -11,11 +11,11 @@ two lists, decodes straight to an int64 array, with no Python int per
 entry, when it holds TABLE_DECODE_ENTRIES entries or more (see
 `homoca.bounds`); json parses smaller tables faster.  The table may be
 compact, as `json.dump(..., separators=(",", ":"))` writes it, or carry
-JSON whitespace between its tokens, as `write_json` indents it, but never
-inside a number.  Either way a file loads to the same values, and a
-malformed one raises the same error.  A file is read once, as bytes: one
-numpy scan of its "]" bytes finds each table's end and its row
-boundaries, the rows go to `np.fromstring` joined, and only the text
+JSON whitespace between any of its tokens, as `write_json` indents it,
+but never inside a number.  Either way a file loads to the same values,
+and a malformed one raises the same error.  A file is read once, as
+bytes: one numpy scan of its "]" bytes finds each table's end and its
+row boundaries, the rows go to `np.fromstring` joined, and only the text
 around the tables is decoded.  A table's text, its whitespace removed,
 must be digits and single commas between its row brackets; its rows must
 hold one width and its entries no leading zeros, which one check
@@ -54,8 +54,11 @@ _SKIP_WHITESPACE = re.compile(rb"[ \t\n\r]*")
 # a member value opening two lists; group 1 is the outer "["
 _TABLE_START = re.compile(rb'":[ \t\n\r]*(\[)[ \t\n\r]*\[')
 # rows shorter than this many bytes, on average, are joined by one
-# bytes.replace, longer ones from one memoryview slice each
-_SLICED_ROW_BYTES = 128
+# bytes.replace, longer ones from one memoryview slice each: the measured
+# crossover, replace winning below about 80 bytes a row, slices above
+# about 120 (S6's 720x6 table 0.17 against 0.26 ms, its 720x720 table
+# 20.1 against 16.5 ms)
+_SLICED_ROW_BYTES = 100
 
 
 def _text(raw: bytes) -> str:
@@ -124,12 +127,11 @@ def _matrix(body, closes: np.ndarray) -> Optional[np.ndarray]:
 
 def _spaced_matrix(body: bytes) -> Optional[np.ndarray]:
     """_matrix of a table body with JSON whitespace between its tokens, as
-    `write_json` indents it.  Whitespace inside a number is refused, as
-    json refuses it: removing the whitespace must not join two numbers, so
-    the body's runs of digits are as many as the table's entries."""
+    `write_json` indents it, or around its outer brackets only.  Whitespace
+    inside a number is refused, as json refuses it: removing the whitespace
+    must not join two numbers, so the body's runs of digits are as many as
+    the table's entries."""
     packed = body.translate(None, _WHITESPACE)
-    if len(packed) == len(body):
-        return None
     table = _matrix(packed, np.flatnonzero(np.frombuffer(packed, dtype=np.uint8) == ord("]")))
     if table is None:
         return None
@@ -160,15 +162,15 @@ def _loads(raw: bytes):
     straight to an int64 array.
 
     A table is a member value opening two lists, compact or with JSON
-    whitespace between its tokens.  One scan of the "]" bytes finds every
-    table's end, the first "]" that another "]" follows after at most
-    whitespace, and every row boundary inside it; its size is its rows
-    times the entries of its first row, and a table too small even with
-    a row for every "]" after it is left to json before its end is found.
-    Each table that decodes is
-    swapped for a marker string, and only the text around those tables is
-    decoded; json parses it, smaller tables and tables that fail the
-    checks included, and the arrays go back in place of their markers.
+    whitespace between any of its tokens.  One scan of the "]" bytes
+    finds every table's end, the first "]" that another "]" follows after
+    at most whitespace, and every row boundary inside it; its size is its
+    rows times the entries of its first row, and a table too small even
+    with a row for every "]" after it is left to json before its end is
+    found.  Each table that decodes is swapped for a marker string, and
+    only the text around those tables is decoded; json parses it,
+    smaller tables and tables that fail the checks included, and the
+    arrays go back in place of their markers.
     Should that text fail to decode or parse, or a marker not come back
     exactly once as a member value, json decodes the whole text, so
     values and errors are those of json.loads alone.

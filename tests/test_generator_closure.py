@@ -85,6 +85,17 @@ def test_rows_too_wide_for_a_packed_key():
         assert generator_indices(shuffled) == looped_generator_indices(shuffled)
 
 
+@pytest.mark.parametrize("width", [17, 18, 20, 32])
+def test_rows_whose_radix_codes_wrap_to_one_uint64_are_told_apart(width):
+    # the base-width digits of 2**64 spell a map of width points whose
+    # radix code wraps to 0 in a uint64, the code of the constant map 0;
+    # a packed key at these widths would name it as that map
+    digits = [(2**64 // width**i) % width for i in range(width)]
+    assert sum(d * width**i for i, d in enumerate(digits)) == 2**64
+    rows = np.array([[0] * width, digits], dtype=np.int64)
+    assert generator_indices(rows) == looped_generator_indices(rows) == [0, 1]
+
+
 @st.composite
 def maps(draw):
     """Rows of maps on `width` points: powers of two random maps, so that
@@ -111,5 +122,6 @@ def maps(draw):
 @example(np.full((2, 16), 15, dtype=np.int64))  # the largest packed key, 2**64 - 1
 @example(np.array([[1, 0], [0, 1], [1, 0]], dtype=np.int64))
 @example(np.zeros((0, 3), dtype=np.int64))
+@example(np.zeros((2, 0), dtype=np.int64))
 def test_the_batched_closure_chooses_what_the_dict_loop_chose(rows):
     assert generator_indices(rows) == looped_generator_indices(rows)

@@ -335,7 +335,7 @@ def test_the_loader_reads_bytes_as_the_text_mode_read_gives_them(tmp_path, name)
                 data = _load_json(path)
             except InputError:
                 assert not decoded
-                return
+                continue
         assert _decoded(data) == (decoded and (entries == 1 or name == "an s5 table"))
 
 
@@ -462,6 +462,14 @@ INDENTED_FILES = {
         {"at"},
     ),
     "json.dump's default spacing": (json.dumps({"at": _square(32), "n": [1]}).encode(), {"at"}),
+    "whitespace around the outer brackets only": (
+        ('{"at": [ %s ]}' % json.dumps(_square(32), separators=(",", ":"))[1:-1]).encode(),
+        {"at"},
+    ),
+    "a newline before the closing bracket only": (
+        ('{"at":[%s\n]}' % json.dumps(_square(32), separators=(",", ":"))[1:-1]).encode(),
+        {"at"},
+    ),
     "a number split by a space": (_big_indented().replace("\n      17,", "\n      1 7,", 1).encode(), set()),
     "a number split by a newline": (_big_indented().replace("\n      17,", "\n      1\n7,", 1).encode(), set()),
     "a small table inside a string": (json.dumps({"s": '": [[1, 2], [3, 4]]', "at": _square(32)}).encode(), {"at"}),
