@@ -27,6 +27,9 @@ RELATION_UNIVERSE_BOUND = 256
 GATHER_BLOCK = 1 << 16
 # entries of a trace the `run` printer turns into text at once, so its memory stays flat
 PRINT_BLOCK = 1 << 16
+# bytes of a file the loader counts commas in at once, deciding whether it can hold a
+# table to decode; a large file stops at the first block that holds enough
+COMMA_BLOCK = 1 << 12
 # entries of a table (rows times its first row's) from which the loader decodes it
 # straight to an array; json parses smaller tables, and lists of them convert,
 # faster than numpy decodes them

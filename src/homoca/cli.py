@@ -229,7 +229,9 @@ def _print_trace(trace: np.ndarray, out) -> None:
     Rows go out in blocks of at most PRINT_BLOCK entries (or one row, if it
     is longer), so the printer's memory stays flat however long the trace.
     In a block each entry becomes a token, "v," inside a row and "v\\n" at
-    its end, looked up in one table over the states the block holds.
+    its end, looked up in one fixed-width bytes table over the states the
+    block holds; the NUL bytes padding the shorter tokens are dropped from
+    the gathered bytes at once.
     """
     rows = max(1, PRINT_BLOCK // trace.shape[1])
     for start in range(0, len(trace), rows):
@@ -238,9 +240,9 @@ def _print_trace(trace: np.ndarray, out) -> None:
         # depending on the NumPy version the inverse comes back flat or shaped
         codes = inverse.reshape(block.shape)
         codes[:, -1] += len(values)
-        states = [str(v) for v in values.tolist()]
-        tokens = np.array([v + "," for v in states] + [v + "\n" for v in states], dtype=object)
-        out.write("".join(tokens[codes].ravel().tolist()))
+        states = values.tolist()
+        tokens = np.array([b"%d," % v for v in states] + [b"%d\n" % v for v in states])
+        out.write(tokens[codes].tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def cmd_run(args) -> int:

@@ -20,8 +20,11 @@ group axioms, while composing maps is associative on any input, so
 commuting with the generators implies commuting with the whole scope.
 The step of an automaton is checked on neighbourhood windows
 (`check_step_equivariance`), which is exact at every size; a table is
-checked on the table (`check_equivariance`).  Only the collision search
-of `invert` past the bound is sampled.
+checked on the table (`check_equivariance`).  Past the bound `invert`
+first joins the windows that read the origin (`window_collision`): two
+configurations differing there alone with one image refute invertibility
+exactly.  Only when that join finds no pair is the collision search
+sampled (`sampled_collision`).
 """
 
 from __future__ import annotations
@@ -537,6 +540,98 @@ class NotInvertible:
     sampled: bool = False
 
 
+def window_collision(ca: SemiCellularAutomaton) -> Optional[tuple[list[int], list[int]]]:
+    """Two configurations that differ at the origin alone and have the
+    same image, or None.
+
+    Cell m's image digit reads only its window neighbor_cells[m], so two
+    such configurations, with states a < b at the origin, have the same
+    image exactly when every cell whose window holds the origin reads
+    the same rule entry from both.  The search is a join over those
+    windows in cell order: a row is a pair (a, b) and digits at the cells
+    the windows taken so far read; each window extends the rows by its
+    cells not met before and keeps the rows on which it reads equal
+    entries with a and with b.  Each row is extended only by the patterns
+    of the new cells that pass with it, so a failing row is never built.
+    Rows are uint8 digits while states fit one, and codes are int64.
+
+    The pair returned is the one whose first configuration, zero off the
+    joined cells, has the smallest code, compared digit by digit from the
+    highest cell down; of pairs sharing it, the one with the smaller b.
+    When a window would try more than MAX_RULE_TABLE extended rows, the
+    search gives up: None then says nothing, while None within the bound
+    says that no such pair exists.
+    """
+    q, origin = ca.states, ca.space.origin
+    rule, nc, _ = ca.kernel
+    dtype = np.min_scalar_type(q - 1)
+    # digits[j] is column j of the rows: a, b, then the joined cells in
+    # the order the windows met them
+    digits = np.array([(a, b) for a in range(q) for b in range(a + 1, q)], dtype=dtype).reshape(-1, 2).T
+    column = {origin: 0}
+    for window in nc[(nc == origin).any(axis=1)].tolist():
+        fresh = list(dict.fromkeys(c for c in window if c not in column))
+        width, k = len(digits), len(fresh)
+        if digits.shape[1] * q**k > MAX_RULE_TABLE:
+            return None
+        column.update(zip(fresh, range(width, width + k)))
+        # weight[j]: what a digit in column j adds to the window's rule code
+        weight = np.zeros(width + k, dtype=np.int64)
+        for i, c in enumerate(window):
+            weight[column[c]] += q**i
+        with_a = np.zeros(digits.shape[1], dtype=np.int64)
+        for j in np.flatnonzero(weight[:width]).tolist():
+            with_a += np.multiply(digits[j], weight[j], dtype=np.int64)
+        with_b = with_a + np.multiply(digits[1] - digits[0], weight[0], dtype=np.int64)
+        patterns = (np.arange(q**k) // weights(q, k)[:, None] % q).astype(dtype)
+        new = weight[width:] @ patterns
+        r, p = np.nonzero(rule[with_a[:, None] + new] == rule[with_b[:, None] + new])
+        digits = np.concatenate([digits[:, r], patterns[:, p]])
+    if not digits.shape[1]:
+        return None
+    # np.lexsort's last key is the primary one: the highest cell's digit
+    ordered = sorted(column)
+    best = digits[:, np.lexsort(digits[[1] + [column[c] for c in ordered]])[0]].tolist()
+    first = [0] * ca.space.cells
+    for c in ordered:
+        first[c] = best[column[c]]
+    second = list(first)
+    second[origin] = best[1]
+    return first, second
+
+
+def sampled_collision(ca: SemiCellularAutomaton, seed: int = SAMPLE_SEED) -> NotInvertible:
+    """The seeded collision search: a sampled refutation of invertibility,
+    or BoundError when it finds no collision.
+
+    Its SAMPLE_COUNT samples are stepped in one batch and grouped by image
+    with `first_alike`, and the witness is the first collision in sample
+    order.
+    """
+    space, q = ca.space, ca.states
+    total = config_count(space, q)
+    rng = random.Random(seed)
+    # codes past int64 are decoded as Python ints in an object array
+    dtype = np.int64 if total <= np.iinfo(np.int64).max else object
+    codes = np.array([rng.randrange(total) for _ in range(SAMPLE_COUNT)], dtype=dtype)
+    place = np.array([q**i for i in range(space.cells)], dtype=dtype)
+    configs = (codes[:, None] // place % q).astype(np.int64)
+    images = step_batch(ca, configs)
+    # sample i collides when its code differs from that of the first
+    # sample with its image; until the first collision, every sample
+    # with that image has the same code, so the pair is the first one
+    # met in sample order
+    earlier = first_alike(images, q)
+    colliding = np.flatnonzero(codes != codes[earlier])
+    if colliding.size:
+        i = int(colliding[0])
+        return NotInvertible(
+            {"colliding": [configs[earlier[i]].tolist(), configs[i].tolist()], "image": images[i].tolist()},
+            sampled=True,
+        )
+    raise BoundError("cannot certify invertibility beyond the table bound") from None
+
+
 def invert(
     ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None, seed: int = SAMPLE_SEED
 ) -> Union[SemiCellularAutomaton, NotInvertible]:
@@ -544,11 +639,14 @@ def invert(
 
     The step of a rotation-invariant rule is invertible exactly when it is
     bijective on configurations, and the inverse is itself the step of an
-    automaton, recovered by extraction.  Beyond the table bound only a
-    seeded collision search is possible: it can refute invertibility
-    (sampled witness) but not certify it.  Its SAMPLE_COUNT samples are
-    stepped in one batch and grouped by image with `first_alike`, and the
-    witness is the first collision in sample order.
+    automaton, recovered by extraction.  Beyond the table bound
+    invertibility can be refuted but not certified.  First
+    `window_collision` looks for two configurations differing at the
+    origin alone with the same image: a pair is an exact witness.  Only
+    when it finds none, or gives up at its bound, does the seeded search
+    `sampled_collision` run, whose witness is marked sampled and which
+    raises BoundError when it finds no collision either; `seed` seeds
+    that search alone.
     """
     space = ca.space
     sub = subgroup_or_whole(space, subgroup)
@@ -560,26 +658,11 @@ def invert(
     try:
         table = global_table(ca)
     except BoundError:
-        rng = random.Random(seed)
-        # codes past int64 are decoded as Python ints in an object array
-        dtype = np.int64 if total <= np.iinfo(np.int64).max else object
-        codes = np.array([rng.randrange(total) for _ in range(SAMPLE_COUNT)], dtype=dtype)
-        place = np.array([q**i for i in range(space.cells)], dtype=dtype)
-        configs = (codes[:, None] // place % q).astype(np.int64)
-        images = step_batch(ca, configs)
-        # sample i collides when its code differs from that of the first
-        # sample with its image; until the first collision, every sample
-        # with that image has the same code, so the pair is the first one
-        # met in sample order
-        earlier = first_alike(images, q)
-        colliding = np.flatnonzero(codes != codes[earlier])
-        if colliding.size:
-            i = int(colliding[0])
-            return NotInvertible(
-                {"colliding": [configs[earlier[i]].tolist(), configs[i].tolist()], "image": images[i].tolist()},
-                sampled=True,
-            )
-        raise BoundError("cannot certify invertibility beyond the table bound") from None
+        pair = window_collision(ca)
+        if pair is None:
+            return sampled_collision(ca, seed)
+        image = step_batch(ca, [pair[0]])[0]
+        return NotInvertible({"colliding": list(pair), "image": image.tolist()})
 
     inverse_table = table_inverse(table)
     if isinstance(inverse_table, tuple):

@@ -34,7 +34,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .automata import MAX_RULE_TABLE, SemiCellularAutomaton, closed_neighborhood
-from .bounds import TABLE_DECODE_ENTRIES
+from .bounds import COMMA_BLOCK, TABLE_DECODE_ENTRIES
 from .cellspace import CellSpace, CoordinateSystem, build_coordinate_system
 from .encoding import pattern_codes
 from .errors import InputError
@@ -156,6 +156,17 @@ def _table_ends(raw: bytes, chars: np.ndarray, closes: np.ndarray) -> tuple[np.n
     return closes[: after.size][end], after[end] + 1
 
 
+def _commas_reach(raw: bytes, count: int) -> bool:
+    """Does raw hold `count` commas or more?  They are counted COMMA_BLOCK
+    bytes at a time, so a large file stops at the block that gets there."""
+    seen = 0
+    for start in range(0, len(raw), COMMA_BLOCK):
+        if seen >= count:
+            break
+        seen += raw.count(b",", start, start + COMMA_BLOCK)
+    return seen >= count
+
+
 def _loads(raw: bytes):
     """json.loads of the text a file holding `raw` reads as, but each
     integer table of TABLE_DECODE_ENTRIES or more entries decodes
@@ -175,8 +186,8 @@ def _loads(raw: bytes):
     exactly once as a member value, json decodes the whole text, so
     values and errors are those of json.loads alone.
     """
-    # a table of TABLE_DECODE_ENTRIES entries spells at least a digit and a comma for each
-    match = _TABLE_START.search(raw) if len(raw) >= 2 * TABLE_DECODE_ENTRIES else None
+    # a table of N entries spells N - 1 commas, so a file with fewer has no table to decode
+    match = _TABLE_START.search(raw) if _commas_reach(raw, TABLE_DECODE_ENTRIES - 1) else None
     if match is None:
         return json.loads(_text(raw))
     chars = np.frombuffer(raw, dtype=np.uint8)

@@ -444,6 +444,33 @@ def test_invert_past_the_table_bound_reports_the_bound(capsys, tmp_path, expect_
     assert "verdicts" not in report and "automaton" not in report
 
 
+@pytest.mark.parametrize("expect_fail, expected", [(False, EXIT_VIOLATION), (True, EXIT_PASS)])
+def test_invert_past_the_table_bound_refutes_with_an_exact_pair(capsys, tmp_path, expect_fail, expected):
+    ca, path = _torus3_file(tmp_path, 7, symmetrize=True)
+    flags = ["--expect-fail"] if expect_fail else []
+    code, out = run_cli(capsys, "invert", path, *flags)
+    assert code == expected
+    report = report_of(out)
+    assert "bound_exceeded" not in report
+    [verdict] = report["verdicts"]
+    assert verdict["law"] == "invertible" and not verdict["ok"] and "sampled" not in verdict
+    a, b = verdict["witness"]["colliding"]
+    assert verdict["witness"]["verified"]
+    assert step_via_origin(ca, a) == step_via_origin(ca, b) == tuple(verdict["witness"]["image"])
+
+
+def test_the_invertibility_suite_past_the_bound_is_exact_for_every_seed(capsys, tmp_path):
+    _, path = _torus3_file(tmp_path, 7, symmetrize=True)
+    suites = []
+    for seed in (0, 1):
+        code, out = run_cli(capsys, "laws", path, "--suite", "invertibility", "--seed", str(seed))
+        assert code == EXIT_PASS
+        suites.append(report_of(out)["suites"]["invertibility"])
+    [verdict] = suites[0]["verdicts"]
+    assert verdict["law"] == "collision-witness" and verdict["ok"] and "sampled" not in verdict
+    assert suites[0]["invertible"] is False and suites[0] == suites[1]
+
+
 # ----------------------------------------------------------------- compose
 
 

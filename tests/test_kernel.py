@@ -36,6 +36,8 @@ from homoca.laws import (
     config_count,
     global_table,
     invert,
+    sampled_collision,
+    window_collision,
 )
 
 SPACES = bundled_spaces()
@@ -155,7 +157,7 @@ def _max_rule(space, states):
 @pytest.mark.parametrize("seed", [0, 1, 5, 99])
 def test_sampled_collision_witness_equals_the_scalar_loop(seed):
     ca = _max_rule(SPACES["torus"], 3)
-    result = invert(ca, seed=seed)
+    result = sampled_collision(ca, seed=seed)
     assert isinstance(result, NotInvertible) and result.sampled
     assert result.witness == reference_collision(ca, laws.SAMPLE_COUNT, seed)
 
@@ -165,7 +167,19 @@ def test_collision_search_without_a_collision_refuses_like_the_scalar_loop(seed)
     ca = _rule(SPACES["torus"], 3, 40 + seed, True, seeds=4)
     assert reference_collision(ca, laws.SAMPLE_COUNT, seed) is None
     with pytest.raises(BoundError):
-        invert(ca, seed=seed)
+        sampled_collision(ca, seed=seed)
+
+
+def test_invert_refutes_exactly_where_the_samples_found_no_collision():
+    # the rule of the refusal above at seed 0: two configurations that
+    # differ at the origin alone collide, which 1024 samples missed
+    ca = _rule(SPACES["torus"], 3, 40, True, seeds=4)
+    result = invert(ca, seed=0)
+    assert isinstance(result, NotInvertible) and not result.sampled
+    first = [0, 0, 2, 0, 2, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+    second = [2, 0, 2, 0, 2, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+    assert result.witness["colliding"] == [first, second] == list(window_collision(ca))
+    assert step_via_origin(ca, first) == step_via_origin(ca, second) == tuple(result.witness["image"])
 
 
 # ------------------------------------- window equivariance past the bound

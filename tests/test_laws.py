@@ -38,6 +38,7 @@ from homoca.laws import (
     extract,
     global_table,
     invert,
+    sampled_collision,
     shift_code_permutation,
 )
 
@@ -505,7 +506,7 @@ def test_sampled_refutation_beyond_the_table_bound(spaces):
     width = len(neighborhood)
     rule = tuple(max(decode(code, 3, width)) for code in range(3**width))
     ca_max = SemiCellularAutomaton(space, 3, neighborhood, rule)
-    result = invert(ca_max)
+    result = sampled_collision(ca_max)
     assert isinstance(result, NotInvertible)
     assert result.sampled
     a, b = (tuple(c) for c in result.witness["colliding"])

@@ -1,4 +1,5 @@
-"""The sampled collision search of `invert`, past the table bound.
+"""The sampled collision search past the table bound, `sampled_collision`,
+which `invert` runs when the window join finds no pair.
 
 The search decodes its seeded sample codes in one broadcast, steps them
 in one batch and groups the images with `first_alike`: one packed code
@@ -22,7 +23,14 @@ from homoca.automata import SemiCellularAutomaton, step_batch
 from homoca.catalog import bundled_spaces, cyclic_space, random_rule_automaton, torus_neighborhood
 from homoca.encoding import decode
 from homoca.errors import BoundError
-from homoca.laws import CONFIG_TABLE_BOUND, SAMPLE_COUNT, NotInvertible, config_count, first_alike, invert
+from homoca.laws import (
+    CONFIG_TABLE_BOUND,
+    SAMPLE_COUNT,
+    NotInvertible,
+    config_count,
+    first_alike,
+    sampled_collision,
+)
 
 TORUS = bundled_spaces()["torus"]
 
@@ -47,7 +55,7 @@ def looped_collision(ca, seed):
 
 def outcome(ca, seed):
     try:
-        return invert(ca, seed=seed)
+        return sampled_collision(ca, seed=seed)
     except BoundError:
         return "BoundError"
 

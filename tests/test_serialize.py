@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -493,6 +494,39 @@ def test_indented_tables_past_the_floor_decode_and_load_as_json_loads_them(tmp_p
         assert not decoded
         return
     assert {key for key, value in data.items() if isinstance(value, np.ndarray)} == decoded
+
+
+@pytest.mark.parametrize("rows, width", [(32, 32), (1, 1024), (1024, 1), (31, 33)])
+@pytest.mark.parametrize("separators", [(",", ":"), (", ", ": ")], ids=["compact", "spaced"])
+def test_a_file_whose_only_table_is_at_the_floor_decodes(tmp_path, rows, width, separators):
+    # a table of N entries spells N - 1 commas, and this file spells no
+    # others, so it has exactly as many as the loader's gate asks for
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"m": _square(rows, width)}, separators=separators))
+    assert path.read_bytes().count(b",") == rows * width - 1
+    data = _load_json(path)
+    assert isinstance(data["m"], np.ndarray) == (rows * width >= serialize.TABLE_DECODE_ENTRIES)
+    assert _plain(data) == json.loads(path.read_text())
+
+
+def test_a_table_after_a_long_comma_free_text_decodes(tmp_path):
+    # the commas are counted block by block: all of this table's lie past
+    # the first block
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"s": "x" * 3 * serialize.COMMA_BLOCK, "m": _square(32)}, separators=(",", ":")))
+    data = _load_json(path)
+    assert isinstance(data["m"], np.ndarray)
+    assert _plain(data) == json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 16])
+def test_commas_counted_in_blocks_reach_what_one_count_reaches(block):
+    rng = random.Random(block)
+    with mock.patch.object(serialize, "COMMA_BLOCK", block):
+        for size in (0, 1, 5, 19, 64):
+            raw = bytes(rng.choice(b",x]") for _ in range(size))
+            for count in range(-1, raw.count(b",") + 3):
+                assert serialize._commas_reach(raw, count) == (raw.count(b",") >= count), (raw, count)
 
 
 def _tables(data):
