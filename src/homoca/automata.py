@@ -9,14 +9,14 @@ is indexed by their mixed-radix packing.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bounds import MAX_RULE_TABLE, MAX_TRACE
 from .cellspace import CellSpace
-from .encoding import decode, encode, pattern_codes, weights
+from .encoding import decode, encode, pattern_codes, row_names, weights
 from .errors import BoundError, InputError, LawError
 from .groups import Subgroup
 from .verdict import Verdict
@@ -39,6 +39,8 @@ class SemiCellularAutomaton:
     ):
         if states < 1:
             raise InputError("need at least one state")
+        if states > np.iinfo(np.int64).max:
+            raise InputError(f"{states} states are past the int64 range")
         neighborhood = tuple(int(j) for j in neighborhood)
         if list(neighborhood) != sorted(set(neighborhood)):
             raise InputError("neighborhood must be sorted and duplicate-free")
@@ -148,13 +150,13 @@ def generator_indices(rows: np.ndarray) -> list[int]:
     # the identity, then every row; a map is named by the first of them
     # with its content, or by count + 1 when it is none of them.  inside
     # marks the names in the closure, and count + 1 too, so that a product
-    # that is no row is never followed
+    # that is no row is never followed.  Entries are digits below width
     known = np.concatenate([np.arange(width, dtype=rows.dtype)[None, :], rows])
-    names, find = _row_names(known)
+    names, find = row_names(known, width)
     inside = [True] + [False] * count + [True]
     chosen: list[int] = []
     moves: list[list[int]] = []
-    for k, name in enumerate(names[1:]):
+    for k, name in enumerate(names[1:].tolist()):
         if inside[name]:
             continue
         chosen.append(k)
@@ -173,50 +175,6 @@ def generator_indices(rows: np.ndarray) -> list[int]:
                         grown.append(move[e])
             frontier = grown
     return chosen
-
-
-@lru_cache(maxsize=64)
-def _radix(width: int) -> np.ndarray:
-    """width**i for each position i, as uint64; cached and frozen."""
-    radix = np.uint64(width) ** np.arange(width, dtype=np.uint64)
-    radix.setflags(write=False)
-    return radix
-
-
-def _row_names(known: np.ndarray):
-    """Each row of `known` named by the index of the first row equal to
-    it, as a list, and a lookup of maps, rows like those of known, that
-    names each the same way, or len(known) when it equals no row.
-
-    Each row gets one key: exact in a uint64 when its entries, below its
-    width, pack into 64 bits, and otherwise its bytes as one opaque value.
-    Sorting the keys orders equal rows together, in index order, so one
-    searchsorted names a whole batch."""
-    total, width = known.shape
-    if width**width <= 1 << 64:
-        radix = _radix(width)
-
-        def keys(maps: np.ndarray) -> np.ndarray:
-            return np.matmul(maps, radix, dtype=np.uint64, casting="unsafe")
-
-    else:
-        kind = np.dtype((np.void, known.dtype.itemsize * width))
-
-        def keys(maps: np.ndarray) -> np.ndarray:
-            return np.ascontiguousarray(maps).view(kind).ravel()
-
-    key = keys(known)
-    order = key.argsort(kind="stable")
-    ordered = key[order]
-
-    def find(maps: np.ndarray) -> np.ndarray:
-        key = keys(maps)
-        at = np.minimum(ordered.searchsorted(key), total - 1)
-        index = order[at]
-        index[ordered[at] != key] = total
-        return index
-
-    return order[ordered.searchsorted(key)].tolist(), find
 
 
 def rotation_position_maps(ca: SemiCellularAutomaton, members: Sequence[int]) -> np.ndarray:

@@ -4,6 +4,10 @@ A tuple (d_0, ..., d_{w-1}) with digits below `radix` is packed as
 sum(d_i * radix**i).  Local rules and whole configurations are both
 indexed this way, with positions in a fixed sorted order.
 
+This module alone decides how digits are stored, in the smallest
+unsigned type that holds radix - 1 (`digit_dtype`), and how a row of
+them is keyed (`row_names`).
+
 Re-indexing a local rule (rotating it by a stabilizer element, widening
 it to a closed neighborhood, conjugating it into other coordinates,
 composing two rules, projecting onto some positions) re-packs every
@@ -40,6 +44,11 @@ def weights(radix: int, width: int) -> np.ndarray:
     return radix ** np.arange(width, dtype=np.int64)
 
 
+def digit_dtype(radix: int) -> np.dtype:
+    """The smallest unsigned type that holds every digit below radix."""
+    return np.min_scalar_type(radix - 1)
+
+
 @lru_cache(maxsize=64)
 def digit_matrix(radix: int, width: int) -> np.ndarray:
     """All radix**width digit tuples as rows, row index == encoded value.
@@ -51,7 +60,7 @@ def digit_matrix(radix: int, width: int) -> np.ndarray:
     of at most radix**ceil(cells / 2) rows, times a weight matrix.
     """
     codes = np.arange(radix**width, dtype=np.int64)
-    out = np.empty((len(codes), width), dtype=np.uint8, order="F")
+    out = np.empty((len(codes), width), dtype=digit_dtype(radix), order="F")
     for i in range(width):
         out[:, i] = (codes // radix**i) % radix
     out.setflags(write=False)
@@ -66,7 +75,7 @@ def pattern_codes(radix: int, width: int, positions) -> np.ndarray:
     positions, entry [c, r] re-packs pattern c through row r.  So
     table[pattern_codes(...)] is a table over the width-digit patterns
     that reads each one's entry at the re-packed code.  The product is
-    taken in int64 explicitly, so uint8 digits never wrap, and on blocks
+    taken in int64 explicitly, so narrow digits never wrap, and on blocks
     of at most GATHER_BLOCK gathered digits, so the int64 copy the
     product makes of them is one block's, not the whole gather's: the
     peak stays near the result's size.
@@ -80,3 +89,40 @@ def pattern_codes(radix: int, width: int, positions) -> np.ndarray:
         block = slice(start, start + rows)
         np.matmul(digits[block, positions], w, dtype=np.int64, out=out[block])
     return out
+
+
+def row_names(rows: np.ndarray, radix: int):
+    """Each row of `rows`, an [N, width] array of digits below `radix`,
+    named by the index of the first row equal to it, as an array, and a
+    lookup that names each row of another array like rows the same way,
+    or N when it equals no row.
+
+    Each row gets one key: its code, exact in a uint64 while
+    radix**width fits 64 bits, and past that its bytes as one opaque
+    value.  Sorting the keys stably orders equal rows together, in index
+    order, so one searchsorted names a whole batch."""
+    total, width = rows.shape
+    if radix**width <= 1 << 64:
+        place = radix ** np.arange(width, dtype=np.uint64)
+
+        def keys(batch: np.ndarray) -> np.ndarray:
+            return np.matmul(batch, place, dtype=np.uint64, casting="unsafe")
+
+    else:
+        kind = np.dtype((np.void, rows.dtype.itemsize * width))
+
+        def keys(batch: np.ndarray) -> np.ndarray:
+            return np.ascontiguousarray(batch).view(kind).ravel()
+
+    key = keys(rows)
+    order = key.argsort(kind="stable")
+    ordered = key[order]
+
+    def find(batch: np.ndarray) -> np.ndarray:
+        key = keys(batch)
+        at = np.minimum(ordered.searchsorted(key), total - 1)
+        index = order[at]
+        index[ordered[at] != key] = total
+        return index
+
+    return order[ordered.searchsorted(key)], find

@@ -45,7 +45,7 @@ from .automata import (
 )
 from .bounds import CONFIG_TABLE_BOUND, MAX_RULE_TABLE, SAMPLE_COUNT
 from .cellspace import CellSpace, CoordinateSystem
-from .encoding import decode, digit_matrix, encode, pattern_codes, weights
+from .encoding import decode, digit_dtype, digit_matrix, encode, pattern_codes, row_names, weights
 from .errors import BoundError, EquivarianceError, InputError
 from .groups import Subgroup, require_group_action
 from .verdict import Verdict
@@ -60,7 +60,7 @@ def config_count(space: CellSpace, states: int) -> int:
 def _digit_sums(states: int, width: int, weight: np.ndarray) -> np.ndarray:
     """Row c: the digits of code c, `width` of them, times `weight`.  The
     product is taken in int64 explicitly: under NumPy 1's value-based
-    casting a uint8 digit times a small weight can stay uint8 and wrap."""
+    casting a narrow digit times a small weight can stay narrow and wrap."""
     return np.matmul(digit_matrix(states, width), weight, dtype=np.int64)
 
 
@@ -512,28 +512,6 @@ def table_inverse(table: np.ndarray) -> Union[np.ndarray, tuple[int, int, int]]:
     return inverse
 
 
-def first_alike(images: np.ndarray, states: int) -> np.ndarray:
-    """earlier[i]: the first row of images, an [N, cells] array of digits
-    below `states`, equal to row i.
-
-    Each row is packed into int64 codes of as many digits as one holds,
-    so into one code when states**cells fits, and the rows are sorted
-    stably on their codes: equal rows end up side by side, each run in
-    row order, so a run's first row is the first of its rows."""
-    count, cells = images.shape
-    span = 1
-    while states ** (span + 1) <= 1 << 63 and span < cells:
-        span += 1
-    codes = [images[:, a : a + span] @ weights(states, min(span, cells - a)) for a in range(0, cells, span)]
-    order = np.lexsort(codes[::-1])
-    ordered = np.array(codes)[:, order]
-    starts = np.ones(count, dtype=bool)
-    starts[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-    earlier = np.empty(count, dtype=np.intp)
-    earlier[order] = order[np.flatnonzero(starts)][np.cumsum(starts) - 1]
-    return earlier
-
-
 @dataclass(frozen=True)
 class NotInvertible:
     witness: dict
@@ -553,23 +531,31 @@ def window_collision(ca: SemiCellularAutomaton) -> Optional[tuple[list[int], lis
     cells not met before and keeps the rows on which it reads equal
     entries with a and with b.  Each row is extended only by the patterns
     of the new cells that pass with it, so a failing row is never built.
-    Rows are uint8 digits while states fit one, and codes are int64.
+    Rows hold digits in the type `digit_matrix` stores them in, the
+    patterns are read from it, and codes are int64.
 
     The pair returned is the one whose first configuration, zero off the
     joined cells, has the smallest code, compared digit by digit from the
     highest cell down; of pairs sharing it, the one with the smaller b.
-    When a window would try more than MAX_RULE_TABLE extended rows, the
-    search gives up: None then says nothing, while None within the bound
-    says that no such pair exists.
+    When no window holds the origin every pair collides, so only (0, 1)
+    is tried.  When the pairs (a, b), or a window's extended rows, would
+    number more than MAX_RULE_TABLE, the search gives up before building
+    them: None then says nothing, while None within the bound says that
+    no such pair exists.
     """
     q, origin = ca.states, ca.space.origin
     rule, nc, _ = ca.kernel
-    dtype = np.min_scalar_type(q - 1)
+    windows = nc[(nc == origin).any(axis=1)].tolist()
+    # pairs a < b < span: with no window holding the origin, (0, 1) is
+    # the pair returned
+    span = q if windows else min(q, 2)
+    if span * (span - 1) // 2 > MAX_RULE_TABLE:
+        return None
     # digits[j] is column j of the rows: a, b, then the joined cells in
     # the order the windows met them
-    digits = np.array([(a, b) for a in range(q) for b in range(a + 1, q)], dtype=dtype).reshape(-1, 2).T
+    digits = np.array(np.triu_indices(span, 1), dtype=digit_dtype(q))
     column = {origin: 0}
-    for window in nc[(nc == origin).any(axis=1)].tolist():
+    for window in windows:
         fresh = list(dict.fromkeys(c for c in window if c not in column))
         width, k = len(digits), len(fresh)
         if digits.shape[1] * q**k > MAX_RULE_TABLE:
@@ -583,7 +569,7 @@ def window_collision(ca: SemiCellularAutomaton) -> Optional[tuple[list[int], lis
         for j in np.flatnonzero(weight[:width]).tolist():
             with_a += np.multiply(digits[j], weight[j], dtype=np.int64)
         with_b = with_a + np.multiply(digits[1] - digits[0], weight[0], dtype=np.int64)
-        patterns = (np.arange(q**k) // weights(q, k)[:, None] % q).astype(dtype)
+        patterns = digit_matrix(q, k).T
         new = weight[width:] @ patterns
         r, p = np.nonzero(rule[with_a[:, None] + new] == rule[with_b[:, None] + new])
         digits = np.concatenate([digits[:, r], patterns[:, p]])
@@ -605,7 +591,7 @@ def sampled_collision(ca: SemiCellularAutomaton, seed: int = SAMPLE_SEED) -> Not
     or BoundError when it finds no collision.
 
     Its SAMPLE_COUNT samples are stepped in one batch and grouped by image
-    with `first_alike`, and the witness is the first collision in sample
+    with `row_names`, and the witness is the first collision in sample
     order.
     """
     space, q = ca.space, ca.states
@@ -621,7 +607,7 @@ def sampled_collision(ca: SemiCellularAutomaton, seed: int = SAMPLE_SEED) -> Not
     # sample with its image; until the first collision, every sample
     # with that image has the same code, so the pair is the first one
     # met in sample order
-    earlier = first_alike(images, q)
+    earlier, _ = row_names(images, q)
     colliding = np.flatnonzero(codes != codes[earlier])
     if colliding.size:
         i = int(colliding[0])

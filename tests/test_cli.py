@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from homoca.automata import SemiCellularAutomaton, shift, step, step_via_origin
-from homoca.catalog import identity_automaton, random_rule_automaton, torus_space
+from homoca.catalog import cyclic_space, identity_automaton, random_rule_automaton, torus_space
 from homoca.encoding import decode, encode
 from homoca.cli import EXIT_BOUND, EXIT_INPUT, EXIT_PASS, EXIT_VIOLATION, _print_trace, main
 from homoca.serialize import dump_automaton, load_automaton, write_json
@@ -426,6 +426,17 @@ def test_invert_expect_fail(capsys):
     assert code == EXIT_VIOLATION
 
 
+def test_invert_past_256_states_gives_the_inverse(capsys, tmp_path):
+    # 300 configurations, inside the table bound, with digits up to 299
+    path = tmp_path / "identity300.json"
+    write_json(path, dump_automaton(identity_automaton(cyclic_space(1), 300)))
+    out_path = tmp_path / "inverse.json"
+    code, out = run_cli(capsys, "invert", str(path), "--out", str(out_path))
+    assert code == EXIT_PASS
+    assert report_of(out)["verdicts"][0]["ok"]
+    assert load_automaton(str(out_path)).rule == tuple(range(300))
+
+
 def _torus3_identity_file(tmp_path):
     """The identity on the torus with 3 states: 3**16 configurations, past
     the table bound, and injective, so no sampled collision refutes it."""
@@ -469,6 +480,18 @@ def test_the_invertibility_suite_past_the_bound_is_exact_for_every_seed(capsys, 
     [verdict] = suites[0]["verdicts"]
     assert verdict["law"] == "collision-witness" and verdict["ok"] and "sampled" not in verdict
     assert suites[0]["invertible"] is False and suites[0] == suites[1]
+
+
+@pytest.mark.parametrize(
+    "command", [["run", "--config", "0,0,0,0"], ["laws"], ["invert"], ["validate"]], ids=lambda c: c[0]
+)
+def test_a_state_count_past_int64_is_an_input_error(capsys, tmp_path, command):
+    path = tmp_path / "huge.json"
+    write_json(path, {"space": fx("cyclic4_space.json"), "states": 10**30, "neighborhood": [], "delta": [5]})
+    code = main([command[0], str(path), *command[1:]])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_INPUT, "")
+    assert captured.err.startswith("input error: ") and "Traceback" not in captured.err
 
 
 # ----------------------------------------------------------------- compose

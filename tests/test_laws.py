@@ -386,6 +386,14 @@ def test_composition_table_is_outer_after_inner(spaces, automata):
     assert np.array_equal(global_table(swapped), global_table(inner)[global_table(outer)])
 
 
+def test_composing_identities_past_256_states_keeps_every_state():
+    # compose re-packs the inner rule's patterns, digits up to 299
+    ca = identity_automaton(cyclic_space(3), 300)
+    both = compose(ca, ca)
+    assert both.rule == tuple(range(300))
+    assert step(both, (280, 1, 2)) == (280, 1, 2)
+
+
 def test_composition_of_random_invariant_rules(spaces):
     rng = random.Random(23)
     space = spaces["cyclic4"]

@@ -90,6 +90,7 @@ def test_pattern_codes_equal_the_decode_encode_loop(case):
         (5, 4, [3, 2, 1, 0]),  # codes up to 624: a uint8 product would wrap
         (6, 4, [[3, 3, 3, 3], [0, 1, 2, 3]]),
         (6, 3, [2, 1, 0, 2]),  # more positions than digits: codes up to 6**4 - 1
+        (300, 2, [1, 0]),  # digits past 255: the swap, which uint8 digits would wrap
     ],
 )
 def test_pattern_codes_at_the_edges(radix, width, positions):

@@ -2,12 +2,12 @@
 which `invert` runs when the window join finds no pair.
 
 The search decodes its seeded sample codes in one broadcast, steps them
-in one batch and groups the images with `first_alike`: one packed code
-per image when states**cells fits int64, several codes per image
+in one batch and groups the images with `encoding.row_names`: one packed
+uint64 key per image when states**cells fits 64 bits, the image's bytes
 otherwise, sorted stably.  The oracles are the loop the batch replaced, a
 dict from image to the last configuration seen with it, walked in sample
-order, and the row grouping that `first_alike` replaced, `np.unique` over
-the image rows; both are kept verbatim.  The witness, or the refusal when
+order, and the row grouping that the packed keys replaced, `np.unique`
+over the image rows; both are kept verbatim.  The witness, or the refusal when
 no collision turns up, must be the loop's, and the first equal row of
 every image the row grouping's.
 """
@@ -21,14 +21,13 @@ from hypothesis import strategies as st
 
 from homoca.automata import SemiCellularAutomaton, step_batch
 from homoca.catalog import bundled_spaces, cyclic_space, random_rule_automaton, torus_neighborhood
-from homoca.encoding import decode
+from homoca.encoding import decode, row_names
 from homoca.errors import BoundError
 from homoca.laws import (
     CONFIG_TABLE_BOUND,
     SAMPLE_COUNT,
     NotInvertible,
     config_count,
-    first_alike,
     sampled_collision,
 )
 
@@ -96,7 +95,7 @@ def test_codes_past_int64_decode_as_the_dict_loop_does(rule):
 
 
 def row_grouping(images):
-    """first_alike as the search grouped its images, with np.unique over rows."""
+    """row_names as the search grouped its images, with np.unique over rows."""
     _, first, label = np.unique(images, axis=0, return_index=True, return_inverse=True)
     return first[label.ravel()]
 
@@ -104,7 +103,7 @@ def row_grouping(images):
 @st.composite
 def image_batches(draw):
     """Rows of digits, many of them repeats of earlier rows, some wide
-    enough that states**cells is past int64."""
+    enough that states**cells is past 64 bits."""
     states = draw(st.integers(2, 5))
     cells = draw(st.sampled_from([1, 2, 16, 39, 40, 63, 64, 65, 130]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -119,13 +118,13 @@ def image_batches(draw):
 @example((np.array([[1, 0], [0, 1], [1, 0], [0, 1]]), 2))
 @example((np.zeros((3, 64), dtype=np.int64), 2))
 @example((np.eye(70, dtype=np.int64)[[0, 5, 0, 69, 5]], 2))
-# equal on their first 63 cells, interleaved: only the second code tells them apart
+# equal on their first 63 cells, interleaved: rows past 64 bits are told apart by bytes
 @example((np.eye(70, dtype=np.int64)[[69, 68, 69, 68]], 2))
-# 2**64 in base 3 and 0: one code of 41 digits would wrap them to one int64
+# 2**64 in base 3 and 0: one code of 41 digits would wrap them to one uint64
 @example((np.array([list(decode(2**64, 3, 41)), [0] * 41, list(decode(2**64, 3, 41))]), 3))
 def test_packed_grouping_finds_what_the_row_grouping_found(batch):
     images, states = batch
-    assert np.array_equal(first_alike(images, states), row_grouping(images))
+    assert np.array_equal(row_names(images, states)[0], row_grouping(images))
 
 
 def unique_row_search(ca, seed):
@@ -152,11 +151,12 @@ def unique_row_search(ca, seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_searches_on_one_and_on_several_codes_agree_with_the_row_grouping(seed):
-    # 3**16 fits int64, one code per image; 2**64 does not, two codes
-    wide = cyclic_space(64)
-    assert config_count(wide, 2) > np.iinfo(np.int64).max
-    cases = _torus_rules(seed) + [
-        SemiCellularAutomaton(wide, 2, (0, 1), rule) for rule in ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 1, 0))
-    ]
+    # 3**16 and 2**64 images each pack into one uint64 key; 2**65 do
+    # not, and are keyed by their bytes
+    cases = _torus_rules(seed)
+    for cells in (64, 65):
+        wide = cyclic_space(cells)
+        assert config_count(wide, 2) > np.iinfo(np.int64).max
+        cases += [SemiCellularAutomaton(wide, 2, (0, 1), rule) for rule in ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 1, 0))]
     for ca in cases:
         assert outcome(ca, seed) == unique_row_search(ca, seed)

@@ -12,6 +12,7 @@ up at its bound, `invert` falls through to the seeded `sampled_collision`.
 """
 
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -35,6 +36,7 @@ from homoca.errors import BoundError
 from homoca.groups import LeftAction
 from homoca.laws import (
     CONFIG_TABLE_BOUND,
+    MAX_RULE_TABLE,
     NotInvertible,
     config_count,
     global_table,
@@ -207,6 +209,38 @@ def test_a_pair_past_int64_codes_is_found():
     pair = window_collision(ca)
     recheck(ca, pair)
     assert pair == ([0] * 64, [1] + [0] * 63)
+
+
+def test_past_the_pair_bound_the_join_gives_up_before_listing_pairs():
+    # 1449 * 1448 / 2 pairs (a, b) are just past the bound; listing them
+    # before the first window's check peaked at 131 MB
+    ca = identity_automaton(cyclic_space(1), 1449)
+    assert 1449 * 1448 // 2 > MAX_RULE_TABLE >= 1448 * 1447 // 2
+    ca.kernel  # the rule's arrays, built before tracing
+    tracemalloc.start()
+    try:
+        assert window_collision(ca) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # one state fewer, the pairs fit, and None says there is no pair
+    assert window_collision(identity_automaton(cyclic_space(1), 1448)) is None
+
+
+@pytest.mark.parametrize("states", [1, 2, 300, 2**40])
+def test_images_that_never_read_the_origin_give_the_first_pair(states):
+    # arity 0: every image is the rule's one entry, so any two
+    # configurations collide, however many states there are
+    ca = SemiCellularAutomaton(SPACES["cyclic4"], states, (), (0,))
+    pair = window_collision(ca)
+    if states == 1:
+        assert pair is None
+    else:
+        assert pair == ([0, 0, 0, 0], [1, 0, 0, 0])
+        recheck(ca, pair)
+    if config_count(ca.space, states) <= CONFIG_TABLE_BOUND:
+        assert scanned_collision(ca) == pair
 
 
 def _max_rule():
