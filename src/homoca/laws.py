@@ -13,18 +13,26 @@ A table is built once per automaton and kept on it read-only.
 `step_batch` serves batches of configurations: witnesses and the
 collision search past the bound.
 
+Identities between two steps are decided on neighbourhood windows, at
+every size and without a table: the step at a cell reads only its
+window, so two maps agree everywhere when they agree at each cell on
+every pattern of the cells either one reads (`window_difference`).
+Step equivariance (`check_step_equivariance`), coordinate independence
+(`step_difference`) and composition (`composition_difference`) are
+checked so, with the verdicts and witnesses the table comparisons give
+inside the bound; a map given only as a table is checked on the table
+(`check_equivariance`).
+
 Equivariance checks test generators of the symmetry scope only.  They
 are found by closing the shifts' cell maps under composition, not by
 multiplying in the group table: tables are loaded without checking the
 group axioms, while composing maps is associative on any input, so
 commuting with the generators implies commuting with the whole scope.
-The step of an automaton is checked on neighbourhood windows
-(`check_step_equivariance`), which is exact at every size; a table is
-checked on the table (`check_equivariance`).  Past the bound `invert`
-first joins the windows that read the origin (`window_collision`): two
-configurations differing there alone with one image refute invertibility
-exactly.  Only when that join finds no pair is the collision search
-sampled (`sampled_collision`).
+
+Past the bound `invert` first joins the windows that read the origin
+(`window_collision`): two configurations differing there alone with one
+image refute invertibility exactly.  Only when that join finds no pair
+is the collision search sampled (`sampled_collision`).
 """
 
 from __future__ import annotations
@@ -214,6 +222,119 @@ def check_equivariance(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> Ve
     return Verdict.passing("shift-equivariance")
 
 
+def window_difference(states: int, reads_a: np.ndarray, reads_b: np.ndarray, evaluate) -> Optional[list[int]]:
+    """The smallest configuration on which two maps differ, or None.
+
+    Map a gives cell m's digit from the digits at the cells reads_a[m],
+    map b from those at reads_b[m].  The two agree on every configuration
+    exactly when, at every cell, they agree on every pattern of its window
+    U, the cells either one reads there.  A configuration on which they
+    differ at m still differs with zeros off U, and that lowers its code,
+    so the smallest one is the smallest such configuration over all m,
+    compared digit by digit from the highest cell down.
+
+    A cell's placement says where each read falls in its window:
+    place_a[i] is the position of the cell reads_a[m, i], and place_b
+    likewise.  Which patterns differ depends only on the placement, so
+    cells that place their reads alike share one search.  A window lists
+    its cells in the order they are first read, not by cell index, so on
+    a space where both maps read alike at every cell, every cell shares
+    one placement.  evaluate(size, places_a, places_b) gets k placements
+    of windows of one size as rows, and gives both maps' digits as two
+    (states**size, k) arrays, one row per pattern of the window.  Only at
+    the cells that differ are the differing patterns put back into code
+    order, to find the smallest.  The first window past MAX_RULE_TABLE
+    patterns raises BoundError.
+    """
+    q = states
+    split = reads_a.shape[1]
+    reads = np.concatenate([reads_a, reads_b], axis=1)
+    row = np.arange(len(reads))[:, None]
+    order = np.argsort(reads, axis=1, kind="stable")
+    ordered = reads[row, order]
+    starts = np.ones(reads.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    # fresh[m, i]: reads[m, i] is the first read of its cell in row m, so
+    # row m's window is reads[m][fresh[m]]; a stable sort puts that read
+    # at the start of its cell's run, and first[m, i] is its column
+    fresh = np.zeros(reads.shape, dtype=bool)
+    fresh[row, order] = starts
+    run_start = np.maximum.accumulate(np.where(starts, np.arange(reads.shape[1]), 0), axis=1)
+    first = np.empty_like(order)
+    first[row, order] = order[row, run_start]
+    placed = (np.cumsum(fresh, axis=1) - 1)[row, first]
+    sizes = np.count_nonzero(fresh, axis=1).tolist()
+    keys = [place.tobytes() for place in placed]
+    # the first cell of each placement, by window size; a window past the
+    # bound is refused, at the first cell with one, before any search
+    by_size: dict[int, dict[bytes, int]] = {}
+    for m, (key, size) in enumerate(zip(keys, sizes)):
+        if key not in by_size.setdefault(size, {}):
+            if q**size > MAX_RULE_TABLE:
+                raise BoundError(f"{q}**{size} window patterns exceed the rule table bound")
+            by_size[size][key] = m
+    # placements of one size are searched together, in calls of at most
+    # MAX_RULE_TABLE patterns over all the placements a call serves
+    differing: dict[bytes, np.ndarray] = {}
+    for size, placements in by_size.items():
+        cells = list(placements.values())
+        batch = MAX_RULE_TABLE // q**size
+        for start in range(0, len(cells), batch):
+            rows = placed[cells[start : start + batch]]
+            got_a, got_b = evaluate(size, rows[:, :split], rows[:, split:])
+            bad = got_a != got_b
+            for j in np.flatnonzero(bad.any(axis=0)).tolist():
+                differing[rows[j].tobytes()] = digit_matrix(q, size)[bad[:, j]]
+    smallest: dict[tuple[bytes, bytes], list[int]] = {}
+    witness = None
+    for m, (key, size) in enumerate(zip(keys, sizes)):
+        if key in differing:
+            window = reads[m][fresh[m]]
+            # each window position's digit weighs as its cell does in a code
+            rank = window.argsort(kind="stable").argsort()
+            ranked = (key, rank.tobytes())
+            if ranked not in smallest:
+                codes = np.matmul(differing[key], weights(q, size)[rank], dtype=np.int64)
+                smallest[ranked] = differing[key][codes.argmin()].tolist()
+            config = [0] * len(reads)
+            for cell, digit in zip(window.tolist(), smallest[ranked]):
+                config[cell] = digit
+            if witness is None or config[::-1] < witness[::-1]:
+                witness = config
+    return witness
+
+
+def step_difference(a: SemiCellularAutomaton, b: SemiCellularAutomaton) -> Optional[list[int]]:
+    """The smallest configuration on which the steps of two automata on
+    the same cells and states differ, or None; exact at every size."""
+    q = a.states
+
+    def evaluate(size, places_a, places_b):
+        return a.rule_array[pattern_codes(q, size, places_a)], b.rule_array[pattern_codes(q, size, places_b)]
+
+    return window_difference(q, a.neighbor_cells, b.neighbor_cells, evaluate)
+
+
+def composition_difference(
+    combined: SemiCellularAutomaton, outer: SemiCellularAutomaton, inner: SemiCellularAutomaton
+) -> Optional[list[int]]:
+    """The smallest configuration on which the step of `combined` differs
+    from outer's step after inner's, or None; exact at every size.  At
+    cell m outer reads inner's digits at its cells, and each of those
+    reads its own cells, so the second map reads inner's window at every
+    cell of outer's."""
+    q, cells = combined.states, combined.space.cells
+    twice = inner.neighbor_cells[outer.neighbor_cells].reshape(cells, outer.arity * inner.arity)
+
+    def evaluate(size, places_combined, places_twice):
+        blocks = places_twice.reshape(len(places_twice), outer.arity, inner.arity)
+        inner_out = inner.rule_array[pattern_codes(q, size, blocks)]
+        twice_out = outer.rule_array[inner_out @ weights(q, outer.arity)]
+        return combined.rule_array[pattern_codes(q, size, places_combined)], twice_out
+
+    return window_difference(q, combined.neighbor_cells, twice, evaluate)
+
+
 def check_step_equivariance(ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None) -> Verdict:
     """Does the step commute with every translation in the scope?  Exact
     at every size, with the verdict and witness of check_equivariance on
@@ -221,66 +342,30 @@ def check_step_equivariance(ca: SemiCellularAutomaton, subgroup: Optional[Subgro
 
     For a generator row S, shifting and then stepping reads cell m's
     rule at the cells S[neighbor_cells[m]]; stepping and then shifting
-    reads it at neighbor_cells[S[m]].  The two steps agree on every
-    configuration exactly when, at every cell, the two reads agree on
-    every pattern of the window U that is the union of those cells.  A
-    configuration failing at m still fails with zeros off U, and that
-    lowers its code, so the witness is the smallest such configuration
-    over all m, compared digit by digit from the highest cell down.
-
-    Which patterns fail depends only on where each read falls in U, so
-    cells and generators that place their reads alike share the search.
-    Every cell's window and placement for a generator come from one pass
-    over the (cells, 2 * arity) array of reads (`_windows`), and only the
-    placements not met before are searched.  A window is the
+    reads it at neighbor_cells[S[m]].  `window_difference` compares the
+    two on each cell's window, the union of those cells, and gives the
+    smallest configuration on which they differ.  A window is the
     neighborhood's cells when the action table is an action, and at most
     twice as wide otherwise; the first one past MAX_RULE_TABLE patterns
     raises BoundError.
     """
     space = ca.space
     sub = subgroup_or_whole(space, subgroup)
-    q, arity = ca.states, ca.arity
+    q = ca.states
     rule, nc, _ = ca.kernel
     rows = shift_cells(space, sub.members)
-    first_bad: dict[bytes, Optional[np.ndarray]] = {}
+
+    def evaluate(size, shift_then_step, step_then_shift):
+        reads = rule[pattern_codes(q, size, np.stack([shift_then_step, step_then_shift], axis=1))]
+        return reads[..., 0], reads[..., 1]
+
     for k in generator_indices(rows):
         s = rows[k]
-        ordered, fresh, placed = _windows(np.concatenate([s[nc], nc[s]], axis=1))
-        witness = None
-        for m, (key, size) in enumerate(zip(placed, np.count_nonzero(fresh, axis=1).tolist())):
-            key = key.tobytes()
-            if key not in first_bad:
-                if q**size > MAX_RULE_TABLE:
-                    raise BoundError(f"{q}**{size} window patterns exceed the rule table bound")
-                # column 0 reads shift-then-step, column 1 step-then-shift
-                reads = rule[pattern_codes(q, size, placed[m].reshape(2, arity))]
-                bad = np.flatnonzero(reads[:, 0] != reads[:, 1])
-                first_bad[key] = digit_matrix(q, size)[bad[0]] if bad.size else None
-            if first_bad[key] is not None:
-                config = [0] * space.cells
-                for cell, digit in zip(ordered[m][fresh[m]].tolist(), first_bad[key].tolist()):
-                    config[cell] = digit
-                if witness is None or config[::-1] < witness[::-1]:
-                    witness = config
+        witness = window_difference(q, s[nc], nc[s], evaluate)
         if witness is not None:
             image, shifted_image = step_batch(ca, [witness, [witness[c] for c in s]])
             return _equivariance_failure(sub.members[k], witness, image[s].tolist(), shifted_image.tolist())
     return Verdict.passing("shift-equivariance")
-
-
-def _windows(reads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """np.unique with its inverse, for every row of reads in one pass: the
-    row sorted, a mask of the first of each run of equal cells in it, so
-    row m's window is ordered[m][fresh[m]], and each read's place in that
-    window, the rank of its run."""
-    row = np.arange(len(reads))[:, None]
-    order = np.argsort(reads, axis=1, kind="stable")
-    ordered = reads[row, order]
-    fresh = np.ones(reads.shape, dtype=bool)
-    fresh[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    placed = np.empty(reads.shape, dtype=np.intp)
-    placed[row, order] = np.cumsum(fresh, axis=1, dtype=np.intp) - 1
-    return ordered, fresh, placed
 
 
 def check_invariance_equivalence(ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None) -> Verdict:
@@ -320,7 +405,9 @@ def check_determination(
     same_map = bool(np.array_equal(gm.table, step_table))
     side_a = local.ok and same_map
 
-    equivariant = check_equivariance(gm, sub)
+    # on the step's own table the window check gives check_equivariance's
+    # verdict without building a shift permutation of the table
+    equivariant = check_step_equivariance(ca, sub) if same_map else check_equivariance(gm, sub)
     origin_ok = True
     origin_witness = None
     origin_weight = q ** space.origin
@@ -518,6 +605,21 @@ class NotInvertible:
     sampled: bool = False
 
 
+def _pairs(span: int, dtype: np.dtype) -> np.ndarray:
+    """Every pair a < b < span as a column of a (2, pairs) array of dtype,
+    in the order of np.triu_indices(span, 1), written in place: no index
+    array wider than dtype is built."""
+    pairs = np.empty((2, span * (span - 1) // 2), dtype=dtype)
+    states = np.arange(span, dtype=dtype)
+    start = 0
+    for a in range(span - 1):
+        end = start + span - 1 - a
+        pairs[0, start:end] = a
+        pairs[1, start:end] = states[a + 1 :]
+        start = end
+    return pairs
+
+
 def window_collision(ca: SemiCellularAutomaton) -> Optional[tuple[list[int], list[int]]]:
     """Two configurations that differ at the origin alone and have the
     same image, or None.
@@ -553,7 +655,7 @@ def window_collision(ca: SemiCellularAutomaton) -> Optional[tuple[list[int], lis
         return None
     # digits[j] is column j of the rows: a, b, then the joined cells in
     # the order the windows met them
-    digits = np.array(np.triu_indices(span, 1), dtype=digit_dtype(q))
+    digits = _pairs(span, digit_dtype(q))
     column = {origin: 0}
     for window in windows:
         fresh = list(dict.fromkeys(c for c in window if c not in column))

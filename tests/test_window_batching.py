@@ -1,9 +1,9 @@
 """Step equivariance on windows built for every cell at once.
 
-`check_step_equivariance` builds, for each generator, every cell's window
-and the places of its reads in one pass over the (cells, 2 * arity) array
-of reads.  The oracle is the check as it was, kept verbatim: one
-`np.unique` per cell.  Verdicts, witnesses and the refusal past the rule
+`check_step_equivariance` compares, for each generator, the two reads at
+every cell with `laws.window_difference`, which places every cell's reads
+in one pass and searches once per placement.  The oracle is the check as
+it was, kept verbatim: one `np.unique` per cell.  Verdicts, witnesses and the refusal past the rule
 table bound must be the loop's, on passing and failing random rules on
 every bundled space and the 3-state torus, and on tables that are not
 actions, whose windows can be wider than the neighborhood.
@@ -28,7 +28,7 @@ from homoca.cellspace import CellSpace, CoordinateSystem
 from homoca.encoding import digit_matrix, pattern_codes
 from homoca.errors import BoundError
 from homoca.groups import LeftAction
-from homoca.laws import _equivariance_failure, _windows, check_step_equivariance, shift_cells
+from homoca.laws import _equivariance_failure, check_step_equivariance, shift_cells
 from homoca.verdict import Verdict
 
 SPACES = bundled_spaces()
@@ -140,14 +140,3 @@ def test_a_window_past_the_rule_table_bound_is_refused_as_the_loop_refuses_it(mo
     assert "BoundError: 2**6 window patterns exceed the rule table bound" in outcomes
     assert False in outcomes
 
-
-@pytest.mark.parametrize("seed", range(20))
-def test_windows_are_np_unique_row_by_row(seed):
-    rng = np.random.default_rng(seed)
-    reads = rng.integers(0, int(rng.integers(1, 20)), size=(int(rng.integers(1, 12)), int(rng.integers(1, 10))))
-    ordered, fresh, placed = _windows(reads)
-    for m, row in enumerate(reads):
-        window, inverse = np.unique(row, return_inverse=True)
-        assert np.array_equal(ordered[m][fresh[m]], window)
-        assert np.array_equal(placed[m], inverse.ravel())
-        assert placed[m].dtype == np.intp

@@ -31,7 +31,7 @@ from homoca.catalog import (
     torus_neighborhood,
 )
 from homoca.cellspace import CellSpace, CoordinateSystem
-from homoca.encoding import decode
+from homoca.encoding import decode, digit_dtype
 from homoca.errors import BoundError
 from homoca.groups import LeftAction
 from homoca.laws import (
@@ -226,6 +226,28 @@ def test_past_the_pair_bound_the_join_gives_up_before_listing_pairs():
     assert peak < 1 << 20
     # one state fewer, the pairs fit, and None says there is no pair
     assert window_collision(identity_automaton(cyclic_space(1), 1448)) is None
+
+
+@pytest.mark.parametrize("span", [1, 2, 3, 7, 255, 256, 257, 300])
+def test_pairs_are_triu_indices_in_the_digit_type(span):
+    dtype = digit_dtype(span)
+    pairs = laws._pairs(span, dtype)
+    assert pairs.dtype == dtype
+    assert np.array_equal(pairs, np.triu_indices(span, 1))
+
+
+def test_pairs_peak_at_their_own_size():
+    # 1448 * 1447 / 2 uint16 pairs take 4 MB; np.triu_indices peaked at
+    # 21 MB building them, with its boolean mask and int64 indices
+    dtype = digit_dtype(1448)
+    tracemalloc.start()
+    try:
+        pairs = laws._pairs(1448, dtype)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pairs.shape == (2, 1448 * 1447 // 2) and pairs.dtype == np.uint16
+    assert peak < pairs.nbytes + (1 << 16)
 
 
 @pytest.mark.parametrize("states", [1, 2, 300, 2**40])
