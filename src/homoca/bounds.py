@@ -23,7 +23,8 @@ CONFIG_TABLE_BOUND = 1 << 16
 SAMPLE_COUNT = 1024
 # configurations a relation relates, the side of its boolean matrix; BoundError past it
 RELATION_UNIVERSE_BOUND = 256
-# digits pattern_codes gathers at once, so its int64 copy of them stays at 512 KiB
+# digits pattern_codes gathers at once, and rule codes window_collision computes at
+# once, so each int64 array of them stays at 512 KiB
 GATHER_BLOCK = 1 << 16
 # entries of a trace the `run` printer turns into text at once, so its memory stays flat
 PRINT_BLOCK = 1 << 16

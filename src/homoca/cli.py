@@ -3,7 +3,9 @@
 Subcommands: validate, run, laws, extract, invert, compose.  Reports are
 JSON on stdout (and optionally --out); with fixed inputs and seed the
 report bytes are identical across runs, so wall-clock timing goes to
-stderr instead of into the report.
+stderr instead of into the report.  Reports and --out files are spelled
+by `serialize.dumps`, as json spells them indented by two spaces with
+sorted keys.
 
 Exit codes: 0 all checks passed, 1 a law was violated, 2 malformed
 input, 3 an exhaustive bound was exceeded (including checks that had to
@@ -54,6 +56,7 @@ from .serialize import (
     automaton_on,
     detect_kind,
     dump_automaton,
+    dumps,
     global_map_on,
     load_action,
     load_automaton,
@@ -154,7 +157,7 @@ def _parse_subgroup(spec: Optional[str], group: FiniteGroup) -> Optional[Subgrou
 def _finish(report: RunReport, args, *, expected_fail: bool = False, out: str | None = None) -> int:
     # `out` duplicates the report; commands whose --out names an artifact
     # (extract, invert, compose) keep that file for the artifact instead.
-    payload = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+    payload = dumps(report.as_dict()) + "\n"
     sys.stdout.write(payload)
     if out:
         with open(out, "w") as fh:
@@ -265,8 +268,7 @@ def cmd_run(args) -> int:
             _input_record({"automaton": args.automaton}),
             extra={"trace": trace.tolist(), "steps": args.steps},
         )
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(args.out, report.as_dict())
     return EXIT_PASS
 
 

@@ -51,7 +51,7 @@ from .automata import (
     step_batch,
     subgroup_or_whole,
 )
-from .bounds import CONFIG_TABLE_BOUND, MAX_RULE_TABLE, SAMPLE_COUNT
+from .bounds import CONFIG_TABLE_BOUND, GATHER_BLOCK, MAX_RULE_TABLE, SAMPLE_COUNT
 from .cellspace import CellSpace, CoordinateSystem
 from .encoding import decode, digit_dtype, digit_matrix, encode, pattern_codes, row_names, weights
 from .errors import BoundError, EquivarianceError, InputError
@@ -620,6 +620,15 @@ def _pairs(span: int, dtype: np.dtype) -> np.ndarray:
     return pairs
 
 
+def _first(rows: np.ndarray, column: dict) -> np.ndarray:
+    """The index of the first of `rows`' columns, as `window_collision`
+    orders its pairs, in an array; an empty one when there are none.  The
+    order is total, so the first of the firsts of some blocks of rows is
+    the first of them all."""
+    # np.lexsort's last key is the primary one: the highest cell's digit
+    return np.lexsort(rows[[1] + [column[c] for c in sorted(column)]])[:1]
+
+
 def window_collision(ca: SemiCellularAutomaton) -> Optional[tuple[list[int], list[int]]]:
     """Two configurations that differ at the origin alone and have the
     same image, or None.
@@ -634,7 +643,8 @@ def window_collision(ca: SemiCellularAutomaton) -> Optional[tuple[list[int], lis
     entries with a and with b.  Each row is extended only by the patterns
     of the new cells that pass with it, so a failing row is never built.
     Rows hold digits in the type `digit_matrix` stores them in, the
-    patterns are read from it, and codes are int64.
+    patterns are read from it, and codes are int64, computed for a block
+    of rows at a time so that they stay within GATHER_BLOCK.
 
     The pair returned is the one whose first configuration, zero off the
     joined cells, has the smallest code, compared digit by digit from the
@@ -657,7 +667,9 @@ def window_collision(ca: SemiCellularAutomaton) -> Optional[tuple[list[int], lis
     # the order the windows met them
     digits = _pairs(span, digit_dtype(q))
     column = {origin: 0}
-    for window in windows:
+    for n, window in enumerate(windows):
+        if not digits.shape[1]:
+            return None
         fresh = list(dict.fromkeys(c for c in window if c not in column))
         width, k = len(digits), len(fresh)
         if digits.shape[1] * q**k > MAX_RULE_TABLE:
@@ -667,19 +679,28 @@ def window_collision(ca: SemiCellularAutomaton) -> Optional[tuple[list[int], lis
         weight = np.zeros(width + k, dtype=np.int64)
         for i, c in enumerate(window):
             weight[column[c]] += q**i
-        with_a = np.zeros(digits.shape[1], dtype=np.int64)
-        for j in np.flatnonzero(weight[:width]).tolist():
-            with_a += np.multiply(digits[j], weight[j], dtype=np.int64)
-        with_b = with_a + np.multiply(digits[1] - digits[0], weight[0], dtype=np.int64)
         patterns = digit_matrix(q, k).T
         new = weight[width:] @ patterns
-        r, p = np.nonzero(rule[with_a[:, None] + new] == rule[with_b[:, None] + new])
-        digits = np.concatenate([digits[:, r], patterns[:, p]])
+        # rows are joined in blocks whose codes, a row's with each new
+        # pattern, number at most GATHER_BLOCK; after the last window only
+        # each block's first row, as `_first` orders them, is kept
+        last = n == len(windows) - 1
+        size = max(1, GATHER_BLOCK // len(new))
+        kept = []
+        for start in range(0, digits.shape[1], size):
+            block = digits[:, start : start + size]
+            with_a = np.zeros(block.shape[1], dtype=np.int64)
+            for j in np.flatnonzero(weight[:width]).tolist():
+                with_a += np.multiply(block[j], weight[j], dtype=np.int64)
+            with_b = with_a + np.multiply(block[1] - block[0], weight[0], dtype=np.int64)
+            r, p = np.nonzero(rule[with_a[:, None] + new] == rule[with_b[:, None] + new])
+            rows = np.concatenate([block[:, r], patterns[:, p]])
+            kept.append(rows[:, _first(rows, column)] if last else rows)
+        digits = np.concatenate(kept, axis=1)
     if not digits.shape[1]:
         return None
-    # np.lexsort's last key is the primary one: the highest cell's digit
     ordered = sorted(column)
-    best = digits[:, np.lexsort(digits[[1] + [column[c] for c in ordered]])[0]].tolist()
+    best = digits[:, _first(digits, column)[0]].tolist()
     first = [0] * ca.space.cells
     for c in ordered:
         first[c] = best[column[c]]

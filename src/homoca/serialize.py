@@ -21,10 +21,17 @@ must be digits and single commas between its row brackets; its rows must
 hold one width and its entries no leading zeros, which one check
 decides: each row is as long as its decoded values' decimal lengths plus
 the commas between them.  `write_json` output stays indented.
+
+One writer, `dumps`, spells every file `write_json` writes and every
+report the CLI prints: the bytes json.dumps gives indented by two spaces
+with sorted keys, without json's pure-Python encoder, which an indent
+selects.  It raises json's exceptions for whatever json refuses, so a
+stray numpy scalar in a report still fails loudly.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 import os
@@ -59,6 +66,15 @@ _TABLE_START = re.compile(rb'":[ \t\n\r]*(\[)[ \t\n\r]*\[')
 # about 120 (S6's 720x6 table 0.17 against 0.26 ms, its 720x720 table
 # 20.1 against 16.5 ms)
 _SLICED_ROW_BYTES = 100
+
+# what `dumps` shares with json's encoder: its C string encoder, the
+# reprs json calls on int and float subclasses too, and the TypeError of
+# JSONEncoder.default for a value json cannot encode
+_quote = json.encoder.encode_basestring_ascii
+_repr_int = int.__repr__
+_repr_float = float.__repr__
+_INFINITY = float("inf")
+_refuse = json.JSONEncoder().default
 
 
 def _text(raw: bytes) -> str:
@@ -453,7 +469,122 @@ def detect_kind(data: dict) -> str:
     raise InputError("cannot tell what kind of file this is")
 
 
+def _float_text(value: float) -> str:
+    """A float as json writes it by default: its repr, or NaN, Infinity
+    and -Infinity."""
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return _repr_float(value)
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: a string, or the text of an int,
+    float, bool or None key quoted; TypeError for any other key."""
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, float):
+        return _quote(_float_text(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _quote(_repr_int(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _exact_ints(values) -> bool:
+    return {int}.issuperset(map(type, values))
+
+
+def _write(value, indent: str, out: list, open_ids: set) -> None:
+    """Append the text of `value` to `out`.  `indent` is "\\n" and the
+    indentation of the line `value` starts on; `open_ids` holds the ids of
+    the dicts and lists being written around it, which json calls a
+    circular reference when met again."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(_repr_int(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        # a list of exact ints, or of such lists, cannot hold itself
+        if _exact_ints(value):
+            out.append("[" + inner + ("," + inner).join(map(_repr_int, value)) + indent + "]")
+            return
+        if {list}.issuperset(map(type, value)) and _exact_ints(itertools.chain.from_iterable(value)):
+            deeper = inner + "  "
+            glue = "," + deeper
+            rows = [
+                "[" + deeper + glue.join(map(_repr_int, row)) + inner + "]" if row else "[]" for row in value
+            ]
+            out.append("[" + inner + ("," + inner).join(rows) + indent + "]")
+            return
+        _enter(value, open_ids)
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write(item, inner, out, open_ids)
+            separator = "," + inner
+        out.append(indent + "]")
+        open_ids.discard(id(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        _enter(value, open_ids)
+        inner = indent + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(separator + _key_text(key) + ": ")
+            _write(item, inner, out, open_ids)
+            separator = "," + inner
+        out.append(indent + "}")
+        open_ids.discard(id(value))
+    else:
+        _refuse(value)
+
+
+def _enter(value, open_ids: set) -> None:
+    if id(value) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(value))
+
+
+def dumps(data) -> str:
+    """What json.dumps gives for data indented by two spaces with sorted
+    keys, byte for byte, and its exceptions for what json refuses.
+
+    Indented, json runs its pure-Python encoder, which yields a piece per
+    token.  This writer keeps json's rules: strings through json's own C
+    `encode_basestring_ascii`, keys sorted and converted as json converts
+    them, floats as json writes them, and ints, their subclasses too, by
+    `int.__repr__`.  It saves the pieces: a list of exact ints is one
+    join, a list of such lists one join per row, and only dicts and other
+    lists recurse."""
+    out: list = []
+    _write(data, "\n", out, set())
+    return "".join(out)
+
+
 def write_json(path: Union[str, os.PathLike], data: dict) -> None:
+    """Write `data` to path as `dumps` spells it, with a final newline."""
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(dumps(data) + "\n")

@@ -228,6 +228,21 @@ def test_past_the_pair_bound_the_join_gives_up_before_listing_pairs():
     assert window_collision(identity_automaton(cyclic_space(1), 1448)) is None
 
 
+@pytest.mark.parametrize("rule, pair", [(range(1448), None), ((0,) * 1448, ([0], [1]))])
+def test_the_join_at_1448_states_peaks_near_its_pairs(rule, pair):
+    # the pairs take 4 MB; joining all of them at once held int64 codes and
+    # rule reads for every pair, and peaked at 46 MB
+    ca = SemiCellularAutomaton(cyclic_space(1), 1448, (0,), tuple(rule))
+    ca.kernel  # the rule's arrays, built before tracing
+    tracemalloc.start()
+    try:
+        assert window_collision(ca) == pair
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20
+
+
 @pytest.mark.parametrize("span", [1, 2, 3, 7, 255, 256, 257, 300])
 def test_pairs_are_triu_indices_in_the_digit_type(span):
     dtype = digit_dtype(span)
