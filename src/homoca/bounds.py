@@ -17,7 +17,9 @@ ACTION_CHECK_BLOCK = 1 << 20
 MAX_RULE_TABLE = 1 << 20
 # entries of a `run` trace (32 MiB of int64, and iterate keys as large); BoundError past it
 MAX_TRACE = 1 << 22
-# configurations in a global table, the domain of the exhaustive laws; BoundError past it
+# configurations in a global table, the domain of the exhaustive laws; BoundError past it.
+# Every code inside it fits 16 bits, so tables, shift permutations and inverse tables
+# are uint16 at most (encoding.digit_dtype of the configuration count)
 CONFIG_TABLE_BOUND = 1 << 16
 # configurations the seeded collision search of `invert` draws past CONFIG_TABLE_BOUND
 SAMPLE_COUNT = 1024

@@ -45,7 +45,9 @@ def weights(radix: int, width: int) -> np.ndarray:
 
 
 def digit_dtype(radix: int) -> np.dtype:
-    """The smallest unsigned type that holds every digit below radix."""
+    """The smallest unsigned type that holds every digit below radix.
+    With radix a configuration count it is the code type of the global
+    tables in `homoca.laws`."""
     return np.min_scalar_type(radix - 1)
 
 

@@ -13,6 +13,14 @@ A table is built once per automaton and kept on it read-only.
 `step_batch` serves batches of configurations: witnesses and the
 collision search past the bound.
 
+Tables, shift permutations and inverse tables hold codes in one code
+type, `digit_dtype(states**cells)`: uint8 up to 256 configurations and
+uint16 up to the bound, a quarter of int64's bytes or less.  They are
+composed with `take`, which gathers in that type, and arithmetic that
+can pass a code (a product with the configuration count, an entry moved
+down) widens first: in the code type it would wrap, or, with a Python
+int out of the type's range, raise under NumPy 2.
+
 Identities between two steps are decided on neighbourhood windows, at
 every size and without a table: the step at a cell reads only its
 window, so two maps agree everywhere when they agree at each cell on
@@ -72,12 +80,14 @@ def _digit_sums(states: int, width: int, weight: np.ndarray) -> np.ndarray:
     return np.matmul(digit_matrix(states, width), weight, dtype=np.int64)
 
 
-def _split_pack(states: int, weight: np.ndarray) -> np.ndarray:
+def _split_pack(states: int, weight: np.ndarray, dtype: np.dtype) -> np.ndarray:
     """sum(digit_j(c) * weight[j]) for every packed configuration c, as one
-    broadcast add of the sums over hi's digits and over lo's."""
+    broadcast add of the sums over hi's digits and over lo's.  The half
+    sums are small and cast to dtype before the add, so the full-length
+    result is built in dtype alone; dtype must hold every sum."""
     half = len(weight) // 2
-    high = _digit_sums(states, len(weight) - half, weight[half:])
-    low = _digit_sums(states, half, weight[:half])
+    high = _digit_sums(states, len(weight) - half, weight[half:]).astype(dtype)
+    low = _digit_sums(states, half, weight[:half]).astype(dtype)
     return (high[:, None] + low).ravel()
 
 
@@ -92,10 +102,12 @@ def global_table(ca: SemiCellularAutomaton) -> np.ndarray:
     is first taken on a small block, with one row per pattern of the
     window's high cells and one column per lo, and then gathered into the
     table, seen as a (hi, lo) array, by rows: one pass over the table per
-    cell, whatever the window's size.  The table is built once per
-    automaton, kept read-only in the automaton's `_global_table` slot and
-    returned from there on later calls; past the table bound every call
-    raises BoundError.
+    cell, whatever the window's size.  The table holds codes in the code
+    type, `digit_dtype(states**cells)`: uint8 up to 256 configurations
+    and uint16 up to the bound.  It is built once per automaton, kept
+    read-only in the automaton's `_global_table` slot and returned from
+    there on later calls; past the table bound every call raises
+    BoundError.
     """
     space = ca.space
     q, n = ca.states, space.cells
@@ -124,18 +136,17 @@ def global_table(ca: SemiCellularAutomaton) -> np.ndarray:
             depth = max(depth, len(rank))
         sums = _digit_sums(q, n - half, np.array(weight, dtype=np.int64))
         idx, low, high = sums[:, :n], sums[: q**half, n : 2 * n], sums[: q**depth, 2 * n :]
-        # every entry is below q**n, inside the table bound, so the terms
-        # are added in int32, at half the memory traffic of int64, and
-        # cast once at the end
-        terms = np.multiply(weights(q, n)[:, None], ca.rule_array, dtype=np.int32)
-        flat = np.zeros(q**n, dtype=np.int32)
+        # every term and every partial sum is below q**n, so the terms are
+        # added in the code type itself, at a quarter of int64's traffic or less
+        code_type = digit_dtype(q**n)
+        terms = (weights(q, n)[:, None] * ca.rule_array).astype(code_type)
+        flat = np.zeros(q**n, dtype=code_type)
         rows = flat.reshape(len(idx), len(low))
         for term, pattern, code, at in zip(terms, high.T[:, :, None], low.T, idx.T):
             # cell m's block, term[high[p] + low[lo]], gathered by rows
             rows += term.take(pattern + code).take(at, axis=0)
-        table = flat.astype(np.int64)
-        table.setflags(write=False)
-        ca._global_table = table
+        flat.setflags(write=False)
+        ca._global_table = flat
     return ca._global_table
 
 
@@ -147,22 +158,26 @@ def shift_cells(space: CellSpace, members: Sequence[int]) -> np.ndarray:
 
 
 def shift_code_permutation(space: CellSpace, g: int, states: int) -> np.ndarray:
-    """Translation by g as a permutation of packed configurations.  The
-    shifted configuration's digit at cell j is the digit at the cell it
-    reads, so each cell's digit carries the weight of every j reading it."""
+    """Translation by g as a permutation of packed configurations, in the
+    code type of `global_table`.  The shifted configuration's digit at
+    cell j is the digit at the cell it reads, so each cell's digit carries
+    the weight of every j reading it."""
     weight = np.zeros(space.cells, dtype=np.int64)
     np.add.at(weight, shift_cells(space, [g])[0], weights(states, space.cells))
-    return _split_pack(states, weight)
+    return _split_pack(states, weight, digit_dtype(states**space.cells))
 
 
 class GlobalMap:
-    """A function on configurations, as a table over packed configurations."""
+    """A function on configurations, as a table over packed configurations.
+
+    The table is kept in the code type of `global_table`,
+    `digit_dtype(states**cells)`.  Entries are range-checked in the type
+    they come in, and only then cast; a table already in the code type is
+    kept as it is, not copied, so a map of an automaton shares its
+    memoized read-only table."""
 
     def __init__(self, space: CellSpace, states: int, table):
-        try:
-            table = np.asarray(table, dtype=np.int64)
-        except OverflowError:
-            raise InputError("table entry out of range") from None
+        table = np.asarray(table)
         expected = config_count(space, states)
         if table.shape != (expected,):
             raise InputError(f"table has shape {table.shape}, expected ({expected},)")
@@ -170,7 +185,7 @@ class GlobalMap:
             raise InputError("table entry out of range")
         self.space = space
         self.states = states
-        self.table = table
+        self.table = table.astype(digit_dtype(expected), copy=False)
 
     @classmethod
     def from_automaton(cls, ca: SemiCellularAutomaton) -> "GlobalMap":
@@ -210,14 +225,14 @@ def check_equivariance(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> Ve
     for k in generator_indices(shift_cells(space, sub.members)):
         h = sub.members[k]
         perm = shift_code_permutation(space, h, q)
-        bad = np.flatnonzero(table[perm] != perm[table])
+        bad = np.flatnonzero(table.take(perm) != perm.take(table))
         if bad.size:
             code = int(bad[0])
             return _equivariance_failure(
                 h,
                 decode(code, q, space.cells),
-                decode(int(perm[table][code]), q, space.cells),
-                decode(int(table[perm][code]), q, space.cells),
+                decode(int(perm[table[code]]), q, space.cells),
+                decode(int(table[perm[code]]), q, space.cells),
             )
     return Verdict.passing("shift-equivariance")
 
@@ -402,7 +417,10 @@ def check_determination(
 
     local = is_cellular(ca, sub)
     step_table = global_table(ca)
-    same_map = bool(np.array_equal(gm.table, step_table))
+    # the two maps' origin digits can differ only where their tables do,
+    # so digits are read off those entries alone
+    differ = np.flatnonzero(gm.table != step_table)
+    same_map = not differ.size
     side_a = local.ok and same_map
 
     # on the step's own table the window check gives check_equivariance's
@@ -411,16 +429,16 @@ def check_determination(
     origin_ok = True
     origin_witness = None
     origin_weight = q ** space.origin
-    origin_digits = (gm.table // origin_weight) % q
-    step_origin = (step_table // origin_weight) % q
+    origin_digits = gm.table.take(differ) // origin_weight % q
+    step_origin = step_table.take(differ) // origin_weight % q
     bad = np.flatnonzero(origin_digits != step_origin)
     if bad.size:
         origin_ok = False
-        code = int(bad[0])
+        k = int(bad[0])
         origin_witness = {
-            "config": list(decode(code, q, space.cells)),
-            "map_origin_value": int(origin_digits[code]),
-            "rule_origin_value": int(step_origin[code]),
+            "config": list(decode(int(differ[k]), q, space.cells)),
+            "map_origin_value": int(origin_digits[k]),
+            "rule_origin_value": int(step_origin[k]),
         }
     side_b = equivariant.ok and origin_ok
 
@@ -535,19 +553,30 @@ def dependency_matrix(gm: GlobalMap) -> np.ndarray:
     images differ at a cell exactly when their XOR is nonzero in its
     field, so one OR over the XORs of all single-site changes at a source
     reads off every target it moves.
+
+    The spread table is seen as rows hi by columns lo, split as in
+    `global_table`.  A high digit is a digit of the row index, and the
+    codes it tells apart are whole rows apart; a low digit is one of the
+    column index, and is read off one transposed copy, where it too tells
+    whole rows apart.  So every XOR runs over runs of at least a row.
     """
     q, n = gm.states, gm.space.cells
     bits = (q - 1).bit_length()
     shifts = bits * np.arange(n, dtype=np.int64)
     spread = gm.table
     if q != 1 << bits:
-        spread = _split_pack(q, np.left_shift(1, shifts, dtype=np.int64))[spread]
+        fields = _split_pack(q, np.left_shift(1, shifts, dtype=np.int64), digit_dtype(1 << bits * n))
+        spread = fields.take(spread)
     changed = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        # codes as (higher digits, digit i, lower digits): axis 1 varies
-        # digit i alone, and entry 0 there holds the codes whose digit is 0
-        blocks = spread.reshape(q ** (n - 1 - i), q, q**i)
-        changed[i] = np.bitwise_or.reduce(blocks[:, 1:] ^ blocks[:, :1], axis=None)
+    half = n // 2
+    rows = spread.reshape(q ** (n - half), q**half)
+    for digits, first, count in ((np.ascontiguousarray(rows.T), 0, half), (rows, half, n - half)):
+        for j in range(count):
+            # rows as (higher digits, digit j, lower digits and a row's
+            # entries): axis 1 varies digit j alone, and entry 0 there
+            # holds the codes whose digit is 0
+            blocks = digits.reshape(q ** (count - 1 - j), q, -1)
+            changed[first + j] = np.bitwise_or.reduce(blocks[:, 1:] ^ blocks[:, :1], axis=None)
     return ((changed >> shifts[:, None]) & ((1 << bits) - 1)) != 0
 
 
@@ -576,7 +605,7 @@ def extract(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> SemiCellularA
 
     window_weights = weights(q, space.cells)[space.semi_table[space.origin, list(neighborhood)]]
     probes = np.matmul(digit_matrix(q, len(neighborhood)), window_weights, dtype=np.int64)
-    rule = table[probes] // q**space.origin % q
+    rule = table.take(probes) // q**space.origin % q
     ca = SemiCellularAutomaton(space, q, neighborhood, rule)
     if not np.array_equal(global_table(ca), table):
         require_group_action(space.action)
@@ -587,15 +616,23 @@ def extract(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> SemiCellularA
 def table_inverse(table: np.ndarray) -> Union[np.ndarray, tuple[int, int, int]]:
     """The inverse of a table over packed configurations, or, when two
     codes share an image, the codes (image, first, second) of the smallest
-    such image and its two smallest preimages."""
+    such image and its two smallest preimages.
+
+    The inverse, in the code type, is written by one scatter of every
+    code to its image.  Of the preimages of one image only one is kept,
+    so the codes that do not come back through it are exactly the other
+    preimages of the images that have more than one: the table is a
+    bijection when every code comes back, and the smallest image among
+    those that do not is the smallest shared one."""
     total = len(table)
-    counts = np.bincount(table, minlength=total)
-    if counts.max() > 1:
-        image = int(np.flatnonzero(counts > 1)[0])
+    codes = np.arange(total, dtype=digit_dtype(total))
+    inverse = np.empty(total, dtype=codes.dtype)
+    inverse[table] = codes
+    lost = inverse.take(table) != codes
+    if lost.any():
+        image = int(np.where(lost, table, total - 1).min())
         first, second = np.flatnonzero(table == image)[:2].tolist()
         return image, first, second
-    inverse = np.empty(total, dtype=np.int64)
-    inverse[table] = np.arange(total, dtype=np.int64)
     return inverse
 
 
@@ -784,7 +821,8 @@ def invert(
         require_group_action(space.action)
         raise
     back = global_table(inverse)
-    if not (np.array_equal(back[table], np.arange(total)) and np.array_equal(table[back], np.arange(total))):
+    codes = np.arange(total)
+    if not (np.array_equal(back.take(table), codes) and np.array_equal(table.take(back), codes)):
         require_group_action(space.action)
         raise AssertionError("inverse automaton fails the round trip")
     return inverse

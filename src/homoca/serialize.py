@@ -451,7 +451,7 @@ def dump_global_map(gm: GlobalMap) -> dict:
     return {
         "space": dump_space(gm.space),
         "states": gm.states,
-        "table": [int(x) for x in gm.table],
+        "table": gm.table.tolist(),
     }
 
 

@@ -327,8 +327,11 @@ def check_uniform_continuity(
         raise InputError("relations live on different universes")
     targets = continuity_assignments(gm, base.labels, depends)
     labeled = _first_index(cells for cells, _ in targets)
-    # flat position of (T x, T y) for each flat position of (x, y)
-    pulled = (gm.table[:, None] * total + gm.table).ravel()
+    # flat position of (T x, T y) for each flat position of (x, y); it
+    # runs past the code type (below total**2, while codes are below
+    # total), so the table is widened first
+    table = gm.table.astype(np.intp)
+    pulled = (table[:, None] * total + table).ravel()
     for r, ((cells, source), rel) in enumerate(zip(targets, base.relations)):
         if source in labeled:
             candidate = base.relations[labeled[source]]

@@ -16,7 +16,7 @@ from homoca.automata import SemiCellularAutomaton, shift, step, step_via_origin
 from homoca.catalog import cyclic_space, identity_automaton, random_rule_automaton, torus_space
 from homoca.encoding import decode, encode
 from homoca.cli import EXIT_BOUND, EXIT_INPUT, EXIT_PASS, EXIT_VIOLATION, _print_trace, main
-from homoca.serialize import dump_automaton, load_automaton, write_json
+from homoca.serialize import dump_automaton, dump_space, load_automaton, write_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -395,6 +395,40 @@ def test_extract_rejects_the_doctored_map_with_a_witness(capsys):
     failing = [v for v in report_of(out)["verdicts"] if not v["ok"]]
     assert failing[0]["law"] == "extraction-equivariance"
     assert "config" in failing[0]["witness"]
+
+
+def _identity17_globalmap(tmp_path, swap=False):
+    """The identity on cyclic_space(17) as a global map: 2**17 entries,
+    past the table bound; with `swap`, entries 1 and 2 exchanged."""
+    table = list(range(2**17))
+    if swap:
+        table[1], table[2] = table[2], table[1]
+    path = tmp_path / "identity17_globalmap.json"
+    write_json(path, {"space": dump_space(cyclic_space(17)), "states": 2, "table": table})
+    return str(path)
+
+
+def test_extract_past_the_table_bound_reports_the_bound(capsys, tmp_path):
+    # equivariance is checked on the table itself; the round trip needs
+    # the extracted automaton's table, past the bound
+    out_path = tmp_path / "extracted.json"
+    code, out = run_cli(capsys, "extract", _identity17_globalmap(tmp_path), "--out", str(out_path))
+    assert code == EXIT_BOUND
+    report = report_of(out)
+    assert report["bound_exceeded"] == "global tables beyond the exhaustive bound"
+    assert report["verdicts"] == [{"law": "extraction-equivariance", "ok": True}]
+    assert "automaton" not in report
+    assert not out_path.exists()
+
+
+def test_extract_past_the_table_bound_still_refutes_equivariance(capsys, tmp_path):
+    code, out = run_cli(capsys, "extract", _identity17_globalmap(tmp_path, swap=True))
+    assert code == EXIT_VIOLATION
+    report = report_of(out)
+    assert "bound_exceeded" not in report
+    [verdict] = report["verdicts"]
+    assert verdict["law"] == "extraction-equivariance" and not verdict["ok"]
+    assert verdict["witness"]["config"] == list(decode(1, 2, 17))
 
 
 # ------------------------------------------------------------------ invert

@@ -20,7 +20,7 @@ from homoca.catalog import (
     random_rule_automaton,
 )
 from homoca.cellspace import CellSpace
-from homoca.encoding import decode, digit_matrix, encode, weights
+from homoca.encoding import decode, digit_dtype, digit_matrix, encode, weights
 from homoca.errors import BoundError, EquivarianceError, InputError
 from homoca.groups import transporter
 from homoca.laws import (
@@ -108,7 +108,7 @@ def test_the_table_kernel_equals_both_oracles_on_random_rules(name, states, spac
     rng = random.Random(1000 * states + space.cells)
     for k, ca in enumerate(_random_rules(space, states, rng)):
         table = global_table(ca)
-        assert table.dtype == np.int64
+        assert table.dtype == digit_dtype(states**space.cells)
         assert np.array_equal(table, batch_table(ca))
         # one naive table on the 2**16 torus costs seconds; past 4096
         # configurations the smallest non-constant rule stands for the rest
@@ -142,7 +142,7 @@ def test_shift_code_permutation_equals_the_gather_form(name, states, spaces):
     space = spaces[name]
     for g in space.group.elements():
         perm = shift_code_permutation(space, g, states)
-        assert perm.dtype == np.int64
+        assert perm.dtype == digit_dtype(states**space.cells)
         assert np.array_equal(perm, old_shift_code_permutation(space, g, states))
 
 
@@ -178,7 +178,7 @@ def test_the_split_kernel_equals_both_oracles_on_odd_cyclic_spaces(cells, states
     for ca in _cyclic_rules(space, states):
         halves |= _window_halves(ca)
         table = global_table(ca)
-        assert table.dtype == np.int64
+        assert table.dtype == digit_dtype(states**cells)
         assert np.array_equal(table, batch_table(ca))
         assert table.tolist() == naive_table(ca)
     # windows reading nothing, only low cells, only high cells and both;
@@ -189,7 +189,7 @@ def test_the_split_kernel_equals_both_oracles_on_odd_cyclic_spaces(cells, states
         assert halves == {(False, False), (True, False), (False, True), (True, True)}
     for g in space.group.elements():
         perm = shift_code_permutation(space, g, states)
-        assert perm.dtype == np.int64
+        assert perm.dtype == digit_dtype(states**cells)
         assert np.array_equal(perm, old_shift_code_permutation(space, g, states))
 
 
