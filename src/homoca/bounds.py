@@ -11,8 +11,6 @@ the work is sampled or split into blocks, as each comment says.
 MAX_GROUP_ORDER = 5040
 # points of an action, so int32 act tables of order * points entries; InputError past it
 MAX_POINTS = 4096
-# entries per side of each block verify_action compares, so its two gathers stay small
-ACTION_CHECK_BLOCK = 1 << 20
 # entries of a rule table, a step window's patterns or a combined rule; BoundError past it
 MAX_RULE_TABLE = 1 << 20
 # entries of a `run` trace (32 MiB of int64, and iterate keys as large); BoundError past it
@@ -23,10 +21,14 @@ MAX_TRACE = 1 << 22
 CONFIG_TABLE_BOUND = 1 << 16
 # configurations the seeded collision search of `invert` draws past CONFIG_TABLE_BOUND
 SAMPLE_COUNT = 1024
-# configurations a relation relates, the side of its boolean matrix; BoundError past it
+# configurations a relation relates, the side of its boolean matrix; BoundError past it.
+# It also bounds the members of a prodiscrete base (2**cells agreement relations), which
+# outnumber the configurations only on one state
 RELATION_UNIVERSE_BOUND = 256
 # digits pattern_codes gathers at once, and rule codes window_collision computes at
-# once, so each int64 array of them stays at 512 KiB
+# once, so each int64 array of them stays at 512 KiB; also the entries per side of
+# each block the group sweeps compare (associativity in verify_group, compatibility
+# in verify_action), so their gathers stay small whatever the order
 GATHER_BLOCK = 1 << 16
 # entries of a trace the `run` printer turns into text at once, so its memory stays flat
 PRINT_BLOCK = 1 << 16

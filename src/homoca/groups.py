@@ -17,10 +17,12 @@ triple, and its verdict is computed once per group.  `verify_action`
 sweeps compatibility over the same generators when the table is a
 group: the elements compatible with every g2 and m are closed under
 products, so the first failing element is a generator and the witness
-is the full sweep's.  `Subgroup` checks closure on its block of the
-table, and the whole group as a subgroup is built and checked once per
-group; `inv` finds all inverses in one pass, and orbits, stabilizers,
-transporters and cosets are read off a column or a block of the tables.
+is the full sweep's.  Both sweeps compare their gathers a block of
+about GATHER_BLOCK entries at a time.  `Subgroup` checks closure on its
+block of the table, and the whole group as a subgroup is built and
+checked once per group; `inv` finds all inverses in one pass, and
+orbits, stabilizers, transporters and cosets are read off a column or a
+block of the tables.
 Results leave as Python ints, so reports and files never see numpy
 scalars.
 """
@@ -33,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bounds import ACTION_CHECK_BLOCK, MAX_GROUP_ORDER, MAX_POINTS
+from .bounds import GATHER_BLOCK, MAX_GROUP_ORDER, MAX_POINTS
 from .errors import InputError, LawError
 from .verdict import Verdict
 
@@ -297,8 +299,12 @@ def verify_group(group: FiniteGroup) -> Verdict:
     so if every generator passes, every element does.  A non-generator is
     a word in smaller generators, so the first failing a in label order is
     a generator, and the reported triple is the first failing one in
-    (a, b, c) order, as in a sweep over every element.  The verdict is
-    computed once per group (FiniteGroup.checked).
+    (a, b, c) order, as in a sweep over every element.  Each generator's
+    gathers are taken a block of rows b at a time, about GATHER_BLOCK
+    entries per side, so memory stays flat in the order; the blocks go in
+    increasing b, so the first failing block holds the first failing
+    (b, c) and the witness is the same.  The verdict is computed once per
+    group (FiniteGroup.checked).
     """
     return group.checked[0]
 
@@ -320,14 +326,20 @@ def _check_group(group: FiniteGroup) -> tuple[Verdict, tuple[int, ...]]:
         return Verdict.failing("group-inverses", {"element": int(missing[0])}), ()
 
     generators = tuple(magma_generators(group))
+    # a block of rows b at a time, about GATHER_BLOCK entries per side
+    block = max(1, GATHER_BLOCK // n)
     for a in generators:
-        # (a*b)*c != a*(b*c) at [b, c]
-        differs = np.take(mul, mul[a], axis=0) != np.take(mul[a], mul)
-        if differs.any():
-            b, c = map(int, np.argwhere(differs)[0])
-            left, right = int(mul[mul[a, b], c]), int(mul[a, mul[b, c]])
-            witness = {"triple": [a, b, c], "(a*b)*c": left, "a*(b*c)": right}
-            return Verdict.failing("group-associativity", witness), generators
+        row_a = mul[a]
+        for start in range(0, n, block):
+            bs = slice(start, start + block)
+            # (a*b)*c != a*(b*c) at [b - start, c]
+            differs = np.take(mul, row_a[bs], axis=0) != np.take(row_a, mul[bs])
+            if differs.any():
+                i, c = map(int, np.argwhere(differs)[0])
+                b = start + i
+                left, right = int(mul[mul[a, b], c]), int(mul[a, mul[b, c]])
+                witness = {"triple": [a, b, c], "(a*b)*c": left, "a*(b*c)": right}
+                return Verdict.failing("group-associativity", witness), generators
     return Verdict.passing("group-axioms"), generators
 
 
@@ -342,7 +354,9 @@ def verify_action(action: LeftAction) -> Verdict:
     a.((b*g2).m) = a.(b.(g2.m)) = (a*b).(g2.m).  So if every generator
     passes, every element does; the first failing g in label order is a
     generator, and the witness is the full sweep's.  On any other table
-    every element is swept, a block at a time.
+    every element is swept.  Either way the elements go a block at a time,
+    about GATHER_BLOCK entries per side, in increasing order, so the first
+    failing block holds the first failing (g, g2, m).
     """
     group = action.group
     act = action.act
@@ -356,8 +370,8 @@ def verify_action(action: LeftAction) -> Verdict:
 
     verdict, generators = group.checked
     swept = np.array(generators, dtype=np.int64) if verdict.ok else np.arange(group.order)
-    # a block of elements g at a time, about ACTION_CHECK_BLOCK entries per side
-    block = max(1, ACTION_CHECK_BLOCK // act.size)
+    # a block of elements g at a time, about GATHER_BLOCK entries per side
+    block = max(1, GATHER_BLOCK // act.size)
     for start in range(0, swept.size, block):
         gs = swept[start : start + block]
         left = np.take(act, mul[gs], axis=0)  # left[i, g2, m] = (g*g2) . m for g = gs[i]

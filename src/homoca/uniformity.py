@@ -5,7 +5,8 @@ dense boolean matrices; the prodiscrete base consists of the agreement
 relations E(K) = "equal on the cell set K".  Everything here is bounded
 by RELATION_UNIVERSE_BOUND configurations (see `homoca.bounds`) so
 relations stay explicit: `agreement_relation` and
-`check_uniform_continuity` raise BoundError past it.
+`check_uniform_continuity` raise BoundError past it, and
+`prodiscrete_base` past it in configurations or in members.
 
 The base checks run on a base as one stacked (R, N, N) array, and on
 its members packed into bit rows, one row of N*N bits per member: meets
@@ -231,11 +232,18 @@ def check_agreement_intersection(base: EntourageBase) -> Verdict:
     return Verdict.passing("agreement-intersection")
 
 
-def agreement_relation(space: CellSpace, states: int, cells: Sequence[int]) -> Relation:
-    """E(K): configuration pairs that agree on every cell of K."""
+def _relation_universe(space: CellSpace, states: int) -> int:
+    """The configuration count, which a relation matrix is the square of;
+    BoundError past the relation bound."""
     total = config_count(space, states)
     if total > RELATION_UNIVERSE_BOUND:
         raise BoundError(f"{total} configurations exceed the relation bound")
+    return total
+
+
+def agreement_relation(space: CellSpace, states: int, cells: Sequence[int]) -> Relation:
+    """E(K): configuration pairs that agree on every cell of K."""
+    total = _relation_universe(space, states)
     digits = digit_matrix(states, space.cells)
     cells = sorted(set(int(c) for c in cells))
     for c in cells:
@@ -249,8 +257,16 @@ def agreement_relation(space: CellSpace, states: int, cells: Sequence[int]) -> R
 
 
 def prodiscrete_base(space: CellSpace, states: int) -> EntourageBase:
-    """All agreement relations E(K), K over every subset of the cells;
-    past the relation bound the first agreement_relation raises BoundError."""
+    """All agreement relations E(K), K over every subset of the cells.
+
+    BoundError, before any member is built, past the relation bound in
+    configurations or in members: 2**cells of them, which outnumber the
+    configurations only on one state, where the base checks would meet
+    every pair of them.
+    """
+    _relation_universe(space, states)
+    if 1 << space.cells > RELATION_UNIVERSE_BOUND:
+        raise BoundError(f"{1 << space.cells} agreement relations exceed the relation bound")
     labels = []
     relations = []
     for mask in range(1 << space.cells):
@@ -320,9 +336,7 @@ def check_uniform_continuity(
     """
     if base.labels is None:
         raise InputError("continuity needs the agreement-labeled base")
-    total = config_count(gm.space, gm.states)
-    if total > RELATION_UNIVERSE_BOUND:
-        raise BoundError(f"{total} configurations exceed the relation bound")
+    total = _relation_universe(gm.space, gm.states)
     if any(r.size != total for r in base.relations):
         raise InputError("relations live on different universes")
     targets = continuity_assignments(gm, base.labels, depends)

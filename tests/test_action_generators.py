@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homoca.groups as groups
-from homoca.bounds import ACTION_CHECK_BLOCK
+from homoca.bounds import GATHER_BLOCK
 from homoca.catalog import group_from_permutations
 from homoca.cli import validate_source
 from homoca.errors import LawError
@@ -47,7 +47,7 @@ def sweep_verify_action(action: LeftAction) -> Verdict:
         m = int(bad[0])
         return Verdict.failing("action-identity", {"point": m, "e*m": int(act[e][m])})
 
-    block = max(1, ACTION_CHECK_BLOCK // act.size)
+    block = max(1, GATHER_BLOCK // act.size)
     for start in range(0, group.order, block):
         gs = np.arange(start, min(start + block, group.order))
         left = np.take(act, mul[gs], axis=0)
@@ -164,6 +164,16 @@ def test_tables_that_are_not_groups_get_the_full_sweep(action):
     if verify_group(action.group).ok:
         return  # the changed products happened to leave a group
     assert verify_action(action) == sweep_verify_action(action)
+
+
+@settings(deadline=None)
+@given(st.one_of(damaged_actions(), non_groups()), st.integers(1, 200))
+def test_small_blocks_give_the_full_sweeps_verdict(action, entries):
+    # a block of one element up to a few, the last one short: the first
+    # failing block still holds the first failing (g, g2, m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groups, "GATHER_BLOCK", entries)
+        assert verify_action(action) == sweep_verify_action(action)
 
 
 def test_a_failure_at_a_non_generator_is_found_when_the_table_is_not_a_group():

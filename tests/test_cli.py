@@ -325,6 +325,21 @@ def test_laws_torus_reports_bounds_not_failures(capsys):
     assert report["suites"]["uniformity"]["bound_exceeded"] == "65536 configurations exceed the relation bound"
 
 
+def test_laws_uniformity_on_one_state_past_eight_cells_is_bounded(capsys, tmp_path):
+    # one configuration, but 2**16 agreement relations: the base is refused
+    # before any member is built, not met pair by pair
+    data = json.loads(Path(fx("torus_or.json")).read_text())
+    data["states"] = 1
+    data["delta"] = [0]
+    path = tmp_path / "one_state.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "laws", str(path), "--suite", "uniformity")
+    assert code == EXIT_BOUND
+    suite = report_of(out)["suites"]["uniformity"]
+    assert suite["bound_exceeded"] == "65536 agreement relations exceed the relation bound"
+    assert all(v["ok"] for v in suite["verdicts"])
+
+
 def test_laws_output_is_byte_deterministic(capsys):
     _, first = run_cli(capsys, "laws", fx("square_or.json"), "--seed", "7")
     _, second = run_cli(capsys, "laws", fx("square_or.json"), "--seed", "7")

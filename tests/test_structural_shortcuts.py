@@ -8,7 +8,8 @@ the scope before scanning all members, `check_step_equivariance` decides
 the same on neighbourhood windows without a table, and
 `dependency_matrix` finds every dependency set from one OR per source
 cell over images spread into bit fields.  In the group layer,
-`verify_group` sweeps associativity over magma generators only, and
+`verify_group` sweeps associativity over magma generators only, a
+block of rows at a time (shrunk below to a few rows), and
 `Subgroup` and `FiniteGroup.inv` check the table with numpy.  The
 oracles below are the plain forms without those shortcuts; full verdicts,
 witnesses and error messages included, must agree.
@@ -16,6 +17,7 @@ witnesses and error messages included, must agree.
 
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import homoca.groups as groups
 from homoca.automata import SemiCellularAutomaton, closed_neighborhood
 from homoca.catalog import bundled_automata, bundled_spaces, cyclic_space, random_rule_automaton
 from homoca.cellspace import CellSpace, CoordinateSystem
@@ -888,6 +891,65 @@ def test_arbitrary_tables_agree_with_the_triple_sweep(n, data):
             group.inv
     else:
         assert group.inv == expected
+
+
+def _fresh(group):
+    """An equal group with nothing cached, so verify_group sweeps again."""
+    return FiniteGroup(group.order, group.mul, group.identity)
+
+
+# entries per block: one row b at a time, then blocks of a few rows, the
+# last one short
+BLOCKS = [1, 17, 50]
+
+
+@pytest.mark.parametrize("entries", BLOCKS)
+def test_small_blocks_agree_with_the_triple_sweep_on_loops(monkeypatch, entries):
+    monkeypatch.setattr(groups, "GATHER_BLOCK", entries)
+    past_the_first_block = 0
+    for loop in LOOPS:
+        expected = sweep_verify_group(loop)
+        assert verify_group(_fresh(loop)) == expected
+        if not expected.ok:
+            rows = max(1, entries // loop.order)
+            past_the_first_block += expected.witness["triple"][1] >= rows
+    assert past_the_first_block
+
+
+@pytest.mark.parametrize("entries", BLOCKS)
+def test_groups_in_small_blocks_agree_with_the_triple_sweep(monkeypatch, entries):
+    monkeypatch.setattr(groups, "GATHER_BLOCK", entries)
+    for group in GROUPS.values():
+        assert verify_group(_fresh(group)) == Verdict.passing("group-axioms")
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 5), entries=st.integers(1, 30), data=st.data())
+def test_arbitrary_tables_in_small_blocks_agree_with_the_triple_sweep(n, entries, data):
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    mul = data.draw(st.lists(row, min_size=n, max_size=n))
+    e = data.draw(st.integers(0, n - 1))
+    for a in range(n):
+        mul[e][a] = mul[a][e] = a
+    group = FiniteGroup(n, mul, e)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groups, "GATHER_BLOCK", entries)
+        assert verify_group(group) == sweep_verify_group(group)
+
+
+def test_verify_group_takes_less_memory_than_the_table():
+    n = 1024
+    group = FiniteGroup(n, (np.arange(n)[:, None] + np.arange(n)) % n, 0)
+    tracemalloc.start()
+    try:
+        verdict = verify_group(group)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.ok
+    # the int32 table is 4 MiB; the inverse check's two n x n bools take
+    # 2 MiB, and each associativity block about 1 MiB
+    assert peak < group.mul.nbytes
 
 
 def test_inverses_are_the_first_two_sided_ones():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from homoca.catalog import cyclic_space, identity_automaton, or_automaton
-from homoca.errors import InputError
+from homoca.errors import BoundError, InputError
 from homoca.laws import GlobalMap, NotInvertible, dependency_matrix, invert
 from homoca.uniformity import (
     RELATION_UNIVERSE_BOUND,
@@ -121,6 +121,19 @@ def test_agreement_intersection_is_agreement_on_the_union(cells):
         for k2, r2 in lookup.items():
             merged = tuple(sorted(set(k1) | set(k2)))
             assert r1.intersect(r2) == lookup[merged]
+
+
+def test_one_state_bases_past_the_bound_are_refused_before_any_member():
+    # one configuration, but 2**cells members: 256 fit the bound, 512 do not
+    assert len(prodiscrete_base(cyclic_space(8), 1).relations) == RELATION_UNIVERSE_BOUND
+    with pytest.raises(BoundError, match="^512 agreement relations exceed the relation bound$"):
+        prodiscrete_base(cyclic_space(9), 1)
+    # with two states the configurations outnumber the members and are named first
+    with pytest.raises(BoundError, match="^512 configurations exceed the relation bound$"):
+        prodiscrete_base(cyclic_space(9), 2)
+    verdict = check_uniform_isomorphism(GlobalMap.from_automaton(identity_automaton(cyclic_space(9), 1)))
+    assert verdict.ok
+    assert verdict.witness["relationally_verified"] is False
 
 
 def test_agreement_relations_are_equivalences():
