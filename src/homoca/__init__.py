@@ -80,6 +80,7 @@ from .uniformity import (
     Relation,
     agreement_relation,
     check_agreement_intersection,
+    check_continuity_window,
     check_uniform_continuity,
     check_uniform_isomorphism,
     check_uniformity_base,

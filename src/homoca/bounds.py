@@ -28,7 +28,9 @@ RELATION_UNIVERSE_BOUND = 256
 # digits pattern_codes gathers at once, and rule codes window_collision computes at
 # once, so each int64 array of them stays at 512 KiB; also the entries per side of
 # each block the group sweeps compare (associativity in verify_group, compatibility
-# in verify_action), so their gathers stay small whatever the order
+# in verify_action), so their gathers stay small whatever the order, and the entries
+# of each block of a uniformity check (64-bit words of meets, matrix entries of
+# squares and of pullbacks), so no temporary holds a whole stacked base
 GATHER_BLOCK = 1 << 16
 # entries of a trace the `run` printer turns into text at once, so its memory stays flat
 PRINT_BLOCK = 1 << 16

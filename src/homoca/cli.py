@@ -68,6 +68,7 @@ from .serialize import (
 )
 from .uniformity import (
     check_agreement_intersection,
+    check_continuity_window,
     check_uniform_continuity,
     check_uniform_isomorphism,
     check_uniformity_base,
@@ -417,15 +418,7 @@ def _suite_uniformity(ca, sub, seed) -> dict:
         verdicts.append(continuity.verdict)
         assignments = continuity.assignments
 
-    window_ok = True
-    window_witness = None
-    for cells, source in assignments:
-        reachable = set(space.semi_table[np.ix_(cells, ca.neighborhood)].ravel().tolist())
-        if not set(source) <= reachable:
-            window_ok = False
-            window_witness = {"target_cells": list(cells), "source": list(source)}
-            break
-    verdicts.append(Verdict(window_ok, "continuity-inside-window", window_witness))
+    verdicts.append(check_continuity_window(space, ca.neighborhood, assignments))
 
     if is_cellular(ca, sub).ok:
         iso = check_uniform_isomorphism(gm, base, depends)

@@ -618,22 +618,30 @@ def table_inverse(table: np.ndarray) -> Union[np.ndarray, tuple[int, int, int]]:
     codes share an image, the codes (image, first, second) of the smallest
     such image and its two smallest preimages.
 
-    The inverse, in the code type, is written by one scatter of every
-    code to its image.  Of the preimages of one image only one is kept,
-    so the codes that do not come back through it are exactly the other
-    preimages of the images that have more than one: the table is a
-    bijection when every code comes back, and the smallest image among
-    those that do not is the smallest shared one."""
+    The sum of the images decides the path.  It is the sum of all codes
+    when the table is a bijection; a table whose images sum otherwise
+    shares an image, and in its sorted images the first one equal to its
+    successor is the smallest shared one.  Otherwise the inverse, in the
+    code type, is written by one scatter of every code to its image.  Of
+    the preimages of one image only one is kept, so the codes that do not
+    come back through it are exactly the other preimages of the images
+    that have more than one: the table is a bijection when every code
+    comes back, and the smallest image among those that do not is the
+    smallest shared one."""
     total = len(table)
-    codes = np.arange(total, dtype=digit_dtype(total))
-    inverse = np.empty(total, dtype=codes.dtype)
-    inverse[table] = codes
-    lost = inverse.take(table) != codes
-    if lost.any():
+    if int(table.sum()) == total * (total - 1) // 2:
+        codes = np.arange(total, dtype=digit_dtype(total))
+        inverse = np.empty(total, dtype=codes.dtype)
+        inverse[table] = codes
+        lost = inverse.take(table) != codes
+        if not lost.any():
+            return inverse
         image = int(np.where(lost, table, total - 1).min())
-        first, second = np.flatnonzero(table == image)[:2].tolist()
-        return image, first, second
-    return inverse
+    else:
+        ordered = np.sort(table)
+        image = int(ordered[(ordered[1:] == ordered[:-1]).argmax()])
+    first, second = np.flatnonzero(table == image)[:2].tolist()
+    return image, first, second
 
 
 @dataclass(frozen=True)

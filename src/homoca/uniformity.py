@@ -8,27 +8,33 @@ relations stay explicit: `agreement_relation` and
 `check_uniform_continuity` raise BoundError past it, and
 `prodiscrete_base` past it in configurations or in members.
 
-The base checks run on a base as one stacked (R, N, N) array, and on
-its members packed into bit rows, one row of N*N bits per member: meets
-are bitwise ands of rows, and membership is a dict lookup on a row's
-bytes.  The base check tries the member that the prodiscrete structure
-predicts and scans all members only on a miss.  Continuity reads one
-dependency matrix of the transition table and re-verifies each member
-through its pullback along the table, with the source relation taken
-from the base.  All give the verdicts and witnesses of the plain scans.
+A base is checked as one stacked (R, N, N) array, held by the base:
+`prodiscrete_base` builds all its members from one compare of each
+configuration's K-codes, and they are views of that array.  Packed into
+bit rows, one row of N*N bits per member, a block of rows at a time is
+met with the rows from the block's first onwards in one bitwise and, and
+compared with the members that the prodiscrete structure predicts, each
+labeled with the union of two labels; that one pass of meets serves both
+the base check and the agreement intersection check.  Inverses, squares and the pullbacks of
+continuity are compared a block of members at a time.  Only a pair or
+member whose predicted member fails runs a scan over all members, so
+all give the verdicts and witnesses of the plain scans.  Continuity
+reads its source sets off one boolean product with the dependency matrix
+of the transition table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, compress
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import RELATION_UNIVERSE_BOUND
+from .bounds import GATHER_BLOCK, RELATION_UNIVERSE_BOUND
 from .cellspace import CellSpace
-from .encoding import digit_matrix
+from .encoding import digit_matrix, row_names
 from .errors import BoundError, InputError
 from .laws import GlobalMap, config_count, dependency_matrix, table_inverse
 from .verdict import Verdict
@@ -101,7 +107,12 @@ def rel_compose(first: Relation, second: Relation) -> Relation:
 @dataclass(frozen=True)
 class EntourageBase:
     """A family of candidate entourages; labels name the generating cell
-    sets when the family is prodiscrete."""
+    sets when the family is prodiscrete.
+
+    The checks read the members through `stack`, `packed` and
+    `meet_misses`, each worked out on first use and kept with the base;
+    `prodiscrete_base` hands over the stack it built its members from.
+    """
 
     relations: tuple[Relation, ...]
     labels: Optional[tuple[tuple[int, ...], ...]] = None
@@ -110,28 +121,107 @@ class EntourageBase:
         if self.labels is not None and len(self.labels) != len(self.relations):
             raise InputError("one label per relation required")
 
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The members' matrices as one (R, N, N) array; InputError when
+        their sizes differ."""
+        if not self.relations:
+            return np.zeros((0, 0, 0), dtype=bool)
+        size = self.relations[0].size
+        if any(r.size != size for r in self.relations):
+            raise InputError("relations live on different universes")
+        return np.stack([r.pairs for r in self.relations])
 
-def _stacked(relations: Sequence[Relation]) -> np.ndarray:
-    """The members' matrices as one (R, N, N) array."""
-    size = relations[0].size
-    if any(r.size != size for r in relations):
-        raise InputError("relations live on different universes")
-    return np.stack([r.pairs for r in relations])
+    @cached_property
+    def packed(self) -> np.ndarray:
+        """The members packed into bit rows, as `_pack` packs them."""
+        return _pack(self.stack)
+
+    @cached_property
+    def meet_misses(self) -> np.ndarray:
+        """The pairs (i, k), i <= k, whose meet is not the member predicted
+        for it, in row-major order, as a (misses, 2) array.
+
+        With labels the prediction is the first member labeled with the
+        union of the two labels, sorted without repeats, since
+        E(K) & E(K') = E(K | K'), looked up for all pairs at once; without,
+        it is the first member equal to the meet.  A block of rows,
+        GATHER_BLOCK bytes of meets, is met with the rows from the block's
+        first onwards in one bitwise and, and compared with its predictions
+        in one gather; a pair below the diagonal is left to its swap, whose
+        meet is the same.
+        """
+        packed = self.packed
+        count, width = packed.shape
+        if self.labels is None:
+            _, find = row_names(packed.view(np.uint8), 256)
+        else:
+            union = _union_members(self.labels)
+        hit = np.ones((count, count), dtype=bool)
+        block = _rows_per_block(packed.nbytes)
+        for start in range(0, count, block):
+            meets = packed[start : start + block, None] & packed[start:]
+            if self.labels is None:
+                rows, columns = meets.shape[:2]
+                predicted = find(meets.reshape(rows * columns, width).view(np.uint8)).reshape(rows, columns)
+            else:
+                predicted = union[start : start + block, start:]
+            same = (meets == packed.take(predicted, axis=0, mode="clip")).all(axis=2)
+            hit[start : start + block, start:] = same & (predicted < count)
+        return np.argwhere(np.triu(~hit))
+
+
+def _rows_per_block(row_entries: int) -> int:
+    """How many rows of row_entries entries make a block of GATHER_BLOCK
+    entries; at least one."""
+    return max(1, GATHER_BLOCK // max(1, row_entries))
 
 
 def _pack(stack: np.ndarray) -> np.ndarray:
     """Each matrix of the stack flattened row-major and packed to bits,
-    one row per matrix.  The bits past N*N in a row are zero in every row,
-    so bitwise meets keep them zero and two rows are equal exactly when
-    their matrices are."""
-    return np.packbits(stack.reshape(stack.shape[0], -1), axis=1)
+    one row of 64-bit words per matrix.  The bits past N*N in a row are
+    zero in every row, so bitwise meets keep them zero and two rows are
+    equal exactly when their matrices are."""
+    count, rows, columns = stack.shape
+    bits = np.packbits(stack.reshape(count, rows * columns), axis=1)
+    words = np.zeros((count, -(-bits.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, : bits.shape[1]] = bits
+    return words.view(np.uint64)
 
 
-def _row_keys(packed: np.ndarray) -> list[bytes]:
-    """The bytes of each packed row, in row order."""
-    width = packed.shape[1]
-    buf = packed.tobytes()
-    return [buf[k : k + width] for k in range(0, len(buf), width)]
+def _flat(sets: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the set each cell comes from, and the cells of all
+    sets in order, as two arrays."""
+    lengths = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+    cells = np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=int(lengths.sum()))
+    return np.repeat(np.arange(len(sets)), lengths), cells
+
+
+def _cell_rows(sets: Sequence[Sequence[int]], cells: int) -> np.ndarray:
+    """rows[i, c]: does sets[i] hold cell c?  One boolean row per set."""
+    owner, flat = _flat(sets)
+    rows = np.zeros((len(sets), cells), dtype=bool)
+    rows[owner, flat] = True
+    return rows
+
+
+def _union_members(labels: Sequence[Sequence[int]]) -> np.ndarray:
+    """union[i, k]: the first member labeled with the cells of labels i
+    and k together, sorted without repeats; len(labels) where none is."""
+    owner, flat = _flat(labels)
+    cells, column = np.unique(flat, return_inverse=True)
+    count = len(labels)
+    # one row of bits per label, a column per cell that some label names,
+    # and a last column set on each label that is not sorted without
+    # repeats: the form in which alone a label can equal a sorted union
+    rows = np.zeros((count, len(cells) + 1), dtype=np.uint8)
+    rows[owner, column] = 1
+    unsorted = (flat[1:] <= flat[:-1]) & (owner[1:] == owner[:-1])
+    rows[owner[1:][unsorted], -1] = 1
+    _, find = row_names(rows, 2)
+    unions = rows[:, None] | rows
+    unions[..., -1] = 0
+    return find(unions.reshape(count * count, rows.shape[1])).reshape(count, count)
 
 
 def _first_index(keys) -> dict:
@@ -142,59 +232,66 @@ def _first_index(keys) -> dict:
     return index
 
 
+def _inside_some(rows: np.ndarray, row: np.ndarray) -> bool:
+    """Does one of the bit rows lie inside the relation packed in row?"""
+    return not (rows & ~row).any(axis=1).all()
+
+
+def _lacking_diagonal(index: int, pairs: np.ndarray) -> Verdict:
+    x = int(np.flatnonzero(~pairs.diagonal())[0])
+    return Verdict.failing("base-reflexive", {"relation": index, "missing_pair": [x, x]})
+
+
 def check_uniformity_base(base: EntourageBase) -> Verdict:
     """The five conditions making a family a base of entourages: nonempty,
     reflexive members, lower bounds for pairs, lower bounds for inverses,
     and relational square roots.
 
-    The members are packed once into bit rows.  Each of the last three
-    conditions first asks whether the candidate that the prodiscrete base
-    predicts is itself a member, since E(K) & E(K') = E(K | K'), E(K) is
-    symmetric and E(K) o E(K) = E(K): the meet, the inverse, the relation
-    as its own square root.  Membership is a dict lookup on the bytes of a
-    packed row; meets are taken a row at a time, inverses from one
-    transpose of the stack and squares by one matmul per member.  A hit is
-    a member that a scan over all members accepts as well, so the verdict
-    is the same; only a miss runs that scan, which then finds the failure,
-    and the witness is the first failing member or pair in row-major order.
-    Members of different sizes raise InputError once every member has
-    passed the reflexivity check.
+    Each of the last three conditions first asks whether the candidate
+    that the prodiscrete base predicts is itself a member, since
+    E(K) & E(K') = E(K | K'), E(K) is symmetric and E(K) o E(K) = E(K):
+    the meet, the inverse, the relation as its own square root.  The
+    meets come from the pass the base keeps (`EntourageBase.meet_misses`),
+    which `check_agreement_intersection` reads as well; the inverses from
+    comparing the stack with its transpose and the squares from a float32
+    matmul, a block of GATHER_BLOCK entries of the stack at a time.  A hit
+    is a member that a scan over all members accepts as well, so the
+    verdict is the same; only a miss runs that scan, which then finds the
+    failure, and the witness is the first failing member or pair in
+    row-major order.  Members of different sizes raise InputError once
+    every member has passed the reflexivity check.
     """
     rels = base.relations
     if not rels:
         return Verdict.failing("base-nonempty", {"relations": 0})
-    for i, r in enumerate(rels):
-        if not r.contains_diagonal():
-            x = int(np.flatnonzero(~r.pairs.diagonal())[0])
-            return Verdict.failing("base-reflexive", {"relation": i, "missing_pair": [x, x]})
-    stack = _stacked(rels)
-    packed = _pack(stack)
-    members = _first_index(_row_keys(packed))
-
-    def inside(rows: np.ndarray, row: np.ndarray) -> bool:
-        """Does one of the bit rows lie inside the relation packed in row?"""
-        return not (rows & ~row).any(axis=1).all()
-
-    # meets are symmetric, so the first failing pair (i, k) in row-major
-    # order has i <= k: row i need only meet members i onwards
-    for i in range(len(rels)):
-        meets = packed[i] & packed[i:]
-        for k, key in enumerate(_row_keys(meets)):
-            if key not in members and not inside(packed, meets[k]):
-                return Verdict.failing("base-meet", {"relations": [i, i + k]})
-    inverses = _pack(stack.transpose(0, 2, 1))
-    for i, key in enumerate(_row_keys(inverses)):
-        if key not in members and not inside(packed, inverses[i]):
-            return Verdict.failing("base-inverse", {"relation": i})
-    # squares one member at a time, kept as bit rows, so that no float
-    # array holds the whole stack; a float sum of zeros and ones is
-    # positive exactly when some term is
+    if any(r.size != rels[0].size for r in rels):
+        # a member lacking a diagonal pair is reported before the sizes are refused
+        lacking = next((i for i, r in enumerate(rels) if not r.contains_diagonal()), None)
+        if lacking is not None:
+            return _lacking_diagonal(lacking, rels[lacking].pairs)
+    stack = base.stack
+    lacking = ~stack.diagonal(axis1=1, axis2=2).all(axis=1)
+    if lacking.any():
+        i = int(lacking.argmax())
+        return _lacking_diagonal(i, stack[i])
+    packed = base.packed
+    for i, k in base.meet_misses.tolist():
+        if not _inside_some(packed, packed[i] & packed[k]):
+            return Verdict.failing("base-meet", {"relations": [i, k]})
+    block = _rows_per_block(stack[0].size)
+    asymmetric = np.empty(len(rels), dtype=bool)
     squares = np.empty_like(packed)
-    for i, pairs in enumerate(stack):
-        weights = pairs.astype(np.float32)
-        squares[i] = np.packbits(weights @ weights > 0)
+    for start in range(0, len(rels), block):
+        members = stack[start : start + block]
+        asymmetric[start : start + block] = (members != members.transpose(0, 2, 1)).any(axis=(1, 2))
+        # a float sum of zeros and ones is positive exactly when some term is
+        weights = members.astype(np.float32)
+        squares[start : start + block] = _pack(np.matmul(weights, weights) > 0)
+    for i in np.flatnonzero(asymmetric):
+        if not _inside_some(packed, _pack(stack[i].T[None])[0]):
+            return Verdict.failing("base-inverse", {"relation": int(i)})
     for i in np.flatnonzero((squares & ~packed).any(axis=1)):
-        if not inside(squares, packed[i]):
+        if not _inside_some(squares, packed[i]):
             return Verdict.failing("base-square-root", {"relation": int(i)})
     return Verdict.passing("uniformity-base")
 
@@ -204,31 +301,21 @@ def check_agreement_intersection(base: EntourageBase) -> Verdict:
 
     The expected member is the first one labeled with the sorted union of
     the two labels; a pair whose union labels no member fails as well.
-    The witness is the first failing pair in row-major order.
+    That member is the prediction of `EntourageBase.meet_misses`, so the
+    failing pairs are its misses, read off the pass of meets that
+    `check_uniformity_base` reads.  A pair fails exactly when its swap
+    does, so the first miss is the first failing pair in row-major order.
     """
     if base.labels is None:
         raise InputError("agreement intersection needs the agreement-labeled base")
-    rels, labels = base.relations, base.labels
-    if not rels:
+    if not base.relations:
         return Verdict.passing("agreement-intersection")
-    packed = _pack(_stacked(rels))
-    # cell sets as bitmasks, one bit per cell that some label names
-    bit = {c: b for b, c in enumerate(set().union(*labels))}
-    masks = [sum(1 << bit[c] for c in set(label)) for label in labels]
-    # only a sorted label without repeats can equal a sorted union
-    labeled = _first_index(
-        mask if label == tuple(sorted(set(label))) else -1 for label, mask in zip(labels, masks)
-    )
-    # a pair fails exactly when its swap does, so the first failing pair
-    # (i, j) in row-major order has i <= j
-    for i, first in enumerate(masks):
-        expected = np.array([labeled.get(first | second, -1) for second in masks[i:]])
-        bad = (expected < 0) | ((packed[i] & packed[i:]) != packed[expected]).any(axis=1)
-        if bad.any():
-            j = i + int(bad.argmax())
-            return Verdict.failing(
-                "agreement-intersection", {"first": list(labels[i]), "second": list(labels[j])}
-            )
+    misses = base.meet_misses
+    if len(misses):
+        i, j = misses[0].tolist()
+        return Verdict.failing(
+            "agreement-intersection", {"first": list(base.labels[i]), "second": list(base.labels[j])}
+        )
     return Verdict.passing("agreement-intersection")
 
 
@@ -257,23 +344,33 @@ def agreement_relation(space: CellSpace, states: int, cells: Sequence[int]) -> R
 
 
 def prodiscrete_base(space: CellSpace, states: int) -> EntourageBase:
-    """All agreement relations E(K), K over every subset of the cells.
+    """All agreement relations E(K), K over every subset of the cells,
+    member m labeled with the cells of the bits of m.
 
-    BoundError, before any member is built, past the relation bound in
-    configurations or in members: 2**cells of them, which outnumber the
-    configurations only on one state, where the base checks would meet
-    every pair of them.
+    Two configurations agree on K exactly when their K-codes are equal,
+    the K-code of a configuration being its code with the digits off K
+    set to zero; so the whole base is one compare of the (2**cells, N)
+    K-codes with themselves, and each member is a read-only view of that
+    stack.  BoundError, before any member is built, past the relation
+    bound in configurations or in members: 2**cells of them, which
+    outnumber the configurations only on one state, where the base checks
+    would meet every pair of them.
     """
-    _relation_universe(space, states)
-    if 1 << space.cells > RELATION_UNIVERSE_BOUND:
-        raise BoundError(f"{1 << space.cells} agreement relations exceed the relation bound")
-    labels = []
-    relations = []
-    for mask in range(1 << space.cells):
-        cells = tuple(c for c in range(space.cells) if mask >> c & 1)
-        labels.append(cells)
-        relations.append(agreement_relation(space, states, cells))
-    return EntourageBase(tuple(relations), tuple(labels))
+    total = _relation_universe(space, states)
+    cells = space.cells
+    if 1 << cells > RELATION_UNIVERSE_BOUND:
+        raise BoundError(f"{1 << cells} agreement relations exceed the relation bound")
+    labels = [()]
+    for c in range(cells):
+        labels += [label + (c,) for label in labels]
+    inside = (np.arange(1 << cells)[:, None] >> np.arange(cells)) & 1
+    codes = (inside * states ** np.arange(cells)) @ digit_matrix(states, cells).T
+    stack = codes[:, :, None] == codes[:, None, :]
+    stack.flags.writeable = False
+    base = EntourageBase(tuple(Relation(total, pairs) for pairs in stack), tuple(labels))
+    # seeds the base's cached stack, which its members are views of
+    base.__dict__["stack"] = stack
+    return base
 
 
 def image_relation(gm: GlobalMap, rel: Relation) -> Relation:
@@ -308,16 +405,15 @@ def continuity_assignments(
     everywhere else whose images split on K.  Smallest therefore means
     unique, not just minimal.  `depends` is dependency_matrix(gm), computed
     here when not given; it scans the whole transition table once for all
-    cells, so no relation matrices are involved here.
+    cells, so no relation matrices are involved here.  The sources of all
+    targets are one boolean product of the targets' cell rows with it.
     """
     if depends is None:
         depends = dependency_matrix(gm)
-    out = []
-    for cells in targets:
-        cells = tuple(int(m) for m in cells)
-        needed = depends[list(cells)].any(axis=0)
-        out.append((cells, tuple(int(i) for i in np.flatnonzero(needed))))
-    return tuple(out)
+    targets = [tuple(map(int, cells)) for cells in targets]
+    needed = _cell_rows(targets, gm.space.cells) @ depends
+    cells = range(gm.space.cells)
+    return tuple((target, tuple(compress(cells, row))) for target, row in zip(targets, needed.tolist()))
 
 
 def check_uniform_continuity(
@@ -328,11 +424,12 @@ def check_uniform_continuity(
     containment on the relation matrices themselves.
 
     The containment is checked as E(L) inside the pullback
-    E(K)[T][:, T], with T the transition table: one gather of each member
-    along the table, and no pairs pushed through it.  E(L) is the base's
-    own member labeled L; only a source set that labels no member is built
-    with agreement_relation.  `depends` is dependency_matrix(gm), computed
-    when not given.
+    E(K)[T][:, T], with T the transition table: a gather of the base's
+    stack along the table, a block of GATHER_BLOCK entries at a time, and
+    no pairs pushed through it.  E(L) is the base's own member labeled L;
+    only a source set that labels no member is built with
+    agreement_relation.  The witness is the first failing member.
+    `depends` is dependency_matrix(gm), computed when not given.
     """
     if base.labels is None:
         raise InputError("continuity needs the agreement-labeled base")
@@ -341,17 +438,23 @@ def check_uniform_continuity(
         raise InputError("relations live on different universes")
     targets = continuity_assignments(gm, base.labels, depends)
     labeled = _first_index(cells for cells, _ in targets)
+    sources = np.array([labeled.get(source, -1) for _, source in targets], dtype=np.intp)
     # flat position of (T x, T y) for each flat position of (x, y); it
     # runs past the code type (below total**2, while codes are below
     # total), so the table is widened first
     table = gm.table.astype(np.intp)
     pulled = (table[:, None] * total + table).ravel()
-    for r, ((cells, source), rel) in enumerate(zip(targets, base.relations)):
-        if source in labeled:
-            candidate = base.relations[labeled[source]]
-        else:
-            candidate = agreement_relation(gm.space, gm.states, source)
-        if (candidate.pairs.ravel() & ~rel.pairs.ravel().take(pulled)).any():
+    flat = base.stack.reshape(len(targets), total * total)
+    block = _rows_per_block(pulled.size)
+    for start in range(0, len(targets), block):
+        candidates = flat.take(sources[start : start + block], axis=0)
+        for j in np.flatnonzero(sources[start : start + block] < 0):
+            source = targets[start + j][1]
+            candidates[j] = agreement_relation(gm.space, gm.states, source).pairs.ravel()
+        escaped = (candidates & ~flat[start : start + block].take(pulled, axis=1)).any(axis=1)
+        if escaped.any():
+            r = start + int(escaped.argmax())
+            cells, source = targets[r]
             verdict = Verdict.failing(
                 "uniform-continuity",
                 {"target_cells": list(cells), "candidate_source": list(source)},
@@ -362,6 +465,29 @@ def check_uniform_continuity(
         {"assignments": [[list(k), list(l)] for k, l in targets]},
     )
     return ContinuityResult(verdict, targets)
+
+
+def check_continuity_window(
+    space: CellSpace,
+    neighborhood: Sequence[int],
+    assignments: Sequence[tuple[Sequence[int], Sequence[int]]],
+) -> Verdict:
+    """Each source set lies inside the windows of its target cells, the
+    cells that the neighbourhood reaches from them; the witness is the
+    first assignment whose source does not.  One boolean product of the
+    targets' cell rows with the cell-to-window matrix gives every union of
+    windows at once."""
+    cells = space.cells
+    # window[m, c]: is cell c in the window of cell m?
+    window = np.zeros((cells, cells), dtype=bool)
+    window[np.arange(cells)[:, None], space.semi_table[:, list(neighborhood)]] = True
+    reached = _cell_rows([target for target, _ in assignments], cells) @ window
+    outside = (_cell_rows([source for _, source in assignments], cells) & ~reached).any(axis=1)
+    if outside.any():
+        target, source = assignments[int(outside.argmax())]
+        witness = {"target_cells": list(target), "source": list(source)}
+        return Verdict.failing("continuity-inside-window", witness)
+    return Verdict.passing("continuity-inside-window")
 
 
 def check_uniform_isomorphism(

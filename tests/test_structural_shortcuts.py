@@ -51,6 +51,7 @@ from homoca.uniformity import (
     Relation,
     agreement_relation,
     check_agreement_intersection,
+    check_continuity_window,
     check_uniform_continuity,
     check_uniformity_base,
     continuity_assignments,
@@ -90,6 +91,87 @@ def scan_uniformity_base(base):
         if not any(rel_compose(cand, cand).issubset(r) for cand in rels):
             return Verdict.failing("base-square-root", {"relation": i})
     return Verdict.passing("uniformity-base")
+
+
+def lookup_uniformity_base(base):
+    """The base conditions a row at a time: each meet of a packed row with
+    the rows from its own onwards looked up among the members by its
+    bytes, inverses from one transpose of the stack, squares one member
+    at a time; a scan over all members only for what is not a member."""
+    rels = base.relations
+    if not rels:
+        return Verdict.failing("base-nonempty", {"relations": 0})
+    for i, r in enumerate(rels):
+        if not r.contains_diagonal():
+            x = int(np.flatnonzero(~r.pairs.diagonal())[0])
+            return Verdict.failing("base-reflexive", {"relation": i, "missing_pair": [x, x]})
+    if any(r.size != rels[0].size for r in rels):
+        raise InputError("relations live on different universes")
+    stack = np.stack([r.pairs for r in rels])
+
+    def pack(matrices):
+        return np.packbits(matrices.reshape(len(matrices), -1), axis=1)
+
+    def keys(rows):
+        return [row.tobytes() for row in rows]
+
+    def inside(rows, row):
+        return not (rows & ~row).any(axis=1).all()
+
+    packed = pack(stack)
+    members = {}
+    for i, key in enumerate(keys(packed)):
+        members.setdefault(key, i)
+    for i in range(len(rels)):
+        meets = packed[i] & packed[i:]
+        for k, key in enumerate(keys(meets)):
+            if key not in members and not inside(packed, meets[k]):
+                return Verdict.failing("base-meet", {"relations": [i, i + k]})
+    inverses = pack(stack.transpose(0, 2, 1))
+    for i, key in enumerate(keys(inverses)):
+        if key not in members and not inside(packed, inverses[i]):
+            return Verdict.failing("base-inverse", {"relation": i})
+    squares = np.empty_like(packed)
+    for i, pairs in enumerate(stack):
+        weights = pairs.astype(np.float32)
+        squares[i] = np.packbits(weights @ weights > 0)
+    for i in np.flatnonzero((squares & ~packed).any(axis=1)):
+        if not inside(squares, packed[i]):
+            return Verdict.failing("base-square-root", {"relation": int(i)})
+    return Verdict.passing("uniformity-base")
+
+
+def member_prodiscrete_base(space, states):
+    """E(K) for every cell set K, one agreement_relation per member,
+    member m labeled with the cells of the bits of m."""
+    labels, relations = [], []
+    for mask in range(1 << space.cells):
+        cells = tuple(c for c in range(space.cells) if mask >> c & 1)
+        labels.append(cells)
+        relations.append(agreement_relation(space, states, cells))
+    return EntourageBase(tuple(relations), tuple(labels))
+
+
+def member_continuity_assignments(gm, targets, depends):
+    """The source set of each target, one row selection of `depends` per
+    target."""
+    out = []
+    for cells in targets:
+        cells = tuple(int(m) for m in cells)
+        needed = depends[list(cells)].any(axis=0)
+        out.append((cells, tuple(int(i) for i in np.flatnonzero(needed))))
+    return tuple(out)
+
+
+def member_continuity_window(space, neighborhood, assignments):
+    """The window check one assignment at a time, with each target's
+    windows gathered as a set."""
+    for cells, source in assignments:
+        reachable = set(space.semi_table[np.ix_(cells, neighborhood)].ravel().tolist())
+        if not set(source) <= reachable:
+            witness = {"target_cells": list(cells), "source": list(source)}
+            return Verdict.failing("continuity-inside-window", witness)
+    return Verdict.passing("continuity-inside-window")
 
 
 def scan_equivariance(gm, members):
@@ -240,6 +322,10 @@ def _doctored(base, kind, index):
     size = rels[0].size
     if kind == "drop":
         del rels[index]
+    elif kind == "irreflexive":
+        pairs = rels[index].pairs.copy()
+        pairs[index % size, index % size] = False
+        rels[index] = Relation(size, pairs)
     else:
         # reflexive, and either asymmetric or symmetric but not transitive
         pairs = np.eye(size, dtype=bool)
@@ -380,6 +466,220 @@ def test_mixed_sizes_raise_after_the_reflexivity_check():
         check_agreement_intersection(labeled)
 
 
+# ------------------------------------- stacked base against member loops
+
+
+def _positions(count):
+    """The first, a middle and the last index of `count` members."""
+    return sorted({0, count // 2, count - 1})
+
+
+def _doctored_labeled(base, kind, index):
+    """_doctored with labels kept along: a dropped member takes its label
+    with it, and an inserted one repeats the label of the member it
+    displaces."""
+    labels = list(base.labels)
+    if kind == "drop":
+        del labels[index]
+    elif kind != "irreflexive":
+        labels.insert(index, labels[index])
+    return EntourageBase(_doctored(base, kind, index).relations, tuple(labels))
+
+
+@pytest.mark.parametrize(
+    "space, states",
+    [(1, 1), (8, 1), (1, 2), (3, 2), (5, 2), (2, 3), (3, 3), (1, 7), ("cyclic4", 2), ("square", 3), ("cube", 2)],
+)
+def test_stacked_prodiscrete_bases_equal_the_member_loop(space, states):
+    space = SPACES[space] if isinstance(space, str) else cyclic_space(space)
+    base = prodiscrete_base(space, states)
+    want = member_prodiscrete_base(space, states)
+    assert base == want
+    assert np.array_equal(base.stack, np.stack([r.pairs for r in want.relations]))
+    # the members are read-only views of the stack the checks read
+    assert not any(r.pairs.flags.writeable for r in base.relations)
+
+
+@pytest.mark.parametrize("space, states", [("cyclic4", 2), ("square", 2), ("cube", 2), (3, 3), (4, 1)])
+def test_stacked_checks_agree_with_the_oracles_on_prodiscrete_bases(space, states):
+    space = SPACES[space] if isinstance(space, str) else cyclic_space(space)
+    base = prodiscrete_base(space, states)
+    passing = Verdict.passing("uniformity-base")
+    assert check_uniformity_base(base) == lookup_uniformity_base(base) == passing
+    assert check_uniformity_base(EntourageBase(base.relations)) == passing
+    intersection = check_agreement_intersection(base)
+    assert intersection == scan_agreement_intersection(base) == Verdict.passing("agreement-intersection")
+    assert len(base.meet_misses) == 0
+
+
+@pytest.mark.parametrize("name", ["cyclic4", "square", "cube"])
+@pytest.mark.parametrize("kind", ["irreflexive", "drop", "asymmetric", "non-transitive"])
+def test_stacked_checks_agree_with_the_oracles_on_doctored_bases(name, kind):
+    base = prodiscrete_base(SPACES[name], 2)
+    for index in _positions(len(base.relations)):
+        labeled = _doctored_labeled(base, kind, index)
+        unlabeled = EntourageBase(labeled.relations)
+        want = lookup_uniformity_base(unlabeled)
+        if len(base.relations) <= 16:
+            assert want == scan_uniformity_base(unlabeled)
+        assert check_uniformity_base(labeled) == check_uniformity_base(unlabeled) == want, index
+        assert check_agreement_intersection(labeled) == scan_agreement_intersection(labeled), index
+        assert labeled.meet_misses.tolist() == loop_meet_misses(labeled), index
+        if kind == "irreflexive":
+            x = index % base.relations[0].size
+            assert want == Verdict.failing("base-reflexive", {"relation": index, "missing_pair": [x, x]})
+    if kind == "irreflexive":
+        # every position doctored at once: the first one is the witness
+        rels = list(base.relations)
+        for index in _positions(len(rels)):
+            rels[index] = _doctored(base, kind, index).relations[index]
+        doctored = EntourageBase(tuple(rels))
+        assert check_uniformity_base(doctored) == lookup_uniformity_base(doctored)
+        assert check_uniformity_base(doctored).witness["relation"] == 0
+
+
+def _culprit_family(kind, position, labeled):
+    """E(K) for the four cell sets K of cyclic_space(3) that leave out
+    cell 0, at 3 states, with one more member at `position`.  Without the
+    diagonal E(0, 1, 2) the smallest of them is E(1, 2), whose pairs
+    differ at cell 0 alone.  The culprit lies inside E(1, 2), so each of
+    its meets with the others is itself, and it fails the condition its
+    kind names: codes 0, 1 and 2 differ at cell 0 alone, and 0 and 3 at
+    cell 1."""
+    base = prodiscrete_base(cyclic_space(3), 3)
+    keep = [i for i, label in enumerate(base.labels) if 0 not in label]
+    rels = [base.relations[i] for i in keep]
+    labels = [base.labels[i] for i in keep]
+    pairs = np.eye(27, dtype=bool)
+    if kind == "base-reflexive":
+        pairs = base.relations[keep[-1]].pairs.copy()
+        pairs[1, 1] = False
+    elif kind == "base-meet":
+        pairs[0, 3] = pairs[3, 0] = True
+    elif kind == "base-inverse":
+        pairs[0, 1] = True
+    elif kind == "base-square-root":
+        pairs[0, 1] = pairs[1, 0] = pairs[1, 2] = pairs[2, 1] = True
+    rels.insert(position, Relation(27, pairs))
+    labels.insert(position, (0,))
+    return EntourageBase(tuple(rels), tuple(labels) if labeled else None)
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+@pytest.mark.parametrize("kind", ["base-reflexive", "base-meet", "base-inverse", "base-square-root"])
+def test_stacked_checks_find_each_failure_kind_where_the_scan_does(kind, labeled):
+    for position in _positions(5):
+        family = _culprit_family(kind, position, labeled)
+        verdict = check_uniformity_base(family)
+        assert verdict == scan_uniformity_base(family) == lookup_uniformity_base(family), position
+        assert verdict.law == kind
+        if kind != "base-meet":
+            assert verdict.witness["relation"] == position
+    # without a culprit the four members are a base
+    family = EntourageBase(_culprit_family(kind, 0, labeled).relations[1:])
+    assert check_uniformity_base(family) == Verdict.passing("uniformity-base")
+
+
+@settings(deadline=None)
+@given(size=st.integers(2, 4), data=st.data())
+def test_stacked_checks_agree_on_random_labeled_families(size, data):
+    # members drawn fresh, repeated, or as meets of earlier ones, and
+    # labels over a few cells, not always sorted or without repeats, so
+    # that predicted members both hit and miss
+    rels, labels = [], []
+    for _ in range(data.draw(st.integers(1, 5))):
+        how = data.draw(st.integers(0, 2 if len(rels) > 1 else 0))
+        if how == 0:
+            bits = data.draw(st.lists(st.booleans(), min_size=size * size, max_size=size * size))
+            rels.append(Relation(size, np.array(bits, dtype=bool).reshape(size, size) | np.eye(size, dtype=bool)))
+        elif how == 1:
+            rels.append(data.draw(st.sampled_from(rels)))
+        else:
+            first, second = data.draw(st.lists(st.sampled_from(rels), min_size=2, max_size=2))
+            rels.append(first.intersect(second))
+        labels.append(tuple(data.draw(st.lists(st.integers(0, 2), max_size=3))))
+    base = EntourageBase(tuple(rels), tuple(labels))
+    assert check_uniformity_base(base) == scan_uniformity_base(base)
+    assert check_agreement_intersection(base) == scan_agreement_intersection(base)
+    assert base.meet_misses.tolist() == loop_meet_misses(base)
+
+
+@pytest.mark.parametrize("name", ["cyclic4", "square", "cube"])
+def test_stacked_continuity_builds_the_sources_that_label_no_member(name):
+    # E(K) replaced by the diagonal and the member labeled with its source
+    # set L dropped: E(L) must be built, as the pushforward builds it
+    space = SPACES[name]
+    base = prodiscrete_base(space, 2)
+    failures = 0
+    for seed in range(2):
+        gm = GlobalMap.from_automaton(_random_rule(space, 2, seed, symmetrize=False))
+        for index, (cells, source) in enumerate(continuity_assignments(gm, base.labels)):
+            if source == cells:
+                continue
+            rels, labels = list(base.relations), list(base.labels)
+            rels[index] = Relation.diagonal(rels[index].size)
+            dropped = labels.index(source)
+            del rels[dropped], labels[dropped]
+            doctored = EntourageBase(tuple(rels), tuple(labels))
+            want = pushforward_continuity(gm, doctored)
+            assert check_uniform_continuity(gm, doctored) == want
+            failures += not want.verdict.ok
+    assert failures
+
+
+def _target_sets(cells, rng):
+    """Every single cell, the empty set, all cells, and random sets, some
+    unsorted and some with repeats."""
+    sets = [(c,) for c in range(cells)] + [(), tuple(range(cells))[::-1]]
+    for _ in range(20):
+        sets.append(tuple(int(c) for c in rng.integers(0, cells, int(rng.integers(1, 4)))))
+    return sets
+
+
+@pytest.mark.parametrize("name", sorted(AUTOMATA))
+def test_stacked_assignments_and_windows_equal_the_member_loops(name):
+    ca = AUTOMATA[name]
+    gm = GlobalMap.from_automaton(ca)
+    depends = dependency_matrix(gm)
+    rng = np.random.default_rng(len(name))
+    targets = _target_sets(ca.space.cells, rng)
+    assignments = continuity_assignments(gm, targets, depends)
+    assert assignments == member_continuity_assignments(gm, targets, depends)
+    window = check_continuity_window(ca.space, ca.neighborhood, assignments)
+    assert window == member_continuity_window(ca.space, ca.neighborhood, assignments)
+    assert window.ok
+    # sources moved off the targets' windows: the first such assignment is the witness
+    failures = 0
+    for _ in range(10):
+        moved = [
+            (cells, tuple(sorted(set(rng.integers(0, ca.space.cells, len(source) + 1).tolist()))))
+            for cells, source in assignments
+        ]
+        verdict = check_continuity_window(ca.space, ca.neighborhood, moved)
+        assert verdict == member_continuity_window(ca.space, ca.neighborhood, moved)
+        failures += not verdict.ok
+    assert failures or len(ca.neighborhood) == ca.space.cells
+
+
+def test_stacked_checks_take_less_memory_than_the_member_stacks():
+    # the in-bound worst case: 256 members of 256 x 256 pairs.  The stack
+    # itself is 16 MiB; the checks gathered about as much again, and the
+    # row-at-a-time form peaked at 54.1 MiB over these four calls
+    space = cyclic_space(8)
+    gm = GlobalMap(space, 2, np.arange(256)[::-1].copy())
+    depends = dependency_matrix(gm)
+    tracemalloc.start()
+    try:
+        base = prodiscrete_base(space, 2)
+        verdicts = [check_uniformity_base(base), check_agreement_intersection(base)]
+        verdicts.append(check_uniform_continuity(gm, base, depends).verdict)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(v.ok for v in verdicts)
+    assert peak <= 2 * base.stack.nbytes
+
+
 # ------------------------------------------------ agreement intersection
 
 
@@ -395,6 +695,19 @@ def scan_agreement_intersection(base):
             ):
                 return Verdict.failing("agreement-intersection", {"first": list(k1), "second": list(k2)})
     return Verdict.passing("agreement-intersection")
+
+
+def loop_meet_misses(base):
+    """The pairs (i, k), i <= k, in row-major order, whose meet is not
+    the member labeled with the sorted union of their labels."""
+    labels, rels = base.labels, base.relations
+    misses = []
+    for i in range(len(rels)):
+        for k in range(i, len(rels)):
+            merged = tuple(sorted(set(labels[i]) | set(labels[k])))
+            if merged not in labels or rels[i].intersect(rels[k]) != rels[labels.index(merged)]:
+                misses.append([i, k])
+    return misses
 
 
 def _relabeled(base, relations=None, labels=None):
