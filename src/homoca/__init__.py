@@ -71,6 +71,7 @@ from .laws import (
     check_step_equivariance,
     compose,
     extract,
+    extract_step,
     global_table,
     invert,
 )

@@ -3,7 +3,7 @@
 A global map is a full lookup table over packed configurations, built by
 `global_table` only while states**cells stays within CONFIG_TABLE_BOUND
 (see `homoca.bounds`); past it `global_table` raises BoundError, and the
-laws that need tables pass that error on.  Tables are built
+checks that need tables pass that error on.  Tables are built
 on a split radix: a packed code c is lo + states**(cells // 2) * hi, and
 a sum over the digits of c is a sum over hi's digits plus one over lo's.
 So a shift permutation is one broadcast add of two half-width sums, and
@@ -29,7 +29,12 @@ Step equivariance (`check_step_equivariance`), coordinate independence
 (`step_difference`) and composition (`composition_difference`) are
 checked so, with the verdicts and witnesses the table comparisons give
 inside the bound; a map given only as a table is checked on the table
-(`check_equivariance`).
+(`check_equivariance`).  So are the two laws of the Curtis-Hedlund-Lyndon
+theorem, that the step is fixed by the rule at the origin:
+`extract_step` reads the rule off the step at the origin and checks the
+round trip with `step_difference`, and `check_determination` decides
+both portraits of the step, and of the step with the images of some
+constant configurations overridden, from the rule.
 
 Equivariance checks test generators of the symmetry scope only.  They
 are found by closing the shifts' cell maps under composition, not by
@@ -53,6 +58,7 @@ import numpy as np
 
 from .automata import (
     SemiCellularAutomaton,
+    _checked_configs,
     closed_neighborhood,
     generator_indices,
     is_cellular,
@@ -321,8 +327,12 @@ def window_difference(states: int, reads_a: np.ndarray, reads_b: np.ndarray, eva
 
 def step_difference(a: SemiCellularAutomaton, b: SemiCellularAutomaton) -> Optional[list[int]]:
     """The smallest configuration on which the steps of two automata on
-    the same cells and states differ, or None; exact at every size."""
+    the same cells and states differ, or None; exact at every size.  Two
+    automata reading the same cells with the same rule have one step, and
+    need no search."""
     q = a.states
+    if np.array_equal(a.neighbor_cells, b.neighbor_cells) and np.array_equal(a.rule_array, b.rule_array):
+        return None
 
     def evaluate(size, places_a, places_b):
         return a.rule_array[pattern_codes(q, size, places_a)], b.rule_array[pattern_codes(q, size, places_b)]
@@ -400,58 +410,78 @@ def check_invariance_equivalence(ca: SemiCellularAutomaton, subgroup: Optional[S
 
 
 def check_determination(
-    ca: SemiCellularAutomaton, gm: GlobalMap, subgroup: Optional[Subgroup] = None
+    ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None, overrides: Optional[dict] = None
 ) -> Verdict:
-    """Two portraits of 'gm is the step of ca' must agree:
+    """Two portraits of 'the map is the step of ca' must agree:
 
-    side A: the rule is rotation-invariant and gm equals the step table;
-    side B: gm is shift-equivariant and matches the rule at the origin.
+    side A: the rule is rotation-invariant and the map equals the step;
+    side B: the map is shift-equivariant and matches the rule at the origin.
+
+    The map is the step, with the images of some constant configurations
+    overridden: overrides[d] is the image of the configuration that is d
+    at every cell.  Both sides are decided from the rule, at every size.
+    Every shift fixes a constant configuration, and the step maps it to
+    the constant configuration of rule entry (d, ..., d), so the map and
+    the step differ only at the overrides that change that image.  A
+    shift that moves a changed image breaks equivariance there.  A shift
+    that permutes the cells carries no other configuration onto a
+    constant one, so when every shift does and fixes every changed image,
+    the map commutes with the shifts exactly when the step does
+    (`check_step_equivariance`).  The origin witness is the changed image
+    with the smallest configuration code, and so the smallest d, whose
+    origin digit differs from the step's.
     """
     space = ca.space
-    if gm.space is not space and gm.space.system != space.system:
-        raise InputError("global map lives on a different cell space")
-    if gm.states != ca.states:
-        raise InputError("state counts differ")
     sub = subgroup_or_whole(space, subgroup)
-    q = ca.states
+    q, cells, origin = ca.states, space.cells, space.origin
+    # the pattern that is d at every name has rule code d times the sum of the weights
+    constant = ca.rule_array[np.arange(q) * int(weights(q, ca.arity).sum())]
+    changed = {}
+    for d, image in sorted((overrides or {}).items()):
+        d = int(d)
+        if not 0 <= d < q:
+            raise InputError(f"state {d} out of range")
+        image = _checked_configs(ca, [image])[0]
+        if (image != constant[d]).any():
+            changed[d] = image
 
     local = is_cellular(ca, sub)
-    step_table = global_table(ca)
-    # the two maps' origin digits can differ only where their tables do,
-    # so digits are read off those entries alone
-    differ = np.flatnonzero(gm.table != step_table)
-    same_map = not differ.size
+    same_map = not changed
     side_a = local.ok and same_map
 
-    # on the step's own table the window check gives check_equivariance's
-    # verdict without building a shift permutation of the table
-    equivariant = check_step_equivariance(ca, sub) if same_map else check_equivariance(gm, sub)
-    origin_ok = True
-    origin_witness = None
-    origin_weight = q ** space.origin
-    origin_digits = gm.table.take(differ) // origin_weight % q
-    step_origin = step_table.take(differ) // origin_weight % q
-    bad = np.flatnonzero(origin_digits != step_origin)
-    if bad.size:
-        origin_ok = False
-        k = int(bad[0])
-        origin_witness = {
-            "config": list(decode(int(differ[k]), q, space.cells)),
-            "map_origin_value": int(origin_digits[k]),
-            "rule_origin_value": int(step_origin[k]),
-        }
-    side_b = equivariant.ok and origin_ok
+    if same_map:
+        equivariant = check_step_equivariance(ca, sub).ok
+    else:
+        rows = shift_cells(space, sub.members)
+        images = np.array(list(changed.values()), dtype=np.int64)
+        if (images[:, rows] != images[:, None]).any():
+            equivariant = False
+        elif (np.sort(rows, axis=1) == np.arange(cells)).all():
+            equivariant = check_step_equivariance(ca, sub).ok
+        else:
+            # a shift that is no permutation carries configurations that are
+            # not constant onto a changed constant one, where the map is not
+            # the step; no action has such a shift
+            require_group_action(space.action)
+            raise AssertionError("a shift of an action does not permute the cells")
+    mismatched = [d for d, image in changed.items() if image[origin] != constant[d]]
+    side_b = equivariant and not mismatched
 
     witness = {
         "rule_invariant_and_equal": side_a,
         "equivariant_and_origin_matching": side_b,
         "rule_invariant": local.ok,
         "tables_equal": same_map,
-        "equivariant": equivariant.ok,
-        "origin_matching": origin_ok,
+        "equivariant": equivariant,
+        "origin_matching": not mismatched,
     }
-    if origin_witness:
-        witness["origin_witness"] = origin_witness
+    if mismatched:
+        d = mismatched[0]
+        witness["origin_witness"] = {
+            "config": [d] * cells,
+            "map_origin_value": int(changed[d][origin]),
+            "rule_origin_value": int(constant[d]),
+        }
     if side_a == side_b:
         return Verdict.passing("determination-at-origin", witness)
     return Verdict.failing("determination-at-origin", witness)
@@ -580,16 +610,34 @@ def dependency_matrix(gm: GlobalMap) -> np.ndarray:
     return ((changed >> shifts[:, None]) & ((1 << bits) - 1)) != 0
 
 
+def _extracted(space: CellSpace, q: int, depends: Sequence[int], origin_digits, reproduces) -> SemiCellularAutomaton:
+    """The automaton a shift-equivariant map is the step of.
+
+    Its neighborhood is the stabilizer closure of the labels of the cells
+    `depends`, those the map's origin digit depends on.  Its rule is read
+    off the map's origin digit on the probes, the configurations that
+    realize each local pattern at the origin and are 0 elsewhere:
+    origin_digits(probes) gives it for a stack of them.  reproduces(ca)
+    checks the round trip, which on a group action always holds.
+    """
+    labels = {space.cell_coset(m) for m in depends}
+    neighborhood = closed_neighborhood(space, tuple(sorted(labels)))
+    probes = np.zeros((q ** len(neighborhood), space.cells), dtype=np.int64)
+    probes[:, space.semi_table[space.origin, list(neighborhood)]] = digit_matrix(q, len(neighborhood))
+    ca = SemiCellularAutomaton(space, q, neighborhood, origin_digits(probes))
+    if not reproduces(ca):
+        require_group_action(space.action)
+        raise AssertionError("extracted automaton does not reproduce the map")
+    return ca
+
+
 def extract(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> SemiCellularAutomaton:
     """Recover an automaton whose step is exactly gm.
 
     gm must be shift-equivariant (checked; violations raise with a
-    witness).  The neighborhood is the stabilizer closure of the labels of
-    the cells the origin output actually depends on, and the rule is read
-    off the origin digit of gm on the configurations that realize each
-    local pattern at the origin and are 0 elsewhere (see
-    configuration_observing): the pattern's digits, packed at the weights
-    of the cells its names resolve to at the origin.
+    witness).  The origin's dependencies are read off the table by
+    `dependency_matrix`, and the rule off gm's origin digit at the probes'
+    codes (see `_extracted`).
     """
     space = gm.space
     sub = subgroup_or_whole(space, subgroup)
@@ -599,18 +647,56 @@ def extract(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> SemiCellularA
         raise EquivarianceError("global map is not shift-equivariant", eq.witness or {})
     q = gm.states
 
-    depends = np.flatnonzero(dependency_matrix(gm)[space.origin]).tolist()
-    labels = {space.cell_coset(m) for m in depends}
-    neighborhood = closed_neighborhood(space, tuple(sorted(labels)))
+    def origin_digits(probes):
+        return table.take(probes @ weights(q, space.cells)) // q**space.origin % q
 
-    window_weights = weights(q, space.cells)[space.semi_table[space.origin, list(neighborhood)]]
-    probes = np.matmul(digit_matrix(q, len(neighborhood)), window_weights, dtype=np.int64)
-    rule = table.take(probes) // q**space.origin % q
-    ca = SemiCellularAutomaton(space, q, neighborhood, rule)
-    if not np.array_equal(global_table(ca), table):
-        require_group_action(space.action)
-        raise AssertionError("extracted automaton does not reproduce the map")
-    return ca
+    def reproduces(ca):
+        return np.array_equal(global_table(ca), table)
+
+    depends = np.flatnonzero(dependency_matrix(gm)[space.origin]).tolist()
+    return _extracted(space, q, depends, origin_digits, reproduces)
+
+
+def origin_dependencies(ca: SemiCellularAutomaton) -> list[int]:
+    """The cells whose single-site change can move the step's digit at the
+    origin, read off the rule alone: the origin's digit is the rule on its
+    window, the distinct cells it reads, so it depends on a cell of the
+    window exactly when two patterns there that differ at that cell alone
+    give different rule entries; the dependency row of
+    `dependency_matrix` at the origin, at every size."""
+    q = ca.states
+    window, place = np.unique(ca.neighbor_cells[ca.space.origin], return_inverse=True)
+    outputs = ca.rule_array[pattern_codes(q, len(window), place.ravel())]
+    depends = []
+    for i, cell in enumerate(window.tolist()):
+        # patterns as (higher digits, digit i, lower digits): axis 1 varies digit i alone
+        blocks = outputs.reshape(q ** (len(window) - 1 - i), q, q**i)
+        if (blocks[:, 1:] != blocks[:, :1]).any():
+            depends.append(cell)
+    return depends
+
+
+def extract_step(ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None) -> SemiCellularAutomaton:
+    """`extract` on the step of ca, decided from the rule at every size.
+
+    Equivariance is `check_step_equivariance`, with the verdict and the
+    witness of `check_equivariance` on the step's table.  The origin's
+    dependencies come from the rule (`origin_dependencies`), the rule is
+    read off `extract`'s probes stepped with `step_batch`, and the round
+    trip is `step_difference`, so no table is built.
+    """
+    space = ca.space
+    eq = check_step_equivariance(ca, subgroup)
+    if not eq.ok:
+        raise EquivarianceError("global map is not shift-equivariant", eq.witness or {})
+
+    def origin_digits(probes):
+        return step_batch(ca, probes)[:, space.origin]
+
+    def reproduces(found):
+        return step_difference(found, ca) is None
+
+    return _extracted(space, ca.states, origin_dependencies(ca), origin_digits, reproduces)
 
 
 def table_inverse(table: np.ndarray) -> Union[np.ndarray, tuple[int, int, int]]:

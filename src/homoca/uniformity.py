@@ -198,8 +198,12 @@ def _flat(sets: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cell_rows(sets: Sequence[Sequence[int]], cells: int) -> np.ndarray:
-    """rows[i, c]: does sets[i] hold cell c?  One boolean row per set."""
+    """rows[i, c]: does sets[i] hold cell c?  One boolean row per set; a
+    cell outside 0..cells-1 raises InputError, as in agreement_relation."""
     owner, flat = _flat(sets)
+    outside = (flat < 0) | (flat >= cells)
+    if outside.any():
+        raise InputError(f"cell {flat[outside][0]} out of range")
     rows = np.zeros((len(sets), cells), dtype=bool)
     rows[owner, flat] = True
     return rows

@@ -695,8 +695,26 @@ def test_laws_with_all_suites_past_the_bound_keeps_its_report(capsys, tmp_path, 
             [verdict] = report["suites"][name]["verdicts"]
             assert (verdict["law"], verdict["ok"]) == (f"{name}-precondition", False)
             assert "bound_exceeded" not in report["suites"][name]
+    # decided from the rule on windows, exactly, past the table bound
+    own, perturbed = report["suites"]["determination"]["verdicts"]
+    assert (own["law"], own["ok"], perturbed["law"], perturbed["ok"]) == (
+        "determination-at-origin",
+        True,
+        "determination-rejects-perturbed",
+        True,
+    )
+    assert own["witness"]["equivariant"] == own["witness"]["rule_invariant_and_equal"] == symmetrize
+    assert perturbed["witness"]["origin_witness"]["config"] == [0] * 16
+    [chl] = report["suites"]["chl"]["verdicts"]
+    if symmetrize:
+        assert (chl["law"], chl["ok"]) == ("extraction-roundtrip", True)
+        assert len(chl["witness"]["neighborhood"]) == 5
+    else:
+        assert (chl["law"], chl["ok"]) == ("extraction-equivariance", False)
+        [equivalence] = report["suites"]["equivalence"]["verdicts"]
+        assert chl["witness"] == equivalence["witness"]["step_side"]["witness"]
     for name in ("determination", "chl"):
-        assert report["suites"][name] == refused
+        assert "bound_exceeded" not in report["suites"][name]
     assert code == expected
 
 

@@ -8,7 +8,9 @@ Arithmetic that goes past a code must widen first: a pair index of the
 relation matrices, or an entry moved down by the perturbed determination.
 In the code type such a product wraps (`uint8 * 64`), and a Python int
 out of the type's range (`uint8 * 256`, `uint8 + -1`) raises under
-NumPy 2, where NumPy 1's value-based casting upcasts.
+NumPy 2, where NumPy 1's value-based casting upcasts.  The determination
+law reads no table any more; its table form, the oracle of the suite in
+`table_oracles`, is held to the same rule here.
 
 The edges: the cube at 2 states (64 codes, where `code * 64` wraps in
 uint8), 256 codes (the last uint8 tables, where 256 itself is out of
@@ -48,6 +50,7 @@ from homoca.uniformity import (
     check_uniform_isomorphism,
     prodiscrete_base,
 )
+from table_oracles import table_determination, table_determination_suite
 
 SPACES = {
     "cube": cube_space(),
@@ -216,7 +219,8 @@ def test_every_table_kernel_gives_the_same_result_on_the_int64_table(case):
     else:
         assert np.array_equal(inverse, wide_inverse)
     assert outcome(invert, ca) == outcome(invert, widened_automaton(ca))
-    assert outcome(check_determination, ca, gm) == outcome(check_determination, widened_automaton(ca), wide)
+    assert outcome(table_determination, ca, gm) == outcome(table_determination, widened_automaton(ca), wide)
+    assert outcome(check_determination, ca) == outcome(table_determination, ca, gm)
     base = base_of(name, ca.states) if config_count(ca.space, ca.states) <= RELATION_UNIVERSE_BOUND else None
     if base is not None:
         narrow_continuity = check_uniform_continuity(gm, base)
@@ -266,7 +270,7 @@ def test_the_origin_witness_is_the_first_code_whose_origin_digits_differ(case, s
     w = states**space.origin
     map_digits, step_digits = table // w % states, step_table // w % states
     bad = np.flatnonzero(map_digits != step_digits)
-    verdict = check_determination(ca, GlobalMap(space, states, table))
+    verdict = table_determination(ca, GlobalMap(space, states, table))
     assert verdict.witness["tables_equal"] is False
     assert verdict.witness["origin_matching"] == (not bad.size)
     if bad.size:
@@ -296,9 +300,10 @@ def test_the_perturbed_determination_lowers_a_top_origin_digit(name, states):
     table[0] -= (states - 1) * w
     narrow = GlobalMap(space, states, table)
     assert narrow.table[0] == table[0]
-    perturbed = check_determination(ca, narrow)
-    assert perturbed == check_determination(widened_automaton(ca), widened(narrow))
+    perturbed = table_determination(ca, narrow)
+    assert perturbed == table_determination(widened_automaton(ca), widened(narrow))
     assert report["verdicts"][1]["witness"] == perturbed.witness
+    assert report == table_determination_suite(ca, None, 0)
     assert perturbed.witness["origin_witness"] == {
         "config": [0] * space.cells,
         "map_origin_value": 0,

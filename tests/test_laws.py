@@ -313,17 +313,18 @@ def test_equivalence_over_random_rules(spaces):
 
 def test_determination_passes_for_the_automaton_own_step(automata):
     ca = automata["square_or"]
-    verdict = check_determination(ca, GlobalMap.from_automaton(ca))
+    verdict = check_determination(ca)
     assert verdict.ok
     assert verdict.witness["rule_invariant_and_equal"]
     assert verdict.witness["equivariant_and_origin_matching"]
 
 
 def test_determination_sides_fail_together_for_a_foreign_map(spaces, automata):
-    # the identity table is equivariant but disagrees with OR at the origin
+    # OR's step with the all-ones configuration sent to all zeros: every
+    # shift fixes both, so the map is equivariant, but it disagrees with
+    # OR at the origin
     ca = automata["square_or"]
-    gm = GlobalMap(ca.space, 2, np.arange(16))
-    verdict = check_determination(ca, gm)
+    verdict = check_determination(ca, overrides={1: [0, 0, 0, 0]})
     assert verdict.ok
     assert not verdict.witness["rule_invariant_and_equal"]
     assert not verdict.witness["equivariant_and_origin_matching"]

@@ -14,6 +14,7 @@ from homoca.uniformity import (
     EntourageBase,
     Relation,
     agreement_relation,
+    check_continuity_window,
     check_uniform_continuity,
     check_uniform_isomorphism,
     check_uniformity_base,
@@ -221,6 +222,21 @@ def test_assignments_without_relations_match_the_relational_ones(automata):
     relational = check_uniform_continuity(gm, base).assignments
     direct = continuity_assignments(gm, base.labels)
     assert direct == relational
+
+
+@pytest.mark.parametrize("cell", [-1, 6])
+def test_continuity_refuses_a_cell_out_of_range(automata, cell):
+    # the cube has cells 0..5; -1 was read as cell 5, and 6 past the end
+    ca = automata["cube_or"]
+    gm = GlobalMap.from_automaton(ca)
+    message = f"cell {cell} out of range"
+    with pytest.raises(InputError, match=message):
+        agreement_relation(gm.space, 2, [cell])
+    with pytest.raises(InputError, match=message):
+        continuity_assignments(gm, [(0,), (cell,)])
+    for assignments in ([((cell,), (0,))], [((0,), (1, cell))]):
+        with pytest.raises(InputError, match=message):
+            check_continuity_window(gm.space, ca.neighborhood, assignments)
 
 
 def test_torus_assignments_stay_inside_the_observation_window(automata):

@@ -1,17 +1,20 @@
-"""Coordinate independence, composition and equivariance decided on windows.
+"""Coordinate independence, composition, equivariance, CHL and
+determination decided on windows.
 
 `laws.window_difference` compares two maps cell by cell on the patterns of
 the cells either one reads there.  The oracles are the table paths as they
 were, kept verbatim: the `coordinate-independence` and `composition`
 suites comparing `global_table`s, `compose` comparing the combined table
-with `global_table(outer)[global_table(inner)]`, and `check_equivariance`
-on the step's table inside `check_determination`.  Inside the table bound
-verdicts, witnesses and errors must be the oracles', on every bundled
-space with 2-3 states, raw and symmetrized rules, and tables that are not
-actions.  Past it every witness is re-stepped with `step` and
-`step_via_origin`.
+with `global_table(outer)[global_table(inner)]`, `check_equivariance` on
+the step's table, and, in `table_oracles`, the `chl` suite extracting from
+the step's table and the `determination` suite perturbing it.  Inside the
+table bound verdicts, witnesses and errors must be the oracles', on every
+bundled space and fixture with 2-3 states, raw and symmetrized rules,
+symmetry scopes, and tables that are not actions.  Past it every witness
+is re-stepped with `step` and `step_via_origin`.
 """
 
+import json
 import random
 from pathlib import Path
 from unittest import mock
@@ -23,8 +26,9 @@ from hypothesis import strategies as st
 
 import homoca.cli as cli
 import homoca.laws as laws
-from homoca.automata import SemiCellularAutomaton, closed_neighborhood, is_cellular, step, step_via_origin
+from homoca.automata import SemiCellularAutomaton, closed_neighborhood, is_cellular, shift, step, step_via_origin
 from homoca.catalog import (
+    bundled_automata,
     bundled_spaces,
     coordinate_system_variants,
     cyclic_space,
@@ -34,8 +38,8 @@ from homoca.catalog import (
 )
 from homoca.cellspace import CellSpace, CoordinateSystem
 from homoca.encoding import decode, pattern_codes
-from homoca.errors import BoundError, InputError
-from homoca.groups import LeftAction, transporter
+from homoca.errors import BoundError, InputError, LawError
+from homoca.groups import LeftAction, Subgroup, transporter
 from homoca.laws import (
     CONFIG_TABLE_BOUND,
     GlobalMap,
@@ -48,7 +52,9 @@ from homoca.laws import (
     global_table,
     step_difference,
 )
+from homoca.serialize import detect_kind, load_automaton
 from homoca.verdict import Verdict
+from table_oracles import overridden_table, table_chl, table_determination, table_determination_suite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SPACES = bundled_spaces()
@@ -136,13 +142,6 @@ def table_composition_difference(combined, outer, inner):
     return table_difference(global_table(combined), global_table(outer)[global_table(inner)], combined)
 
 
-def table_determination(ca, gm, sub=None):
-    """check_determination with check_equivariance on every table."""
-    table_path = lambda ca, sub: check_equivariance(GlobalMap.from_automaton(ca), sub)  # noqa: E731
-    with mock.patch.object(laws, "check_step_equivariance", table_path):
-        return check_determination(ca, gm, sub)
-
-
 def outcome(check, *args):
     """What a check returns, or the type and message of what it raises."""
     try:
@@ -164,12 +163,25 @@ def _doctored(space, row):
     return CellSpace(CoordinateSystem(action, space.origin, space.coords))
 
 
-def _space(name, doctor):
-    """The bundled space, or a doctored copy of it when doctor picks one
-    of the rows off its coordinates."""
+def _collapsed(space, row):
+    """The space with one entry of one row of its action table copied onto
+    another, away from the origin and its preimage: that shift permutes
+    no configurations, as no action's does."""
+    act = [list(r) for r in space.action.act]
+    a, b = [x for x in range(space.cells) if space.origin not in (x, act[row][x])][:2]
+    act[row][b] = act[row][a]
+    action = LeftAction(space.group, space.cells, tuple(tuple(r) for r in act))
+    return CellSpace(CoordinateSystem(action, space.origin, space.coords))
+
+
+def _space(name, doctor, collapse=False):
+    """The bundled space, or a doctored or collapsed copy of it when
+    doctor picks one of the rows off its coordinates."""
     space = SPACES[name]
     rows = [g for g in space.group.elements() if g not in space.coords]
-    return _doctored(space, rows[doctor % len(rows)]) if doctor is not None and rows else space
+    if doctor is None or not rows:
+        return space
+    return (_collapsed if collapse else _doctored)(space, rows[doctor % len(rows)])
 
 
 def _automaton(space, q, rng, symmetrize, names):
@@ -259,7 +271,7 @@ def test_determination_gives_the_table_paths_verdict(case, seed, symmetrize, nam
     ca = _automaton(_space(name, doctor), q, random.Random(seed), symmetrize, names)
     gm = GlobalMap.from_automaton(ca)
     with mock.patch.object(laws, "check_equivariance", wraps=check_equivariance) as on_tables:
-        verdict = outcome(check_determination, ca, gm)
+        verdict = outcome(check_determination, ca)
     on_tables.assert_not_called()
     assert verdict == outcome(table_determination, ca, gm)
     assert outcome(laws.check_step_equivariance, ca) == outcome(check_equivariance, gm)
@@ -351,6 +363,164 @@ def test_rules_that_read_no_cell(states):
         assert composition_difference(other, same, same) == [0, 0, 0, 0]
 
 
+# ---------------------------------------------- chl and determination
+
+
+def _scope(space, rng):
+    """A symmetry scope for --subgroup: the subgroup that the coordinates
+    and a few random elements generate."""
+    mul = np.asarray(space.group.mul)
+    members = np.unique(list(space.coords) + [rng.randrange(space.group.order) for _ in range(rng.randint(0, 2))])
+    while True:
+        grown = np.unique(np.concatenate([members, mul[np.ix_(members, members)].ravel()]))
+        if len(grown) == len(members):
+            return Subgroup(space.group, tuple(grown.tolist()))
+        members = grown
+
+
+def _rule_suites_match_the_tables(ca, sub, seed):
+    for window_path, table_path in (
+        (cli._suite_chl, table_chl),
+        (cli._suite_determination, table_determination_suite),
+    ):
+        assert outcome(window_path, ca, sub, seed) == outcome(table_path, ca, sub, seed)
+
+
+@settings(deadline=None)
+@given(**CASES, scoped=st.booleans(), collapse=st.booleans())
+@example(case=("torus", 2), seed=0, symmetrize=True, names=2, doctor=None, scoped=False, collapse=False)
+@example(case=("cube", 3), seed=5, symmetrize=False, names=2, doctor=1, scoped=True, collapse=True)
+def test_chl_and_determination_give_the_table_paths_reports(case, seed, symmetrize, names, doctor, scoped, collapse):
+    name, q = case
+    rng = random.Random(seed)
+    space = _space(name, doctor, collapse)
+    ca = _automaton(space, q, rng, symmetrize, names)
+    sub = _scope(space, rng) if scoped else None
+    _rule_suites_match_the_tables(ca, sub, seed)
+    gm = GlobalMap.from_automaton(ca)
+    assert laws.origin_dependencies(ca) == np.flatnonzero(laws.dependency_matrix(gm)[space.origin]).tolist()
+
+
+FIXTURE_AUTOMATA = sorted(
+    path.name for path in FIXTURES.glob("*.json") if detect_kind(json.loads(path.read_text())) == "automaton"
+)
+
+
+@pytest.mark.parametrize("automaton", FIXTURE_AUTOMATA)
+def test_chl_and_determination_on_the_fixtures_give_the_table_paths_reports(automaton):
+    ca = load_automaton(str(FIXTURES / automaton), auto_close=True)
+    for sub in (None, Subgroup.whole(ca.space.group), _scope(ca.space, random.Random(automaton))):
+        _rule_suites_match_the_tables(ca, sub, 0)
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_chl_and_determination_on_one_state_give_the_table_paths_reports(name):
+    space = SPACES[name]
+    for names in (1, 2):
+        ca = _automaton(space, 1, random.Random(names), True, names)
+        _rule_suites_match_the_tables(ca, None, 0)
+        assert cli._suite_chl(ca, None, 0)["verdicts"][0]["witness"]["neighborhood"] == []
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_chl_and_determination_on_one_cell_give_the_table_paths_reports(q, seed):
+    # the one shift is the identity, so even the perturbed map is equivariant
+    ca = random_rule_automaton(cyclic_space(1), (0,), q, random.Random(seed), seed % 2 == 0)
+    _rule_suites_match_the_tables(ca, None, 0)
+    perturbed = cli._suite_determination(ca, None, 0)["verdicts"][1]["witness"]
+    assert perturbed["equivariant"] and not perturbed["origin_matching"]
+
+
+@settings(deadline=None)
+@given(**CASES, overrides=st.dictionaries(st.integers(0, 2), st.integers(0, 2**32 - 1), max_size=3))
+def test_overridden_determination_gives_the_table_paths_verdict(case, seed, symmetrize, names, doctor, overrides):
+    # images of constant configurations: constant (every shift fixes
+    # them), the step's own with one digit moved, or random
+    name, q = case
+    rng = random.Random(seed)
+    ca = _automaton(_space(name, doctor), q, rng, symmetrize, names)
+    cells = ca.space.cells
+    images = {}
+    for d, pick in overrides.items():
+        d %= q
+        own = step(ca, [d] * cells)
+        kind = pick % 3
+        if kind == 0:
+            images[d] = [pick // 3 % q] * cells
+        elif kind == 1:
+            moved = list(own)
+            cell = pick // 3 % cells
+            moved[cell] = (moved[cell] + 1 + pick // 3 % (q - 1)) % q
+            images[d] = moved
+        else:
+            images[d] = [random.Random(pick).randrange(q) for _ in range(cells)]
+    got = outcome(check_determination, ca, None, images)
+    assert got == outcome(table_determination, ca, overridden_table(ca, images))
+
+
+def test_the_rule_suites_see_both_verdicts():
+    # the comparisons above are only as good as their mix of outcomes
+    seen = {"chl": set(), "equivariant": set(), "origin_matching": set(), "dependencies": set()}
+    for name, q in IN_BOUND:
+        for seed in range(4):
+            rng = random.Random(seed)
+            ca = _automaton(SPACES[name], q, rng, seed % 2 == 0, 2)
+            seen["chl"].add(cli._suite_chl(ca, None, 0)["verdicts"][0]["law"])
+            window = set(ca.neighbor_cells[ca.space.origin].tolist())
+            seen["dependencies"].add(set(laws.origin_dependencies(ca)) == window)
+            d = rng.randrange(q)
+            image = [rng.randrange(q)] * ca.space.cells if seed < 2 else step(ca, [d] * ca.space.cells)
+            witness = check_determination(ca, overrides={d: image}).witness
+            seen["equivariant"].add(witness["equivariant"])
+            seen["origin_matching"].add(witness["origin_matching"])
+    assert seen["chl"] == {"extraction-roundtrip", "extraction-equivariance"}
+    assert all(kinds == {True, False} for name, kinds in seen.items() if name != "chl"), seen
+
+
+def test_an_extraction_that_fails_the_round_trip_raises_as_the_tables_do():
+    # the square with the origin's entries of rows 1 and 3 moved: the
+    # stabilizer shrinks to the identity, so eight names fall on four
+    # cells.  The OR of two names steps equivariantly, but the automaton
+    # read off the origin does not reproduce it, and the table is no action
+    space = SPACES["square"]
+    act = [list(r) for r in space.action.act]
+    for g in (1, 3):
+        act[g][0], act[g][2] = act[g][2], act[g][0]
+    action = LeftAction(space.group, space.cells, tuple(tuple(r) for r in act))
+    moved = CellSpace(CoordinateSystem(action, space.origin, space.coords))
+    ca = SemiCellularAutomaton(moved, 2, (2, 3), (0, 1, 1, 1))
+    assert laws.check_step_equivariance(ca).ok
+    got = outcome(cli._suite_chl, ca, None, 0)
+    assert got == outcome(table_chl, ca, None, 0)
+    assert got.startswith("LawError: law action-compatibility fails")
+
+
+def test_an_override_every_shift_fixes_on_a_non_permutation_is_refused():
+    # the map then differs from the step where a shift collapses cells onto
+    # the constant configuration, which the rule cannot decide; only an
+    # action table is accepted there, and this one is no action
+    space = SPACES["square"]
+    rows = [g for g in space.group.elements() if g not in space.coords]
+    ca = SemiCellularAutomaton(_collapsed(space, rows[0]), 2, (0,), (0, 1))
+    assert check_determination(ca, overrides={0: [0] * 4}).ok
+    with pytest.raises(LawError):
+        check_determination(ca, overrides={0: [1] * 4})
+    # a changed image a shift moves decides the verdict first
+    moved = check_determination(ca, overrides={0: [1, 0, 0, 0]})
+    assert moved == table_determination(ca, overridden_table(ca, {0: [1, 0, 0, 0]}))
+
+
+def test_overrides_are_range_checked():
+    ca = bundled_automata()["square_or"]
+    with pytest.raises(InputError, match="state 2 out of range"):
+        check_determination(ca, overrides={2: [0] * 4})
+    with pytest.raises(InputError, match="state 2 out of range"):
+        check_determination(ca, overrides={0: [0, 2, 0, 0]})
+    with pytest.raises(InputError, match="3 cells, expected 4"):
+        check_determination(ca, overrides={0: [0] * 3})
+
+
 # ---------------------------------------------------- without the tables
 
 
@@ -381,6 +551,8 @@ def test_inside_the_bound_the_checks_build_no_table(capsys, monkeypatch, automat
     for argv in (
         ["laws", path, "--suite", "coordinate-independence"],
         ["laws", path, "--suite", "composition"],
+        ["laws", path, "--suite", "chl"],
+        ["laws", path, "--suite", "determination"],
         ["compose", path, path],
     ):
         assert cli.main(argv) == cli.EXIT_PASS, argv
@@ -454,3 +626,55 @@ def test_an_identity_past_int64_codes_composes_exactly():
     witness = composition_difference(wrong, ca, ca)
     assert witness == [0] * 64
     _recheck(witness, wrong, lambda config: step_via_origin(ca, step_via_origin(ca, config)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_past_the_bound_the_recovered_automaton_steps_as_the_input(seed):
+    ca = _torus3(seed)
+    rng = random.Random(seed)
+    [verdict] = cli._suite_chl(ca, None, seed)["verdicts"]
+    assert (verdict["law"], verdict["ok"]) == ("extraction-roundtrip", True)
+    recovered = laws.extract_step(ca)
+    assert [TORUS.coset_reps[j] for j in recovered.neighborhood] == verdict["witness"]["neighborhood"]
+    for _ in range(20):
+        config = [rng.randrange(3) for _ in range(TORUS.cells)]
+        assert step_via_origin(recovered, config) == step(ca, config)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_past_the_bound_chl_equivariance_witnesses_restep(seed):
+    ca = _torus3(seed, symmetrize=False)
+    [verdict] = cli._suite_chl(ca, None, seed)["verdicts"]
+    assert (verdict["law"], verdict["ok"]) == ("extraction-equivariance", False)
+    w = verdict["witness"]
+    assert shift(TORUS, w["element"], step_via_origin(ca, w["config"])) == tuple(w["map_then_shift"])
+    assert step_via_origin(ca, shift(TORUS, w["element"], w["config"])) == tuple(w["shift_then_map"])
+    assert w["map_then_shift"] != w["shift_then_map"]
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_past_the_bound_determination_is_exact(symmetrize):
+    ca = _torus3(4, symmetrize)
+    own, perturbed = cli._suite_determination(ca, None, 0)["verdicts"]
+    assert own["ok"] and perturbed["ok"]
+    assert own["witness"]["rule_invariant"] == own["witness"]["equivariant"] == symmetrize
+    assert own["witness"]["tables_equal"] and "origin_witness" not in own["witness"]
+    # the perturbed image of configuration 0, moved at the origin, which a
+    # shift carrying the origin elsewhere moves
+    zero = step_via_origin(ca, [0] * TORUS.cells)
+    image = list(zero)
+    image[TORUS.origin] = (image[TORUS.origin] + 1) % 3
+    assert shift(TORUS, TORUS.coords[1], image) != tuple(image)
+    assert perturbed["witness"] == {
+        "rule_invariant_and_equal": False,
+        "equivariant_and_origin_matching": False,
+        "rule_invariant": symmetrize,
+        "tables_equal": False,
+        "equivariant": False,
+        "origin_matching": False,
+        "origin_witness": {
+            "config": [0] * TORUS.cells,
+            "map_origin_value": image[TORUS.origin],
+            "rule_origin_value": zero[TORUS.origin],
+        },
+    }
