@@ -51,6 +51,7 @@ from .laws import (
     extract_step,
     global_table,  # noqa: F401 - perfbench wraps homoca.cli.global_table by name
     invert,
+    shift_cells,
     step_difference,
 )
 from .serialize import (
@@ -311,24 +312,34 @@ def _suite_equivalence(ca, sub, seed) -> dict:
 
 
 def _suite_determination(ca, sub, seed) -> dict:
-    verdicts = [check_determination(ca, sub)]
-    q = ca.states
+    own = check_determination(ca, sub)
+    verdicts = [own]
+    q, space = ca.states, ca.space
     if q == 1:
         reason = "one state admits a single global map, so there is none to perturb"
         verdicts.append(Verdict.passing("determination-rejects-perturbed", {"reason": reason}))
         return {"verdicts": [v.as_dict() for v in verdicts]}
     # the step with the origin digit of configuration 0's image moved to the
-    # next state; the step maps configuration 0 to rule entry 0 everywhere
-    image = [int(ca.rule_array[0])] * ca.space.cells
-    image[ca.space.origin] = (image[ca.space.origin] + 1) % q
-    v = check_determination(ca, sub, overrides={0: image})
-    verdicts.append(
-        Verdict(
-            v.ok and not (v.witness or {}).get("equivariant_and_origin_matching", True),
-            "determination-rejects-perturbed",
-            v.witness,
-        )
-    )
+    # next state.  Every shift fixes configuration 0, and the step maps it to
+    # rule entry 0 everywhere, so the two maps differ there alone, at the
+    # origin: both portraits reject the perturbed map.  Its image keeps to
+    # the shifts under which the origin, and no other cell, reads the
+    # origin; when every shift in scope does (on one cell), the perturbed
+    # map commutes with the shifts as the step does.  On more cells the
+    # scope holds a coordinate's inverse, which carries the origin away
+    zero = int(ca.rule_array[0])
+    rows = shift_cells(space, subgroup_or_whole(space, sub).members)
+    kept = ((rows == space.origin) == (np.arange(space.cells) == space.origin)).all()
+    witness = {
+        "rule_invariant_and_equal": False,
+        "equivariant_and_origin_matching": False,
+        "rule_invariant": own.witness["rule_invariant"],
+        "tables_equal": False,
+        "equivariant": own.witness["equivariant"] and bool(kept),
+        "origin_matching": False,
+        "origin_witness": {"config": [0] * space.cells, "map_origin_value": (zero + 1) % q, "rule_origin_value": zero},
+    }
+    verdicts.append(Verdict.passing("determination-rejects-perturbed", witness))
     return {"verdicts": [v.as_dict() for v in verdicts]}
 
 

@@ -33,8 +33,7 @@ inside the bound; a map given only as a table is checked on the table
 theorem, that the step is fixed by the rule at the origin:
 `extract_step` reads the rule off the step at the origin and checks the
 round trip with `step_difference`, and `check_determination` decides
-both portraits of the step, and of the step with the images of some
-constant configurations overridden, from the rule.
+both portraits of the step from the rule.
 
 Equivariance checks test generators of the symmetry scope only.  They
 are found by closing the shifts' cell maps under composition, not by
@@ -58,7 +57,6 @@ import numpy as np
 
 from .automata import (
     SemiCellularAutomaton,
-    _checked_configs,
     closed_neighborhood,
     generator_indices,
     is_cellular,
@@ -329,7 +327,8 @@ def step_difference(a: SemiCellularAutomaton, b: SemiCellularAutomaton) -> Optio
     """The smallest configuration on which the steps of two automata on
     the same cells and states differ, or None; exact at every size.  Two
     automata reading the same cells with the same rule have one step, and
-    need no search."""
+    need no search: the `chl` round trip of a rule that is its own
+    extraction, and a change of coordinates that keeps every read."""
     q = a.states
     if np.array_equal(a.neighbor_cells, b.neighbor_cells) and np.array_equal(a.rule_array, b.rule_array):
         return None
@@ -409,80 +408,29 @@ def check_invariance_equivalence(ca: SemiCellularAutomaton, subgroup: Optional[S
     return Verdict.failing("invariance-matches-equivariance", witness)
 
 
-def check_determination(
-    ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None, overrides: Optional[dict] = None
-) -> Verdict:
-    """Two portraits of 'the map is the step of ca' must agree:
+def check_determination(ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None) -> Verdict:
+    """Two portraits of 'a map is the step of ca' must agree on the step:
 
     side A: the rule is rotation-invariant and the map equals the step;
     side B: the map is shift-equivariant and matches the rule at the origin.
 
-    The map is the step, with the images of some constant configurations
-    overridden: overrides[d] is the image of the configuration that is d
-    at every cell.  Both sides are decided from the rule, at every size.
-    Every shift fixes a constant configuration, and the step maps it to
-    the constant configuration of rule entry (d, ..., d), so the map and
-    the step differ only at the overrides that change that image.  A
-    shift that moves a changed image breaks equivariance there.  A shift
-    that permutes the cells carries no other configuration onto a
-    constant one, so when every shift does and fixes every changed image,
-    the map commutes with the shifts exactly when the step does
-    (`check_step_equivariance`).  The origin witness is the changed image
-    with the smallest configuration code, and so the smallest d, whose
-    origin digit differs from the step's.
+    The step equals itself and matches the rule at the origin, so side A
+    is the rule's invariance and side B the step's window equivariance
+    (`check_step_equivariance`): both are decided from the rule, at every
+    size.
     """
-    space = ca.space
-    sub = subgroup_or_whole(space, subgroup)
-    q, cells, origin = ca.states, space.cells, space.origin
-    # the pattern that is d at every name has rule code d times the sum of the weights
-    constant = ca.rule_array[np.arange(q) * int(weights(q, ca.arity).sum())]
-    changed = {}
-    for d, image in sorted((overrides or {}).items()):
-        d = int(d)
-        if not 0 <= d < q:
-            raise InputError(f"state {d} out of range")
-        image = _checked_configs(ca, [image])[0]
-        if (image != constant[d]).any():
-            changed[d] = image
-
+    sub = subgroup_or_whole(ca.space, subgroup)
     local = is_cellular(ca, sub)
-    same_map = not changed
-    side_a = local.ok and same_map
-
-    if same_map:
-        equivariant = check_step_equivariance(ca, sub).ok
-    else:
-        rows = shift_cells(space, sub.members)
-        images = np.array(list(changed.values()), dtype=np.int64)
-        if (images[:, rows] != images[:, None]).any():
-            equivariant = False
-        elif (np.sort(rows, axis=1) == np.arange(cells)).all():
-            equivariant = check_step_equivariance(ca, sub).ok
-        else:
-            # a shift that is no permutation carries configurations that are
-            # not constant onto a changed constant one, where the map is not
-            # the step; no action has such a shift
-            require_group_action(space.action)
-            raise AssertionError("a shift of an action does not permute the cells")
-    mismatched = [d for d, image in changed.items() if image[origin] != constant[d]]
-    side_b = equivariant and not mismatched
-
+    equivariant = check_step_equivariance(ca, sub)
     witness = {
-        "rule_invariant_and_equal": side_a,
-        "equivariant_and_origin_matching": side_b,
+        "rule_invariant_and_equal": local.ok,
+        "equivariant_and_origin_matching": equivariant.ok,
         "rule_invariant": local.ok,
-        "tables_equal": same_map,
-        "equivariant": equivariant,
-        "origin_matching": not mismatched,
+        "tables_equal": True,
+        "equivariant": equivariant.ok,
+        "origin_matching": True,
     }
-    if mismatched:
-        d = mismatched[0]
-        witness["origin_witness"] = {
-            "config": [d] * cells,
-            "map_origin_value": int(changed[d][origin]),
-            "rule_origin_value": int(constant[d]),
-        }
-    if side_a == side_b:
+    if local.ok == equivariant.ok:
         return Verdict.passing("determination-at-origin", witness)
     return Verdict.failing("determination-at-origin", witness)
 
@@ -610,21 +558,20 @@ def dependency_matrix(gm: GlobalMap) -> np.ndarray:
     return ((changed >> shifts[:, None]) & ((1 << bits) - 1)) != 0
 
 
-def _extracted(space: CellSpace, q: int, depends: Sequence[int], origin_digits, reproduces) -> SemiCellularAutomaton:
+def _extracted(space: CellSpace, q: int, depends: Sequence[int], origin_rule, reproduces) -> SemiCellularAutomaton:
     """The automaton a shift-equivariant map is the step of.
 
     Its neighborhood is the stabilizer closure of the labels of the cells
-    `depends`, those the map's origin digit depends on.  Its rule is read
-    off the map's origin digit on the probes, the configurations that
-    realize each local pattern at the origin and are 0 elsewhere:
-    origin_digits(probes) gives it for a stack of them.  reproduces(ca)
-    checks the round trip, which on a group action always holds.
+    `depends`, those the map's origin digit depends on.  Its rule is the
+    map's origin digit on the configurations that realize each local
+    pattern at the origin and are 0 elsewhere: origin_rule(cells) gives
+    it, in `digit_matrix` order, from the cells the neighborhood's names
+    resolve to at the origin.  reproduces(ca) checks the round trip,
+    which on a group action always holds.
     """
     labels = {space.cell_coset(m) for m in depends}
     neighborhood = closed_neighborhood(space, tuple(sorted(labels)))
-    probes = np.zeros((q ** len(neighborhood), space.cells), dtype=np.int64)
-    probes[:, space.semi_table[space.origin, list(neighborhood)]] = digit_matrix(q, len(neighborhood))
-    ca = SemiCellularAutomaton(space, q, neighborhood, origin_digits(probes))
+    ca = SemiCellularAutomaton(space, q, neighborhood, origin_rule(space.semi_table[space.origin, list(neighborhood)]))
     if not reproduces(ca):
         require_group_action(space.action)
         raise AssertionError("extracted automaton does not reproduce the map")
@@ -635,9 +582,12 @@ def extract(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> SemiCellularA
     """Recover an automaton whose step is exactly gm.
 
     gm must be shift-equivariant (checked; violations raise with a
-    witness).  The origin's dependencies are read off the table by
-    `dependency_matrix`, and the rule off gm's origin digit at the probes'
-    codes (see `_extracted`).
+    witness).  The neighborhood is the stabilizer closure of the labels of
+    the cells the origin output actually depends on, and the rule is read
+    off the origin digit of gm on the configurations that realize each
+    local pattern at the origin and are 0 elsewhere (see
+    configuration_observing): the pattern's digits, packed at the weights
+    of the cells its names resolve to at the origin.
     """
     space = gm.space
     sub = subgroup_or_whole(space, subgroup)
@@ -647,14 +597,15 @@ def extract(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> SemiCellularA
         raise EquivarianceError("global map is not shift-equivariant", eq.witness or {})
     q = gm.states
 
-    def origin_digits(probes):
-        return table.take(probes @ weights(q, space.cells)) // q**space.origin % q
+    def origin_rule(cells):
+        probes = np.matmul(digit_matrix(q, len(cells)), weights(q, space.cells)[cells], dtype=np.int64)
+        return table.take(probes) // q**space.origin % q
 
     def reproduces(ca):
         return np.array_equal(global_table(ca), table)
 
     depends = np.flatnonzero(dependency_matrix(gm)[space.origin]).tolist()
-    return _extracted(space, q, depends, origin_digits, reproduces)
+    return _extracted(space, q, depends, origin_rule, reproduces)
 
 
 def origin_dependencies(ca: SemiCellularAutomaton) -> list[int]:
@@ -682,21 +633,27 @@ def extract_step(ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None)
     Equivariance is `check_step_equivariance`, with the verdict and the
     witness of `check_equivariance` on the step's table.  The origin's
     dependencies come from the rule (`origin_dependencies`), the rule is
-    read off `extract`'s probes stepped with `step_batch`, and the round
-    trip is `step_difference`, so no table is built.
+    read off `extract`'s probe configurations stepped with `step_batch`,
+    and the round trip is `step_difference`, so no table is built.  On an
+    action the names resolve to distinct cells at the origin; where two
+    share one, as only on tables that are not actions, a probe holds the
+    last name's digit there, where `extract` adds the two into its code.
     """
     space = ca.space
+    q = ca.states
     eq = check_step_equivariance(ca, subgroup)
     if not eq.ok:
         raise EquivarianceError("global map is not shift-equivariant", eq.witness or {})
 
-    def origin_digits(probes):
+    def origin_rule(cells):
+        probes = np.zeros((q ** len(cells), space.cells), dtype=np.int64)
+        probes[:, cells] = digit_matrix(q, len(cells))
         return step_batch(ca, probes)[:, space.origin]
 
     def reproduces(found):
         return step_difference(found, ca) is None
 
-    return _extracted(space, ca.states, origin_dependencies(ca), origin_digits, reproduces)
+    return _extracted(space, q, origin_dependencies(ca), origin_rule, reproduces)
 
 
 def table_inverse(table: np.ndarray) -> Union[np.ndarray, tuple[int, int, int]]:

@@ -1,19 +1,21 @@
 """The `chl` and `determination` suites as they read global tables.
 
 The suites now decide both laws from the rule (see `homoca.laws`); these
-table paths are kept as their oracles.  `table_determination` is the
-table form of `check_determination`, with `check_equivariance` on every
-table; `table_chl` is `extract` on the step's table plus the round trip of
-`global_table`; `table_determination_suite` perturbs the step's table at
-entry 0.
+table paths are kept as their oracles, apart from the code they replaced.
+`table_determination` is the table form of `check_determination`, with
+`check_equivariance` on every table; `table_extract` is `extract` as it
+read the probes' codes off the table, and `table_chl` runs it on the
+step's table plus the round trip of `global_table`;
+`table_determination_suite` perturbs the step's table at entry 0.
 """
 
 import numpy as np
 
-from homoca.automata import is_cellular, subgroup_or_whole
-from homoca.encoding import decode
+from homoca.automata import SemiCellularAutomaton, closed_neighborhood, is_cellular, subgroup_or_whole
+from homoca.encoding import decode, digit_matrix, weights
 from homoca.errors import EquivarianceError, InputError
-from homoca.laws import GlobalMap, check_equivariance, extract, global_table
+from homoca.groups import require_group_action
+from homoca.laws import GlobalMap, check_equivariance, dependency_matrix, global_table
 from homoca.verdict import Verdict
 
 
@@ -71,16 +73,6 @@ def table_determination(ca, gm, subgroup=None) -> Verdict:
     return Verdict.failing("determination-at-origin", witness)
 
 
-def overridden_table(ca, overrides) -> GlobalMap:
-    """The step's table with the images of constant configurations
-    replaced, as `check_determination`'s overrides give them."""
-    q, cells = ca.states, ca.space.cells
-    table = global_table(ca).astype(np.int64)
-    for d, image in overrides.items():
-        table[d * sum(q**c for c in range(cells))] = sum(int(v) * q**c for c, v in enumerate(image))
-    return GlobalMap(ca.space, q, table)
-
-
 def table_determination_suite(ca, sub, seed) -> dict:
     """The determination suite as it perturbed the step's table."""
     gm = GlobalMap.from_automaton(ca)
@@ -106,11 +98,44 @@ def table_determination_suite(ca, sub, seed) -> dict:
     return {"verdicts": [v.as_dict() for v in verdicts]}
 
 
+def table_extract(gm, subgroup=None) -> SemiCellularAutomaton:
+    """Recover an automaton whose step is exactly gm.
+
+    gm must be shift-equivariant (checked; violations raise with a
+    witness).  The neighborhood is the stabilizer closure of the labels of
+    the cells the origin output actually depends on, and the rule is read
+    off the origin digit of gm on the configurations that realize each
+    local pattern at the origin and are 0 elsewhere (see
+    configuration_observing): the pattern's digits, packed at the weights
+    of the cells its names resolve to at the origin.
+    """
+    space = gm.space
+    sub = subgroup_or_whole(space, subgroup)
+    table = gm.table
+    eq = check_equivariance(gm, sub)
+    if not eq.ok:
+        raise EquivarianceError("global map is not shift-equivariant", eq.witness or {})
+    q = gm.states
+
+    depends = np.flatnonzero(dependency_matrix(gm)[space.origin]).tolist()
+    labels = {space.cell_coset(m) for m in depends}
+    neighborhood = closed_neighborhood(space, tuple(sorted(labels)))
+
+    window_weights = weights(q, space.cells)[space.semi_table[space.origin, list(neighborhood)]]
+    probes = np.matmul(digit_matrix(q, len(neighborhood)), window_weights, dtype=np.int64)
+    rule = table.take(probes) // q**space.origin % q
+    ca = SemiCellularAutomaton(space, q, neighborhood, rule)
+    if not np.array_equal(global_table(ca), table):
+        require_group_action(space.action)
+        raise AssertionError("extracted automaton does not reproduce the map")
+    return ca
+
+
 def table_chl(ca, sub, seed) -> dict:
     """The chl suite as it extracted from the step's table."""
     gm = GlobalMap.from_automaton(ca)
     try:
-        recovered = extract(gm, sub)
+        recovered = table_extract(gm, sub)
     except EquivarianceError as e:
         return {"verdicts": [Verdict.failing("extraction-equivariance", e.witness).as_dict()]}
     ok = bool(np.array_equal(global_table(recovered), gm.table))

@@ -41,6 +41,7 @@ from homoca.laws import (
     sampled_collision,
     shift_code_permutation,
 )
+from table_oracles import table_determination
 
 # ----------------------------------------------------------------- oracle
 
@@ -320,11 +321,12 @@ def test_determination_passes_for_the_automaton_own_step(automata):
 
 
 def test_determination_sides_fail_together_for_a_foreign_map(spaces, automata):
-    # OR's step with the all-ones configuration sent to all zeros: every
-    # shift fixes both, so the map is equivariant, but it disagrees with
-    # OR at the origin
+    # the identity table is equivariant but disagrees with OR at the
+    # origin; check_determination takes the step alone, so a foreign map
+    # goes through its table form, the suite's oracle
     ca = automata["square_or"]
-    verdict = check_determination(ca, overrides={1: [0, 0, 0, 0]})
+    gm = GlobalMap(ca.space, 2, np.arange(16))
+    verdict = table_determination(ca, gm)
     assert verdict.ok
     assert not verdict.witness["rule_invariant_and_equal"]
     assert not verdict.witness["equivariant_and_origin_matching"]
