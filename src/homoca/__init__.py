@@ -77,8 +77,6 @@ from .laws import (
 )
 from .uniformity import (
     ContinuityResult,
-    EntourageBase,
-    Relation,
     agreement_relation,
     check_agreement_intersection,
     check_continuity_window,
@@ -86,9 +84,7 @@ from .uniformity import (
     check_uniform_isomorphism,
     check_uniformity_base,
     continuity_assignments,
-    image_relation,
     prodiscrete_base,
-    rel_compose,
 )
 from .verdict import Verdict
 

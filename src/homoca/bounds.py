@@ -15,22 +15,17 @@ MAX_POINTS = 4096
 MAX_RULE_TABLE = 1 << 20
 # entries of a `run` trace (32 MiB of int64, and iterate keys as large); BoundError past it
 MAX_TRACE = 1 << 22
-# configurations in a global table, the domain of the exhaustive laws; BoundError past it.
-# Every code inside it fits 16 bits, so tables, shift permutations and inverse tables
-# are uint16 at most (encoding.digit_dtype of the configuration count)
+# configurations in a global table or an agreement labeling, the domain of the exhaustive
+# laws and of the uniformity checks; BoundError past it.  Every code inside it fits 16
+# bits, so tables, labelings, shift permutations and inverse tables are uint16 at most
+# (encoding.digit_dtype of the configuration count)
 CONFIG_TABLE_BOUND = 1 << 16
 # configurations the seeded collision search of `invert` draws past CONFIG_TABLE_BOUND
 SAMPLE_COUNT = 1024
-# configurations a relation relates, the side of its boolean matrix; BoundError past it.
-# It also bounds the members of a prodiscrete base (2**cells agreement relations), which
-# outnumber the configurations only on one state
-RELATION_UNIVERSE_BOUND = 256
 # digits pattern_codes gathers at once, and rule codes window_collision computes at
 # once, so each int64 array of them stays at 512 KiB; also the entries per side of
 # each block the group sweeps compare (associativity in verify_group, compatibility
-# in verify_action), so their gathers stay small whatever the order, and the entries
-# of each block of a uniformity check (64-bit words of meets, matrix entries of
-# squares and of pullbacks), so no temporary holds a whole stacked base
+# in verify_action), so their gathers stay small whatever the order
 GATHER_BLOCK = 1 << 16
 # entries of a trace the `run` printer turns into text at once, so its memory stays flat
 PRINT_BLOCK = 1 << 16

@@ -14,10 +14,13 @@ fall back to sampling).
 The `coordinate-independence`, `equivalence`, `determination`,
 `composition` and `chl` suites and `compose` decide their laws from the
 rule on neighbourhood windows (see `homoca.laws`), so they build no
-global table and stay exact past the table bound; the `uniformity` suite
-reads global tables and reports `bound_exceeded` past it; so does
-`extract`, after the equivariance verdict it reads off the map's own
-table.
+global table and stay exact past the table bound.  The `uniformity`
+suite holds each agreement relation as a labeling of the configurations
+(see `homoca.uniformity`): its base verdicts hold by construction, and
+continuity and the isomorphism are checked on the global table, so it is
+exact up to the table bound and reports `bound_exceeded` past it; so
+does `extract`, after the equivariance verdict it reads off the map's
+own table.
 """
 
 from __future__ import annotations
@@ -75,7 +78,6 @@ from .uniformity import (
     check_uniform_continuity,
     check_uniform_isomorphism,
     check_uniformity_base,
-    continuity_assignments,
     prodiscrete_base,
 )
 from .verdict import Verdict
@@ -405,28 +407,18 @@ def _suite_invertibility(ca, sub, seed) -> dict:
 
 def _suite_uniformity(ca, sub, seed) -> dict:
     space = ca.space
-    out: dict = {"verdicts": []}
-    verdicts = []
-
     gm = GlobalMap.from_automaton(ca)
     depends = dependency_matrix(gm)
-    base = None
-    try:
-        base = prodiscrete_base(space, ca.states)
-    except BoundError as e:
-        out["bound_exceeded"] = str(e)
-        assignments = continuity_assignments(gm, [(m,) for m in range(space.cells)], depends)
-    else:
-        verdicts.append(check_uniformity_base(base))
-        verdicts.append(check_agreement_intersection(base))
-        continuity = check_uniform_continuity(gm, base, depends)
-        verdicts.append(continuity.verdict)
-        assignments = continuity.assignments
-
-    verdicts.append(check_continuity_window(space, ca.neighborhood, assignments))
-
+    base = prodiscrete_base(space, ca.states)
+    continuity = check_uniform_continuity(gm, depends)
+    verdicts = [
+        check_uniformity_base(base),
+        check_agreement_intersection(base),
+        continuity.verdict,
+        check_continuity_window(space, ca.neighborhood, continuity.assignments),
+    ]
     if is_cellular(ca, sub).ok:
-        iso = check_uniform_isomorphism(gm, base, depends)
+        iso = check_uniform_isomorphism(gm, depends)
         result = invert(ca, sub, seed=seed)
         invertible = not isinstance(result, NotInvertible)
         verdicts.append(
@@ -436,8 +428,7 @@ def _suite_uniformity(ca, sub, seed) -> dict:
                 {"uniform_isomorphism": iso.ok, "invertible": invertible},
             )
         )
-    out["verdicts"] = [v.as_dict() for v in verdicts]
-    return out
+    return {"verdicts": [v.as_dict() for v in verdicts]}
 
 
 # suite -> (runner, needs a rotation-invariant rule)

@@ -84,7 +84,7 @@ def _digit_sums(states: int, width: int, weight: np.ndarray) -> np.ndarray:
     return np.matmul(digit_matrix(states, width), weight, dtype=np.int64)
 
 
-def _split_pack(states: int, weight: np.ndarray, dtype: np.dtype) -> np.ndarray:
+def split_pack(states: int, weight: np.ndarray, dtype: np.dtype) -> np.ndarray:
     """sum(digit_j(c) * weight[j]) for every packed configuration c, as one
     broadcast add of the sums over hi's digits and over lo's.  The half
     sums are small and cast to dtype before the add, so the full-length
@@ -168,7 +168,7 @@ def shift_code_permutation(space: CellSpace, g: int, states: int) -> np.ndarray:
     the weight of every j reading it."""
     weight = np.zeros(space.cells, dtype=np.int64)
     np.add.at(weight, shift_cells(space, [g])[0], weights(states, space.cells))
-    return _split_pack(states, weight, digit_dtype(states**space.cells))
+    return split_pack(states, weight, digit_dtype(states**space.cells))
 
 
 class GlobalMap:
@@ -521,16 +521,29 @@ def compose(
     return SemiCellularAutomaton(space, q, neighborhood, rule)
 
 
+def spread_images(gm: GlobalMap) -> tuple[np.ndarray, int]:
+    """The map's images spread into one field of b bits per cell, and b,
+    the bit length of states - 1: image digit m sits in bits b*m up to
+    b*m + b - 1, at most 32 bits in all inside the table bound.  Two
+    images differ at a cell exactly when their XOR is nonzero in its
+    field.  When states is a power of two the packed code already is
+    that spread, and the table itself is returned."""
+    q, n = gm.states, gm.space.cells
+    bits = (q - 1).bit_length()
+    if q == 1 << bits:
+        return gm.table, bits
+    shifts = bits * np.arange(n, dtype=np.int64)
+    fields = split_pack(q, np.left_shift(1, shifts, dtype=np.int64), digit_dtype(1 << bits * n))
+    return fields.take(gm.table), bits
+
+
 def dependency_matrix(gm: GlobalMap) -> np.ndarray:
     """deps[target, source]: can a single-site change at the source cell
     move the image digit at the target cell?
 
-    Each image is spread into one field of b bits per cell, b the bit
-    length of states - 1, at most 32 bits inside the table bound; when
-    states is a power of two the packed code already is that spread.  Two
-    images differ at a cell exactly when their XOR is nonzero in its
-    field, so one OR over the XORs of all single-site changes at a source
-    reads off every target it moves.
+    The images are spread into a field of bits per cell
+    (`spread_images`), so one OR over the XORs of all single-site changes
+    at a source reads off every target it moves.
 
     The spread table is seen as rows hi by columns lo, split as in
     `global_table`.  A high digit is a digit of the row index, and the
@@ -539,12 +552,8 @@ def dependency_matrix(gm: GlobalMap) -> np.ndarray:
     whole rows apart.  So every XOR runs over runs of at least a row.
     """
     q, n = gm.states, gm.space.cells
-    bits = (q - 1).bit_length()
+    spread, bits = spread_images(gm)
     shifts = bits * np.arange(n, dtype=np.int64)
-    spread = gm.table
-    if q != 1 << bits:
-        fields = _split_pack(q, np.left_shift(1, shifts, dtype=np.int64), digit_dtype(1 << bits * n))
-        spread = fields.take(spread)
     changed = np.zeros(n, dtype=np.int64)
     half = n // 2
     rows = spread.reshape(q ** (n - half), q**half)

@@ -44,11 +44,11 @@ from homoca.laws import (
     invert,
 )
 from homoca.uniformity import (
-    RELATION_UNIVERSE_BOUND,
+    agreement_relation,
+    check_agreement_intersection,
     check_uniform_continuity,
     check_uniform_isomorphism,
     check_uniformity_base,
-    continuity_assignments,
     prodiscrete_base,
 )
 
@@ -238,50 +238,40 @@ def test_prodiscrete_uniformity(automata):
         for cells in (1, 2, 3):
             space = cyclic_space(cells)
             base = prodiscrete_base(space, 2)
-            assert check_uniformity_base(base).ok
-            by_label = dict(zip(base.labels, base.relations))
-            for k1, r1 in by_label.items():
-                for k2, r2 in by_label.items():
+            assert check_uniformity_base(base).ok and check_agreement_intersection(base).ok
+            sets = [tuple(c for c in range(cells) if mask >> c & 1) for mask in range(1 << cells)]
+            labels = {k: agreement_relation(space, 2, k) for k in sets}
+            for k1, l1 in labels.items():
+                for k2, l2 in labels.items():
                     union = tuple(sorted(set(k1) | set(k2)))
-                    assert np.array_equal(r1.intersect(r2).pairs, by_label[union].pairs)
+                    meet = (l1[:, None] == l1) & (l2[:, None] == l2)
+                    assert np.array_equal(meet, labels[union][:, None] == labels[union])
 
         for ca in automata.values():
             gm = GlobalMap.from_automaton(ca)
             space = ca.space
             window = [set(int(c) for c in ca.neighbor_cells[m]) for m in range(space.cells)]
-            if config_count(space, ca.states) <= RELATION_UNIVERSE_BOUND:
-                # relation matrices fit: verify source sets for every K
-                # against the entourages themselves
-                result = check_uniform_continuity(gm, prodiscrete_base(space, ca.states))
-                assert result.verdict.ok
-                assert len(result.assignments) == 1 << space.cells
-                for targets, source in result.assignments:
-                    allowed = set()
-                    for k in targets:
-                        allowed |= window[k]
-                    assert set(source) <= allowed
-            else:
-                # beyond the relation bound the finder still runs from the
-                # transition table; singleton containments plus the union
-                # law cover every K, and the sweep below checks all 2^|M|
-                singles = continuity_assignments(gm, [(m,) for m in range(space.cells)])
-                dep_mask = [0] * space.cells
-                win_mask = [0] * space.cells
-                for m, (target, source) in enumerate(singles):
-                    assert target == (m,)
-                    assert set(source) <= window[m]
-                    dep_mask[m] = sum(1 << c for c in source)
-                    win_mask[m] = sum(1 << c for c in window[m])
-                for k_mask in range(1 << space.cells):
-                    needed = reachable = 0
-                    remaining = k_mask
-                    while remaining:
-                        low = remaining & -remaining
-                        m = low.bit_length() - 1
-                        needed |= dep_mask[m]
-                        reachable |= win_mask[m]
-                        remaining ^= low
-                    assert needed & ~reachable == 0
+            # singleton sources checked on the table; with the union law
+            # they cover every K, and the sweep below checks all 2^|M|
+            result = check_uniform_continuity(gm)
+            assert result.verdict.ok
+            dep_mask = [0] * space.cells
+            win_mask = [0] * space.cells
+            for m, (target, source) in enumerate(result.assignments):
+                assert target == (m,)
+                assert set(source) <= window[m]
+                dep_mask[m] = sum(1 << c for c in source)
+                win_mask[m] = sum(1 << c for c in window[m])
+            for k_mask in range(1 << space.cells):
+                needed = reachable = 0
+                remaining = k_mask
+                while remaining:
+                    low = remaining & -remaining
+                    m = low.bit_length() - 1
+                    needed |= dep_mask[m]
+                    reachable |= win_mask[m]
+                    remaining ^= low
+                assert needed & ~reachable == 0
 
 
 def test_reports_are_deterministic_and_the_gate_is_fast(capsys):
@@ -300,7 +290,7 @@ def test_reports_are_deterministic_and_the_gate_is_fast(capsys):
         for _ in range(2):
             codes.append(cli_main(list(argv)))
             outs.append(capsys.readouterr().out)
-        assert codes[0] == codes[1] == 3  # bound-limited, not a violation
+        assert codes[0] == codes[1] == 0  # exact on labelings at 2^16 configurations
         assert outs[0] == outs[1]
 
     assert time.perf_counter() - _MODULE_START < 45.0

@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -316,28 +317,42 @@ def test_laws_unknown_suite_is_an_input_error(capsys):
     assert code == EXIT_INPUT
 
 
-def test_laws_torus_reports_bounds_not_failures(capsys):
-    code, out = run_cli(capsys, "laws", fx("torus_or.json"))
-    assert code == EXIT_BOUND
-    report = report_of(out)
-    for suite in report["suites"].values():
-        assert all(v["ok"] for v in suite.get("verdicts", []))
-    assert report["suites"]["uniformity"]["bound_exceeded"] == "65536 configurations exceed the relation bound"
+@pytest.mark.parametrize("name", ["torus_or", "torus_identity"])
+def test_laws_on_the_torus_are_exact(capsys, name):
+    # 65536 configurations: the uniformity suite reads labelings of the
+    # global table, so every suite is decided and passes
+    code, out = run_cli(capsys, "laws", fx(f"{name}.json"))
+    assert code == EXIT_PASS
+    suites = report_of(out)["suites"]
+    for suite in suites.values():
+        assert "bound_exceeded" not in suite
+        assert suite["verdicts"] and all(v["ok"] for v in suite["verdicts"])
+    continuity = suites["uniformity"]["verdicts"][2]
+    assert continuity["law"] == "uniform-continuity"
+    assert [target for target, _ in continuity["witness"]["assignments"]] == [[m] for m in range(16)]
 
 
-def test_laws_uniformity_on_one_state_past_eight_cells_is_bounded(capsys, tmp_path):
-    # one configuration, but 2**16 agreement relations: the base is refused
-    # before any member is built, not met pair by pair
-    data = json.loads(Path(fx("torus_or.json")).read_text())
-    data["states"] = 1
-    data["delta"] = [0]
+@pytest.mark.parametrize("space", [torus_space(), cyclic_space(30)])
+def test_laws_uniformity_on_one_state_is_exact_at_any_size(capsys, tmp_path, space):
+    # one configuration, but 2**16 or 2**30 agreement relations: no member
+    # is built until a check reads its labeling
     path = tmp_path / "one_state.json"
-    path.write_text(json.dumps(data))
+    write_json(path, dump_automaton(identity_automaton(space, 1)))
+    start = time.perf_counter()
     code, out = run_cli(capsys, "laws", str(path), "--suite", "uniformity")
-    assert code == EXIT_BOUND
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_PASS
     suite = report_of(out)["suites"]["uniformity"]
-    assert suite["bound_exceeded"] == "65536 agreement relations exceed the relation bound"
+    assert "bound_exceeded" not in suite
+    assert [v["law"] for v in suite["verdicts"]] == [
+        "uniformity-base",
+        "agreement-intersection",
+        "uniform-continuity",
+        "continuity-inside-window",
+        "isomorphism-matches-invertibility",
+    ]
     assert all(v["ok"] for v in suite["verdicts"])
+    assert suite["verdicts"][2]["witness"]["assignments"] == [[[m], []] for m in range(space.cells)]
 
 
 def test_laws_output_is_byte_deterministic(capsys):

@@ -15,10 +15,9 @@ law reads no table any more; its table form, the oracle of the suite in
 The edges: the cube at 2 states (64 codes, where `code * 64` wraps in
 uint8), 256 codes (the last uint8 tables, where 256 itself is out of
 range) on `cyclic_space(8)`, the 4-state square and the 4-state 4-cycle,
-and 512 codes (uint16, past the relation bound) on `cyclic_space(9)`.
+and 512 codes (uint16) on `cyclic_space(9)`.
 """
 
-import functools
 import random
 
 import numpy as np
@@ -44,12 +43,7 @@ from homoca.laws import (
     shift_code_permutation,
     table_inverse,
 )
-from homoca.uniformity import (
-    RELATION_UNIVERSE_BOUND,
-    check_uniform_continuity,
-    check_uniform_isomorphism,
-    prodiscrete_base,
-)
+from homoca.uniformity import check_uniform_continuity, check_uniform_isomorphism
 from table_oracles import table_determination, table_determination_suite
 
 SPACES = {
@@ -61,12 +55,6 @@ SPACES = {
 }
 # (space, states): 64, 729, 256, 256, 256 and 512 configurations
 CASES = [("cube", 2), ("cube", 3), ("square", 4), ("cyclic4", 4), ("cyclic8", 2), ("cyclic9", 2)]
-
-
-@functools.cache
-def base_of(space_name, states):
-    """The prodiscrete base of a case within the relation bound, built once."""
-    return prodiscrete_base(SPACES[space_name], states)
 
 
 def widened(gm: GlobalMap) -> GlobalMap:
@@ -221,13 +209,8 @@ def test_every_table_kernel_gives_the_same_result_on_the_int64_table(case):
     assert outcome(invert, ca) == outcome(invert, widened_automaton(ca))
     assert outcome(table_determination, ca, gm) == outcome(table_determination, widened_automaton(ca), wide)
     assert outcome(check_determination, ca) == outcome(table_determination, ca, gm)
-    base = base_of(name, ca.states) if config_count(ca.space, ca.states) <= RELATION_UNIVERSE_BOUND else None
-    if base is not None:
-        narrow_continuity = check_uniform_continuity(gm, base)
-        wide_continuity = check_uniform_continuity(wide, base)
-        assert narrow_continuity.verdict == wide_continuity.verdict
-        assert narrow_continuity.assignments == wide_continuity.assignments
-    assert outcome(check_uniform_isomorphism, gm, base) == outcome(check_uniform_isomorphism, wide, base)
+    assert check_uniform_continuity(gm) == check_uniform_continuity(wide)
+    assert outcome(check_uniform_isomorphism, gm) == outcome(check_uniform_isomorphism, wide)
 
 
 @settings(deadline=None)
@@ -244,8 +227,8 @@ def test_arbitrary_tables_give_the_same_witnesses_in_both_types(case, seed, bije
     assert outcome(check_equivariance, gm) == outcome(check_equivariance, wide)
     assert np.array_equal(dependency_matrix(gm), dependency_matrix(wide))
     assert outcome(extract, gm) == outcome(extract, wide)
-    base = base_of(name, states) if total <= RELATION_UNIVERSE_BOUND else None
-    assert outcome(check_uniform_isomorphism, gm, base) == outcome(check_uniform_isomorphism, wide, base)
+    assert check_uniform_continuity(gm) == check_uniform_continuity(wide)
+    assert outcome(check_uniform_isomorphism, gm) == outcome(check_uniform_isomorphism, wide)
 
 
 # ------------------------------------------------------- determination

@@ -1,9 +1,9 @@
 """The exact structural shortcuts in the exhaustive laws, against slow oracles.
 
-`check_uniformity_base` tries the member a prodiscrete base predicts before
-scanning, on packed bit rows; `check_agreement_intersection` compares those
-rows, and `check_uniform_continuity` re-verifies each member through its
-pullback along the table.  `check_equivariance` tests generators of
+The uniformity checks hold each agreement relation as a labeling; the
+relation matrices of `relation_oracles` decide the same verdicts, and
+`check_uniform_continuity` must fail where the pushforward of the matrices
+does.  `check_equivariance` tests generators of
 the scope before scanning all members, `check_step_equivariance` decides
 the same on neighbourhood windows without a table, and
 `dependency_matrix` finds every dependency set from one OR per source
@@ -46,20 +46,23 @@ from homoca.errors import InputError
 from homoca.groups import FiniteGroup, LeftAction, Subgroup, magma_generators, verify_group
 from homoca.serialize import load_global_map
 from homoca.uniformity import (
-    ContinuityResult,
-    EntourageBase,
-    Relation,
     agreement_relation,
     check_agreement_intersection,
     check_continuity_window,
     check_uniform_continuity,
+    check_uniform_isomorphism,
     check_uniformity_base,
     continuity_assignments,
-    image_relation,
     prodiscrete_base,
-    rel_compose,
 )
 from homoca.verdict import Verdict
+from relation_oracles import (
+    Relation,
+    matrix_prodiscrete_base,
+    pushforward_continuity,
+    scan_agreement_intersection,
+    scan_uniformity_base,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SPACES = bundled_spaces()
@@ -67,89 +70,6 @@ AUTOMATA = bundled_automata()
 
 
 # ---------------------------------------------------------------- oracles
-
-
-def scan_uniformity_base(base):
-    """Every condition as a scan over all members."""
-    rels = base.relations
-    if not rels:
-        return Verdict.failing("base-nonempty", {"relations": 0})
-    for i, r in enumerate(rels):
-        if not r.contains_diagonal():
-            x = int(np.flatnonzero(~r.pairs.diagonal())[0])
-            return Verdict.failing("base-reflexive", {"relation": i, "missing_pair": [x, x]})
-    for i, r in enumerate(rels):
-        for k, r2 in enumerate(rels):
-            meet = r.intersect(r2)
-            if not any(cand.issubset(meet) for cand in rels):
-                return Verdict.failing("base-meet", {"relations": [i, k]})
-    for i, r in enumerate(rels):
-        rinv = r.inverse()
-        if not any(cand.issubset(rinv) for cand in rels):
-            return Verdict.failing("base-inverse", {"relation": i})
-    for i, r in enumerate(rels):
-        if not any(rel_compose(cand, cand).issubset(r) for cand in rels):
-            return Verdict.failing("base-square-root", {"relation": i})
-    return Verdict.passing("uniformity-base")
-
-
-def lookup_uniformity_base(base):
-    """The base conditions a row at a time: each meet of a packed row with
-    the rows from its own onwards looked up among the members by its
-    bytes, inverses from one transpose of the stack, squares one member
-    at a time; a scan over all members only for what is not a member."""
-    rels = base.relations
-    if not rels:
-        return Verdict.failing("base-nonempty", {"relations": 0})
-    for i, r in enumerate(rels):
-        if not r.contains_diagonal():
-            x = int(np.flatnonzero(~r.pairs.diagonal())[0])
-            return Verdict.failing("base-reflexive", {"relation": i, "missing_pair": [x, x]})
-    if any(r.size != rels[0].size for r in rels):
-        raise InputError("relations live on different universes")
-    stack = np.stack([r.pairs for r in rels])
-
-    def pack(matrices):
-        return np.packbits(matrices.reshape(len(matrices), -1), axis=1)
-
-    def keys(rows):
-        return [row.tobytes() for row in rows]
-
-    def inside(rows, row):
-        return not (rows & ~row).any(axis=1).all()
-
-    packed = pack(stack)
-    members = {}
-    for i, key in enumerate(keys(packed)):
-        members.setdefault(key, i)
-    for i in range(len(rels)):
-        meets = packed[i] & packed[i:]
-        for k, key in enumerate(keys(meets)):
-            if key not in members and not inside(packed, meets[k]):
-                return Verdict.failing("base-meet", {"relations": [i, i + k]})
-    inverses = pack(stack.transpose(0, 2, 1))
-    for i, key in enumerate(keys(inverses)):
-        if key not in members and not inside(packed, inverses[i]):
-            return Verdict.failing("base-inverse", {"relation": i})
-    squares = np.empty_like(packed)
-    for i, pairs in enumerate(stack):
-        weights = pairs.astype(np.float32)
-        squares[i] = np.packbits(weights @ weights > 0)
-    for i in np.flatnonzero((squares & ~packed).any(axis=1)):
-        if not inside(squares, packed[i]):
-            return Verdict.failing("base-square-root", {"relation": int(i)})
-    return Verdict.passing("uniformity-base")
-
-
-def member_prodiscrete_base(space, states):
-    """E(K) for every cell set K, one agreement_relation per member,
-    member m labeled with the cells of the bits of m."""
-    labels, relations = [], []
-    for mask in range(1 << space.cells):
-        cells = tuple(c for c in range(space.cells) if mask >> c & 1)
-        labels.append(cells)
-        relations.append(agreement_relation(space, states, cells))
-    return EntourageBase(tuple(relations), tuple(labels))
 
 
 def member_continuity_assignments(gm, targets, depends):
@@ -314,317 +234,127 @@ def left_normed_words(group, gens):
     return seen
 
 
-# ------------------------------------------------------- uniformity base
+# ------------------------------------- labelings against the relation oracle
+
+# (space, states) whose configurations fit relation matrices of 256 x 256 at most
+ORACLE_SPACES = {**SPACES, **{f"cyclic{n}": cyclic_space(n) for n in (1, 2, 3)}}
+ORACLE_CASES = [
+    (name, q) for name, space in ORACLE_SPACES.items() for q in (2, 3, 5) if config_count(space, q) <= 256
+]
 
 
-def _doctored(base, kind, index):
-    rels = list(base.relations)
-    size = rels[0].size
-    if kind == "drop":
-        del rels[index]
-    elif kind == "irreflexive":
-        pairs = rels[index].pairs.copy()
-        pairs[index % size, index % size] = False
-        rels[index] = Relation(size, pairs)
-    else:
-        # reflexive, and either asymmetric or symmetric but not transitive
-        pairs = np.eye(size, dtype=bool)
-        pairs[0, 1] = True
-        if kind == "non-transitive":
-            pairs[1, 0] = pairs[1, 2] = pairs[2, 1] = True
-        rels.insert(index, Relation(size, pairs))
-    return EntourageBase(tuple(rels))
+def _kernel(labels):
+    return Relation(len(labels), labels[:, None] == labels[None, :])
 
 
-@pytest.mark.parametrize("cells", [1, 2, 3, 4, 5, 6])
-def test_prodiscrete_bases_agree_with_the_scan(cells):
-    base = prodiscrete_base(cyclic_space(cells), 2)
-    verdict = check_uniformity_base(base)
-    assert verdict == scan_uniformity_base(base) == Verdict.passing("uniformity-base")
+def _singletons(gm, depends):
+    return continuity_assignments(gm, [(m,) for m in range(gm.space.cells)], depends)
 
 
-@pytest.mark.parametrize("kind", ["drop", "asymmetric", "non-transitive"])
-@pytest.mark.parametrize("cells", [2, 3])
-def test_doctored_bases_agree_with_the_scan(kind, cells):
-    base = prodiscrete_base(cyclic_space(cells), 2)
-    for index in range(len(base.relations)):
-        doctored = _doctored(base, kind, index)
-        assert check_uniformity_base(doctored) == scan_uniformity_base(doctored), index
+def _agrees_with_the_relation_oracle(gm, depends):
+    """check_uniform_continuity against the pushforward of the matrices on
+    the same singleton sources; when it passes, the sources of every
+    member of the base pass the pushforward too."""
+    result = check_uniform_continuity(gm, depends)
+    assert result == pushforward_continuity(gm, _singletons(gm, depends))
+    if result.verdict.ok:
+        members = matrix_prodiscrete_base(gm.space, gm.states).labels
+        assert pushforward_continuity(gm, continuity_assignments(gm, members, depends)).verdict.ok
+    return result
 
 
-def test_doctored_bases_reach_the_scan_and_its_failures():
-    base = prodiscrete_base(cyclic_space(3), 2)
-    # the predicted member is missing, yet the diagonal still bounds each
-    # condition, so the scan must run and pass
-    for kind, index in (("drop", 3), ("asymmetric", 1), ("non-transitive", 2)):
-        assert check_uniformity_base(_doctored(base, kind, index)).ok
-    # without the diagonal E(all cells), the meet of two complements escapes
-    verdict = check_uniformity_base(_doctored(base, "drop", len(base.relations) - 1))
-    assert verdict == Verdict.failing("base-meet", {"relations": [1, 6]})
+def _dropped(depends, rng, count):
+    """depends with one dependency cell dropped at each of `count` target
+    cells, or fewer when fewer cells have any."""
+    doctored = depends.copy()
+    targets = np.flatnonzero(depends.any(axis=1))
+    for m in rng.choice(targets, min(count, len(targets)), replace=False):
+        doctored[m, rng.choice(np.flatnonzero(depends[m]))] = False
+    return doctored
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    size=st.integers(2, 4),
-    data=st.data(),
-)
-def test_random_reflexive_families_agree_with_the_scan(size, data):
-    count = data.draw(st.integers(1, 4))
-    rels = []
-    for _ in range(count):
-        bits = data.draw(st.lists(st.booleans(), min_size=size * size, max_size=size * size))
-        pairs = np.array(bits, dtype=bool).reshape(size, size) | np.eye(size, dtype=bool)
-        rels.append(Relation(size, pairs))
-    base = EntourageBase(tuple(rels))
-    assert check_uniformity_base(base) == scan_uniformity_base(base)
+@pytest.mark.parametrize("name, states", ORACLE_CASES)
+def test_labelings_equal_the_relation_oracle(name, states):
+    space = ORACLE_SPACES[name]
+    family = matrix_prodiscrete_base(space, states)
+    for cells, relation in zip(family.labels, family.relations):
+        assert _kernel(agreement_relation(space, states, cells)) == relation, cells
+    base = prodiscrete_base(space, states)
+    assert check_uniformity_base(base) == scan_uniformity_base(family) == Verdict.passing("uniformity-base")
+    intersection = check_agreement_intersection(base)
+    assert intersection == scan_agreement_intersection(family) == Verdict.passing("agreement-intersection")
 
 
-def _random_family(size, rng):
-    """Reflexive members of four kinds: partitions (symmetric and
-    transitive), symmetric, transitive closures, and plain reflexive ones;
-    sometimes with the diagonal, which bounds every condition."""
-    eye = np.eye(size, dtype=bool)
-    rels = []
-    for _ in range(int(rng.integers(1, 6))):
-        kind = int(rng.integers(4))
-        if kind == 0:
-            blocks = rng.integers(0, int(rng.integers(1, size + 1)), size)
-            pairs = blocks[:, None] == blocks[None, :]
-        else:
-            pairs = (rng.random((size, size)) < rng.random()) | eye
-            if kind == 1:
-                pairs |= pairs.T
-            elif kind == 2:
-                for _ in range(size):
-                    pairs |= (pairs.astype(np.int32) @ pairs.astype(np.int32)) > 0
-        rels.append(Relation(size, pairs))
-    if rng.random() < 0.3:
-        rels.insert(int(rng.integers(len(rels) + 1)), Relation.diagonal(size))
-    return EntourageBase(tuple(rels))
+# the cases with 2 and 3 states, on which the random rules are drawn
+RULE_CASES = [case for case in ORACLE_CASES if case[1] < 5]
 
 
-@pytest.mark.parametrize("size", [3, 5, 7])
-def test_sizes_with_padded_bit_rows_agree_with_the_scan(size):
-    # N*N is not a multiple of 8, so every packed row ends in padding bits
-    base = prodiscrete_base(cyclic_space(1), size)
-    assert check_uniformity_base(base) == scan_uniformity_base(base) == Verdict.passing("uniformity-base")
-    rng = np.random.default_rng(size)
-    laws = set()
-    for _ in range(100):
-        base = _random_family(size, rng)
-        verdict = check_uniformity_base(base)
-        assert verdict == scan_uniformity_base(base)
-        laws.add(verdict.law)
-    assert laws == {"uniformity-base", "base-meet", "base-inverse", "base-square-root"}
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("symmetrize", [True, False])
+@pytest.mark.parametrize("name, states", RULE_CASES)
+def test_continuity_equals_the_relation_oracle_on_random_rules(name, states, symmetrize, seed):
+    gm = GlobalMap.from_automaton(_random_rule(ORACLE_SPACES[name], states, seed, symmetrize))
+    assert _agrees_with_the_relation_oracle(gm, dependency_matrix(gm)).verdict.ok
 
 
-@pytest.mark.parametrize("cells", [2, 3])
-def test_duplicated_members_agree_with_the_scan(cells):
-    base = prodiscrete_base(cyclic_space(cells), 2)
-    rels, labels = base.relations, base.labels
-    escaping = _doctored(base, "drop", len(rels) - 1)
-    for index in range(len(rels)):
-        twice = EntourageBase(rels[: index + 1] + rels[index:], labels[: index + 1] + labels[index:])
-        assert check_uniformity_base(twice) == scan_uniformity_base(twice) == Verdict.passing("uniformity-base")
-        assert check_agreement_intersection(twice) == scan_agreement_intersection(twice)
-        if index < len(escaping.relations):
-            doctored = EntourageBase(escaping.relations + (escaping.relations[index],))
-            assert check_uniformity_base(doctored) == scan_uniformity_base(doctored), index
-
-
-@pytest.mark.parametrize("cells", [2, 3])
-def test_unlabeled_bases_agree_with_the_scan(cells):
-    base = prodiscrete_base(cyclic_space(cells), 2)
-    unlabeled = EntourageBase(base.relations)
-    assert check_uniformity_base(unlabeled) == scan_uniformity_base(unlabeled) == check_uniformity_base(base)
-    for kind in ("drop", "asymmetric", "non-transitive"):
-        for index in range(len(base.relations)):
-            doctored = _doctored(base, kind, index)
-            assert doctored.labels is None
-            assert check_uniformity_base(doctored) == scan_uniformity_base(doctored)
-    gm = GlobalMap(cyclic_space(cells), 2, np.arange(2**cells))
-    with pytest.raises(InputError, match="agreement-labeled"):
-        check_agreement_intersection(unlabeled)
-    with pytest.raises(InputError, match="agreement-labeled"):
-        check_uniform_continuity(gm, unlabeled)
-
-
-def test_mixed_sizes_raise_after_the_reflexivity_check():
-    mixed = EntourageBase((Relation.diagonal(3), Relation.full(3), Relation.diagonal(4)))
-    for check in (check_uniformity_base, scan_uniformity_base):
-        with pytest.raises(InputError, match="different universes"):
-            check(mixed)
-    # a member missing a diagonal pair is reported first, whatever the sizes
-    lacking = np.eye(4, dtype=bool)
-    lacking[2, 2] = False
-    for tail in ((Relation(4, lacking),), (Relation(4, lacking), Relation.diagonal(5))):
-        bad = EntourageBase(mixed.relations[:2] + tail)
-        want = Verdict.failing("base-reflexive", {"relation": 2, "missing_pair": [2, 2]})
-        assert check_uniformity_base(bad) == scan_uniformity_base(bad) == want
-    labeled = EntourageBase(mixed.relations, ((0,), (), (0, 1)))
-    with pytest.raises(InputError, match="different universes"):
-        check_agreement_intersection(labeled)
-
-
-# ------------------------------------- stacked base against member loops
-
-
-def _positions(count):
-    """The first, a middle and the last index of `count` members."""
-    return sorted({0, count // 2, count - 1})
-
-
-def _doctored_labeled(base, kind, index):
-    """_doctored with labels kept along: a dropped member takes its label
-    with it, and an inserted one repeats the label of the member it
-    displaces."""
-    labels = list(base.labels)
-    if kind == "drop":
-        del labels[index]
-    elif kind != "irreflexive":
-        labels.insert(index, labels[index])
-    return EntourageBase(_doctored(base, kind, index).relations, tuple(labels))
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("name, states", RULE_CASES)
+def test_dropped_dependencies_fail_as_in_the_relation_oracle(name, states, seed):
+    # a dependency cell left out of a source admits a pair whose images
+    # split there; both paths fail at the first doctored cell
+    gm = GlobalMap.from_automaton(_random_rule(ORACLE_SPACES[name], states, seed, False))
+    depends = dependency_matrix(gm)
+    for m, c in np.argwhere(depends):
+        doctored = depends.copy()
+        doctored[m, c] = False
+        result = _agrees_with_the_relation_oracle(gm, doctored)
+        assert result.verdict.witness["target_cells"] == [m]
+    rng = np.random.default_rng(seed)
+    for count in (2, 3):
+        doctored = _dropped(depends, rng, count)
+        result = _agrees_with_the_relation_oracle(gm, doctored)
+        first = int(np.flatnonzero((doctored != depends).any(axis=1))[0])
+        assert result.verdict.witness["target_cells"] == [first]
 
 
 @pytest.mark.parametrize(
-    "space, states",
-    [(1, 1), (8, 1), (1, 2), (3, 2), (5, 2), (2, 3), (3, 3), (1, 7), ("cyclic4", 2), ("square", 3), ("cube", 2)],
+    "cells, states", [(1, 2), (1, 5), (2, 3), (3, 2), (3, 5), (4, 2), (4, 3), (5, 2), (6, 2)]
 )
-def test_stacked_prodiscrete_bases_equal_the_member_loop(space, states):
-    space = SPACES[space] if isinstance(space, str) else cyclic_space(space)
-    base = prodiscrete_base(space, states)
-    want = member_prodiscrete_base(space, states)
-    assert base == want
-    assert np.array_equal(base.stack, np.stack([r.pairs for r in want.relations]))
-    # the members are read-only views of the stack the checks read
-    assert not any(r.pairs.flags.writeable for r in base.relations)
-
-
-@pytest.mark.parametrize("space, states", [("cyclic4", 2), ("square", 2), ("cube", 2), (3, 3), (4, 1)])
-def test_stacked_checks_agree_with_the_oracles_on_prodiscrete_bases(space, states):
-    space = SPACES[space] if isinstance(space, str) else cyclic_space(space)
-    base = prodiscrete_base(space, states)
-    passing = Verdict.passing("uniformity-base")
-    assert check_uniformity_base(base) == lookup_uniformity_base(base) == passing
-    assert check_uniformity_base(EntourageBase(base.relations)) == passing
-    intersection = check_agreement_intersection(base)
-    assert intersection == scan_agreement_intersection(base) == Verdict.passing("agreement-intersection")
-    assert len(base.meet_misses) == 0
-
-
-@pytest.mark.parametrize("name", ["cyclic4", "square", "cube"])
-@pytest.mark.parametrize("kind", ["irreflexive", "drop", "asymmetric", "non-transitive"])
-def test_stacked_checks_agree_with_the_oracles_on_doctored_bases(name, kind):
-    base = prodiscrete_base(SPACES[name], 2)
-    for index in _positions(len(base.relations)):
-        labeled = _doctored_labeled(base, kind, index)
-        unlabeled = EntourageBase(labeled.relations)
-        want = lookup_uniformity_base(unlabeled)
-        if len(base.relations) <= 16:
-            assert want == scan_uniformity_base(unlabeled)
-        assert check_uniformity_base(labeled) == check_uniformity_base(unlabeled) == want, index
-        assert check_agreement_intersection(labeled) == scan_agreement_intersection(labeled), index
-        assert labeled.meet_misses.tolist() == loop_meet_misses(labeled), index
-        if kind == "irreflexive":
-            x = index % base.relations[0].size
-            assert want == Verdict.failing("base-reflexive", {"relation": index, "missing_pair": [x, x]})
-    if kind == "irreflexive":
-        # every position doctored at once: the first one is the witness
-        rels = list(base.relations)
-        for index in _positions(len(rels)):
-            rels[index] = _doctored(base, kind, index).relations[index]
-        doctored = EntourageBase(tuple(rels))
-        assert check_uniformity_base(doctored) == lookup_uniformity_base(doctored)
-        assert check_uniformity_base(doctored).witness["relation"] == 0
-
-
-def _culprit_family(kind, position, labeled):
-    """E(K) for the four cell sets K of cyclic_space(3) that leave out
-    cell 0, at 3 states, with one more member at `position`.  Without the
-    diagonal E(0, 1, 2) the smallest of them is E(1, 2), whose pairs
-    differ at cell 0 alone.  The culprit lies inside E(1, 2), so each of
-    its meets with the others is itself, and it fails the condition its
-    kind names: codes 0, 1 and 2 differ at cell 0 alone, and 0 and 3 at
-    cell 1."""
-    base = prodiscrete_base(cyclic_space(3), 3)
-    keep = [i for i, label in enumerate(base.labels) if 0 not in label]
-    rels = [base.relations[i] for i in keep]
-    labels = [base.labels[i] for i in keep]
-    pairs = np.eye(27, dtype=bool)
-    if kind == "base-reflexive":
-        pairs = base.relations[keep[-1]].pairs.copy()
-        pairs[1, 1] = False
-    elif kind == "base-meet":
-        pairs[0, 3] = pairs[3, 0] = True
-    elif kind == "base-inverse":
-        pairs[0, 1] = True
-    elif kind == "base-square-root":
-        pairs[0, 1] = pairs[1, 0] = pairs[1, 2] = pairs[2, 1] = True
-    rels.insert(position, Relation(27, pairs))
-    labels.insert(position, (0,))
-    return EntourageBase(tuple(rels), tuple(labels) if labeled else None)
-
-
-@pytest.mark.parametrize("labeled", [False, True])
-@pytest.mark.parametrize("kind", ["base-reflexive", "base-meet", "base-inverse", "base-square-root"])
-def test_stacked_checks_find_each_failure_kind_where_the_scan_does(kind, labeled):
-    for position in _positions(5):
-        family = _culprit_family(kind, position, labeled)
-        verdict = check_uniformity_base(family)
-        assert verdict == scan_uniformity_base(family) == lookup_uniformity_base(family), position
-        assert verdict.law == kind
-        if kind != "base-meet":
-            assert verdict.witness["relation"] == position
-    # without a culprit the four members are a base
-    family = EntourageBase(_culprit_family(kind, 0, labeled).relations[1:])
-    assert check_uniformity_base(family) == Verdict.passing("uniformity-base")
+def test_random_tables_agree_with_the_relation_oracle(cells, states):
+    # tables that are no step, bijective or not; a bijection's inverse
+    # sources pass the pushforward of the inverse table
+    space = cyclic_space(cells)
+    rng = np.random.default_rng(cells * 10 + states)
+    total = states**cells
+    for table in (np.arange(total), rng.permutation(total), rng.integers(0, total, total)):
+        gm = GlobalMap(space, states, table)
+        depends = dependency_matrix(gm)
+        assert _agrees_with_the_relation_oracle(gm, depends).verdict.ok
+        if depends.any():
+            assert not _agrees_with_the_relation_oracle(gm, _dropped(depends, rng, 1)).verdict.ok
+        iso = check_uniform_isomorphism(gm)
+        if len(set(table.tolist())) == total:
+            inverse = GlobalMap(space, states, np.argsort(table))
+            want = pushforward_continuity(inverse, _singletons(inverse, None))
+            assert want.verdict.ok
+            assert iso.witness["inverse_sources"] == [list(source) for _, source in want.assignments]
+        else:
+            assert not iso.ok
 
 
 @settings(deadline=None)
-@given(size=st.integers(2, 4), data=st.data())
-def test_stacked_checks_agree_on_random_labeled_families(size, data):
-    # members drawn fresh, repeated, or as meets of earlier ones, and
-    # labels over a few cells, not always sorted or without repeats, so
-    # that predicted members both hit and miss
-    rels, labels = [], []
-    for _ in range(data.draw(st.integers(1, 5))):
-        how = data.draw(st.integers(0, 2 if len(rels) > 1 else 0))
-        if how == 0:
-            bits = data.draw(st.lists(st.booleans(), min_size=size * size, max_size=size * size))
-            rels.append(Relation(size, np.array(bits, dtype=bool).reshape(size, size) | np.eye(size, dtype=bool)))
-        elif how == 1:
-            rels.append(data.draw(st.sampled_from(rels)))
-        else:
-            first, second = data.draw(st.lists(st.sampled_from(rels), min_size=2, max_size=2))
-            rels.append(first.intersect(second))
-        labels.append(tuple(data.draw(st.lists(st.integers(0, 2), max_size=3))))
-    base = EntourageBase(tuple(rels), tuple(labels))
-    assert check_uniformity_base(base) == scan_uniformity_base(base)
-    assert check_agreement_intersection(base) == scan_agreement_intersection(base)
-    assert base.meet_misses.tolist() == loop_meet_misses(base)
-
-
-@pytest.mark.parametrize("name", ["cyclic4", "square", "cube"])
-def test_stacked_continuity_builds_the_sources_that_label_no_member(name):
-    # E(K) replaced by the diagonal and the member labeled with its source
-    # set L dropped: E(L) must be built, as the pushforward builds it
-    space = SPACES[name]
-    base = prodiscrete_base(space, 2)
-    failures = 0
-    for seed in range(2):
-        gm = GlobalMap.from_automaton(_random_rule(space, 2, seed, symmetrize=False))
-        for index, (cells, source) in enumerate(continuity_assignments(gm, base.labels)):
-            if source == cells:
-                continue
-            rels, labels = list(base.relations), list(base.labels)
-            rels[index] = Relation.diagonal(rels[index].size)
-            dropped = labels.index(source)
-            del rels[dropped], labels[dropped]
-            doctored = EntourageBase(tuple(rels), tuple(labels))
-            want = pushforward_continuity(gm, doctored)
-            assert check_uniform_continuity(gm, doctored) == want
-            failures += not want.verdict.ok
-    assert failures
+@given(
+    case=st.sampled_from(RULE_CASES),
+    seed=st.integers(0, 2**32 - 1),
+    symmetrize=st.booleans(),
+    dropped=st.integers(0, 2),
+)
+def test_drawn_rules_agree_with_the_relation_oracle(case, seed, symmetrize, dropped):
+    name, states = case
+    gm = GlobalMap.from_automaton(_random_rule(ORACLE_SPACES[name], states, seed, symmetrize))
+    depends = dependency_matrix(gm)
+    result = _agrees_with_the_relation_oracle(gm, _dropped(depends, np.random.default_rng(seed), dropped))
+    assert result.verdict.ok == (not dropped or not depends.any())
 
 
 def _target_sets(cells, rng):
@@ -637,7 +367,7 @@ def _target_sets(cells, rng):
 
 
 @pytest.mark.parametrize("name", sorted(AUTOMATA))
-def test_stacked_assignments_and_windows_equal_the_member_loops(name):
+def test_assignments_and_windows_equal_the_member_loops(name):
     ca = AUTOMATA[name]
     gm = GlobalMap.from_automaton(ca)
     depends = dependency_matrix(gm)
@@ -659,163 +389,6 @@ def test_stacked_assignments_and_windows_equal_the_member_loops(name):
         assert verdict == member_continuity_window(ca.space, ca.neighborhood, moved)
         failures += not verdict.ok
     assert failures or len(ca.neighborhood) == ca.space.cells
-
-
-def test_stacked_checks_take_less_memory_than_the_member_stacks():
-    # the in-bound worst case: 256 members of 256 x 256 pairs.  The stack
-    # itself is 16 MiB; the checks gathered about as much again, and the
-    # row-at-a-time form peaked at 54.1 MiB over these four calls
-    space = cyclic_space(8)
-    gm = GlobalMap(space, 2, np.arange(256)[::-1].copy())
-    depends = dependency_matrix(gm)
-    tracemalloc.start()
-    try:
-        base = prodiscrete_base(space, 2)
-        verdicts = [check_uniformity_base(base), check_agreement_intersection(base)]
-        verdicts.append(check_uniform_continuity(gm, base, depends).verdict)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert all(v.ok for v in verdicts)
-    assert peak <= 2 * base.stack.nbytes
-
-
-# ------------------------------------------------ agreement intersection
-
-
-def scan_agreement_intersection(base):
-    """E(K) & E(K') against the member labeled K | K', pair by pair; a
-    union that labels no member fails."""
-    labels = base.labels
-    for i, k1 in enumerate(labels):
-        for j, k2 in enumerate(labels):
-            merged = tuple(sorted(set(k1) | set(k2)))
-            if merged not in labels or (
-                base.relations[i].intersect(base.relations[j]) != base.relations[labels.index(merged)]
-            ):
-                return Verdict.failing("agreement-intersection", {"first": list(k1), "second": list(k2)})
-    return Verdict.passing("agreement-intersection")
-
-
-def loop_meet_misses(base):
-    """The pairs (i, k), i <= k, in row-major order, whose meet is not
-    the member labeled with the sorted union of their labels."""
-    labels, rels = base.labels, base.relations
-    misses = []
-    for i in range(len(rels)):
-        for k in range(i, len(rels)):
-            merged = tuple(sorted(set(labels[i]) | set(labels[k])))
-            if merged not in labels or rels[i].intersect(rels[k]) != rels[labels.index(merged)]:
-                misses.append([i, k])
-    return misses
-
-
-def _relabeled(base, relations=None, labels=None):
-    return EntourageBase(
-        tuple(base.relations if relations is None else relations),
-        tuple(base.labels if labels is None else labels),
-    )
-
-
-@pytest.mark.parametrize("cells", [1, 2, 3, 4])
-def test_agreement_intersection_matches_the_scalar_loop(cells):
-    base = prodiscrete_base(cyclic_space(cells), 2)
-    assert check_agreement_intersection(base) == scan_agreement_intersection(base)
-    assert check_agreement_intersection(base).ok
-    rels, labels = list(base.relations), list(base.labels)
-    size = rels[0].size
-    asymmetric = np.eye(size, dtype=bool)
-    asymmetric[0, -1] = True
-    doctored = []
-    for index in range(len(rels)):
-        for replacement in (Relation.diagonal(size), Relation.full(size), Relation(size, asymmetric)):
-            doctored.append(_relabeled(base, relations=rels[:index] + [replacement] + rels[index + 1 :]))
-        # a dropped member leaves unions that label nothing
-        doctored.append(_relabeled(base, rels[:index] + rels[index + 1 :], labels[:index] + labels[index + 1 :]))
-        # a label that is not sorted never equals a union
-        if len(labels[index]) > 1:
-            reversed_label = labels[:index] + [labels[index][::-1]] + labels[index + 1 :]
-            doctored.append(_relabeled(base, labels=reversed_label))
-        # two labels swapped, or a member appended again under its label
-        other = (index * 5 + 1) % len(rels)
-        swapped = list(labels)
-        swapped[index], swapped[other] = swapped[other], swapped[index]
-        doctored.append(_relabeled(base, labels=swapped))
-        doctored.append(_relabeled(base, rels + [rels[index]], labels + [labels[index]]))
-    failures = 0
-    for candidate in doctored:
-        verdict = check_agreement_intersection(candidate)
-        assert verdict == scan_agreement_intersection(candidate), candidate.labels
-        failures += not verdict.ok
-    assert failures
-
-
-def test_agreement_intersection_reports_the_first_failing_pair():
-    base = prodiscrete_base(cyclic_space(3), 2)
-    assert base.labels[:4] == ((), (0,), (1,), (0, 1))
-    rels = list(base.relations)
-    rels[1] = Relation.diagonal(rels[1].size)
-    # E(()) & E(0) is the doctored member itself; E(0) & E(1) is not E(0, 1)
-    verdict = check_agreement_intersection(_relabeled(base, relations=rels))
-    assert verdict == Verdict.failing("agreement-intersection", {"first": [0], "second": [1]})
-    # with E(0, 1) dropped, the union of (0,) and (1,) labels nothing
-    rels, labels = base.relations, base.labels
-    verdict = check_agreement_intersection(_relabeled(base, rels[:3] + rels[4:], labels[:3] + labels[4:]))
-    assert verdict == Verdict.failing("agreement-intersection", {"first": [0], "second": [1]})
-
-
-# ------------------------------------------------------------ continuity
-
-
-def pushforward_continuity(gm, base):
-    """image_relation(E(L)) inside E(K), one labeled member at a time,
-    with E(L) built by agreement_relation."""
-    assignments = []
-    for (cells, source), rel in zip(continuity_assignments(gm, base.labels), base.relations):
-        if not image_relation(gm, agreement_relation(gm.space, gm.states, source)).issubset(rel):
-            witness = {"target_cells": list(cells), "candidate_source": list(source)}
-            return ContinuityResult(Verdict.failing("uniform-continuity", witness), tuple(assignments))
-        assignments.append((cells, source))
-    witness = {"assignments": [[list(k), list(l)] for k, l in assignments]}
-    return ContinuityResult(Verdict.passing("uniform-continuity", witness), tuple(assignments))
-
-
-@pytest.mark.parametrize(
-    "cells, states", [(1, 2), (1, 5), (2, 3), (3, 2), (3, 5), (4, 2), (4, 3), (5, 2), (6, 2)]
-)
-def test_continuity_matches_the_pushforward_on_random_tables(cells, states):
-    space = cyclic_space(cells)
-    base = prodiscrete_base(space, states)
-    rng = np.random.default_rng(cells * 10 + states)
-    total = states**cells
-    for table in (np.arange(total), rng.permutation(total), rng.integers(0, total, total)):
-        gm = GlobalMap(space, states, table)
-        result = check_uniform_continuity(gm, base)
-        assert result == pushforward_continuity(gm, base)
-        assert result.verdict.ok
-
-
-@pytest.mark.parametrize("name", ["cyclic4", "square", "cube"])
-def test_doctored_bases_fail_continuity_as_the_pushforward_does(name):
-    # E(K) replaced by the diagonal: under a local rule the source set L of
-    # K is seldom every cell, and agreement on L then seldom fixes the
-    # whole image.  The check reads E(L) from the base, so K = L is skipped.
-    space = SPACES[name]
-    base = prodiscrete_base(space, 2)
-    failures = 0
-    for seed in range(3):
-        gm = GlobalMap.from_automaton(_random_rule(space, 2, seed, symmetrize=False))
-        assert check_uniform_continuity(gm, base) == pushforward_continuity(gm, base)
-        for index, (cells, source) in enumerate(continuity_assignments(gm, base.labels)):
-            if source == cells:
-                continue
-            rels = list(base.relations)
-            rels[index] = Relation.diagonal(rels[index].size)
-            doctored = _relabeled(base, relations=rels)
-            want = pushforward_continuity(gm, doctored)
-            assert check_uniform_continuity(gm, doctored) == want
-            failures += not want.verdict.ok
-    assert failures
 
 
 # ------------------------------------------------------------ equivariance
