@@ -76,6 +76,9 @@ class SemiCellularAutomaton:
         # laws.global_table alone reads and fills it, on its first call
         # inside the table bound
         self._global_table: Optional[np.ndarray] = None
+        # is_cellular's verdicts, by the members of the symmetry scope; like
+        # the table they live as long as the automaton, whose rule is read-only
+        self._cellular: dict[tuple[int, ...], Verdict] = {}
 
     @property
     def arity(self) -> int:
@@ -83,7 +86,11 @@ class SemiCellularAutomaton:
 
     @cached_property
     def rule_array(self) -> np.ndarray:
-        return np.array(self.rule, dtype=np.int64)
+        """The rule as a read-only int64 array: the memoized table and
+        rotation verdicts are derived from it and must not go stale."""
+        rule = np.array(self.rule, dtype=np.int64)
+        rule.setflags(write=False)
+        return rule
 
     @cached_property
     def neighbor_cells(self) -> np.ndarray:
@@ -226,8 +233,20 @@ def is_cellular(ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None) 
     with the smallest code.  A rotation that leaves the neighborhood,
     which a table that is not a group action allows, raises InputError
     unless a member before it fails.
+
+    The verdict is decided once per automaton and scope: it is kept on
+    the automaton, by the scope's members, and returned from there on
+    later calls.
     """
     sub = subgroup_or_whole(ca.space, subgroup)
+    verdict = ca._cellular.get(sub.members)
+    if verdict is None:
+        verdict = ca._cellular[sub.members] = _rotation_verdict(ca, sub)
+    return verdict
+
+
+def _rotation_verdict(ca: SemiCellularAutomaton, sub: Subgroup) -> Verdict:
+    """is_cellular's verdict, decided on the generators."""
     q = ca.states
     rule = ca.rule_array
     members = stabilizer_part(ca.space, sub)

@@ -231,7 +231,10 @@ def coordinate_system_variants(
 ) -> list[CoordinateSystem]:
     """Distinct coordinate systems on one action: the default per origin,
     then seeded perturbations of the transporter choices.  Returns every
-    system the action admits when fewer than `count` exist."""
+    system the action admits when fewer than `count` exist.
+
+    The seed and the transporters serve the perturbations alone, so once
+    the defaults number `count` they are returned and no more are built."""
     rng = random.Random(seed)
     variants: list[CoordinateSystem] = []
     seen = set()
@@ -245,6 +248,8 @@ def coordinate_system_variants(
     transporters: dict[tuple[int, int], tuple[int, ...]] = {}
     for origin in range(action.points):
         push(build_coordinate_system(action, origin))
+        if len(variants) >= count:
+            return variants[:count]
         # the elements carrying origin to each point, in increasing order
         column = action.act[:, origin]
         by_point = np.argsort(column, kind="stable")

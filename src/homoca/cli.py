@@ -52,7 +52,7 @@ from .laws import (
     dependency_matrix,
     extract,
     extract_step,
-    global_table,  # noqa: F401 - perfbench wraps homoca.cli.global_table by name
+    global_table,
     invert,
     shift_cells,
     step_difference,
@@ -418,9 +418,13 @@ def _suite_uniformity(ca, sub, seed) -> dict:
         check_continuity_window(space, ca.neighborhood, continuity.assignments),
     ]
     if is_cellular(ca, sub).ok:
-        iso = check_uniform_isomorphism(gm, depends)
+        # invert has checked both round trips of the inverse it returns, so
+        # its table is gm's inverse, and the forward direction is the one
+        # just checked: the isomorphism checks the inverse direction alone
         result = invert(ca, sub, seed=seed)
         invertible = not isinstance(result, NotInvertible)
+        inverse_table = global_table(result) if invertible else None
+        iso = check_uniform_isomorphism(gm, depends, forward=continuity, inverse_table=inverse_table)
         verdicts.append(
             Verdict(
                 iso.ok == invertible,

@@ -84,14 +84,24 @@ def _digit_sums(states: int, width: int, weight: np.ndarray) -> np.ndarray:
     return np.matmul(digit_matrix(states, width), weight, dtype=np.int64)
 
 
-def split_pack(states: int, weight: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """sum(digit_j(c) * weight[j]) for every packed configuration c, as one
-    broadcast add of the sums over hi's digits and over lo's.  The half
-    sums are small and cast to dtype before the add, so the full-length
-    result is built in dtype alone; dtype must hold every sum."""
+def split_sums(states: int, weight: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The halves of sum(digit_j(c) * weight[j]) over the packed
+    configurations c = lo + states**(len(weight) // 2) * hi: the sums over
+    hi's digits, one row per hi, and over lo's, one row per lo, cast to
+    dtype.  The sum at c is high[hi] + low[lo].  A weight matrix gives one
+    column of sums per weight column."""
     half = len(weight) // 2
     high = _digit_sums(states, len(weight) - half, weight[half:]).astype(dtype)
     low = _digit_sums(states, half, weight[:half]).astype(dtype)
+    return high, low
+
+
+def split_pack(states: int, weight: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """sum(digit_j(c) * weight[j]) for every packed configuration c, as one
+    broadcast add of the halves `split_sums` gives.  They are small and
+    cast to dtype before the add, so the full-length result is built in
+    dtype alone; dtype must hold every sum."""
+    high, low = split_sums(states, weight, dtype)
     return (high[:, None] + low).ravel()
 
 
@@ -372,6 +382,13 @@ def check_step_equivariance(ca: SemiCellularAutomaton, subgroup: Optional[Subgro
     neighborhood's cells when the action table is an action, and at most
     twice as wide otherwise; the first one past MAX_RULE_TABLE patterns
     raises BoundError.
+
+    Every generator's rows are searched at once first, as the rows of one
+    map on as many cells, so that placements that recur from generator to
+    generator are searched once.  Only when that search finds a
+    difference, or meets a window past the bound, are the generators
+    searched one by one, for the first failing one and its smallest
+    witness, or the BoundError, that search gives.
     """
     space = ca.space
     sub = subgroup_or_whole(space, subgroup)
@@ -383,12 +400,20 @@ def check_step_equivariance(ca: SemiCellularAutomaton, subgroup: Optional[Subgro
         reads = rule[pattern_codes(q, size, np.stack([shift_then_step, step_then_shift], axis=1))]
         return reads[..., 0], reads[..., 1]
 
-    for k in generator_indices(rows):
-        s = rows[k]
-        witness = window_difference(q, s[nc], nc[s], evaluate)
-        if witness is not None:
-            image, shifted_image = step_batch(ca, [witness, [witness[c] for c in s]])
-            return _equivariance_failure(sub.members[k], witness, image[s].tolist(), shifted_image.tolist())
+    generators = generator_indices(rows)
+    chosen = rows[generators]
+    joint = (len(generators) * space.cells, ca.arity)
+    try:
+        differs = window_difference(q, chosen[:, nc].reshape(joint), nc[chosen].reshape(joint), evaluate) is not None
+    except BoundError:
+        differs = True
+    if differs:
+        for k in generators:
+            s = rows[k]
+            witness = window_difference(q, s[nc], nc[s], evaluate)
+            if witness is not None:
+                image, shifted_image = step_batch(ca, [witness, [witness[c] for c in s]])
+                return _equivariance_failure(sub.members[k], witness, image[s].tolist(), shifted_image.tolist())
     return Verdict.passing("shift-equivariance")
 
 

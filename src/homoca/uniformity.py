@@ -36,7 +36,7 @@ from .bounds import CONFIG_TABLE_BOUND
 from .cellspace import CellSpace
 from .encoding import digit_dtype, weights
 from .errors import BoundError, InputError
-from .laws import GlobalMap, config_count, dependency_matrix, split_pack, spread_images, table_inverse
+from .laws import GlobalMap, config_count, dependency_matrix, split_sums, spread_images, table_inverse
 from .verdict import Verdict
 
 
@@ -98,6 +98,22 @@ def check_agreement_intersection(base: AgreementBase) -> Verdict:
     return Verdict.passing("agreement-intersection")
 
 
+def _label_halves(space: CellSpace, states: int, sets: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The labelings of E(K) for each K in `sets`, split as the codes are
+    (`split_sums`): the label of code lo + states**(cells // 2) * hi is
+    high[hi, i] + low[lo, i] for the i-th set, and high[hi, i] is itself
+    the label of hi's row at lo = 0, low[lo, i] that of lo at hi = 0.
+
+    InputError for a cell outside 0..cells-1; BoundError past the table
+    bound.
+    """
+    total = config_count(space, states)
+    if total > CONFIG_TABLE_BOUND:
+        raise BoundError(f"{total} configurations exceed the table bound")
+    inside = _cell_rows(sets, space.cells).T
+    return split_sums(states, weights(states, space.cells)[:, None] * inside, digit_dtype(total))
+
+
 def agreement_relation(space: CellSpace, states: int, cells: Sequence[int]) -> np.ndarray:
     """E(K) as its labeling: the K-code of every configuration, its code
     with the digits off the cells K set to zero, in the code type of the
@@ -108,11 +124,8 @@ def agreement_relation(space: CellSpace, states: int, cells: Sequence[int]) -> n
     InputError for a cell outside 0..cells-1; BoundError past the table
     bound.
     """
-    total = config_count(space, states)
-    if total > CONFIG_TABLE_BOUND:
-        raise BoundError(f"{total} configurations exceed the table bound")
-    inside = _cell_rows([cells], space.cells)[0]
-    return split_pack(states, weights(states, space.cells) * inside, digit_dtype(total))
+    high, low = _label_halves(space, states, [cells])
+    return (high + low.T).ravel()
 
 
 @dataclass(frozen=True)
@@ -162,9 +175,10 @@ def check_uniform_continuity(gm: GlobalMap, depends: Optional[np.ndarray] = None
     `global_table`, and x_L is reached in two steps: zeroing x's high
     digits off L, which moves whole rows, then its low ones, which moves
     whole rows of one transposed copy.  The label splits as the code
-    does, so the two steps read its entries at lo = 0 and at hi = 0.
-    Digit m is kept by both steps for every x exactly when it is kept by
-    the whole, so each cell is two row gathers and compares.
+    does, so the two steps read only its halves (`_label_halves`), its
+    entries at lo = 0 and at hi = 0, found for every cell's source at
+    once.  Digit m is kept by both steps for every x exactly when it is
+    kept by the whole, so each cell is two row gathers and compares.
 
     Every other member follows: E(K) is the meet of the E({m}) for m in
     K, and pullbacks keep meets, so the source of K is the union of its
@@ -179,10 +193,13 @@ def check_uniform_continuity(gm: GlobalMap, depends: Optional[np.ndarray] = None
     width = gm.states ** (space.cells // 2)
     rows = spread.reshape(-1, width)
     columns = np.ascontiguousarray(rows.T)
-    for m, (cells, source) in enumerate(targets):
-        labels = agreement_relation(space, gm.states, source)
-        moved = np.bitwise_or.reduce(rows.take(labels[::width] // width, axis=0) ^ rows, axis=None)
-        moved |= np.bitwise_or.reduce(columns.take(labels[:width], axis=0) ^ columns, axis=None)
+    # per cell, the row each row hi moves to, and the row of the
+    # transposed copy each lo moves to
+    high, low = _label_halves(space, gm.states, [source for _, source in targets])
+    halves = zip((high // width).T, low.T)
+    for m, ((cells, source), (to_row, to_column)) in enumerate(zip(targets, halves)):
+        moved = np.bitwise_or.reduce(rows.take(to_row, axis=0) ^ rows, axis=None)
+        moved |= np.bitwise_or.reduce(columns.take(to_column, axis=0) ^ columns, axis=None)
         if int(moved) >> bits * m & (1 << bits) - 1:
             verdict = Verdict.failing(
                 "uniform-continuity",
@@ -219,7 +236,13 @@ def check_continuity_window(
     return Verdict.passing("continuity-inside-window")
 
 
-def check_uniform_isomorphism(gm: GlobalMap, depends: Optional[np.ndarray] = None) -> Verdict:
+def check_uniform_isomorphism(
+    gm: GlobalMap,
+    depends: Optional[np.ndarray] = None,
+    *,
+    forward: Optional[ContinuityResult] = None,
+    inverse_table: Optional[np.ndarray] = None,
+) -> Verdict:
     """Bijective, with both directions uniformly continuous, checked with
     their smallest singleton source sets as witnesses.
 
@@ -228,18 +251,28 @@ def check_uniform_isomorphism(gm: GlobalMap, depends: Optional[np.ndarray] = Non
     continuous; what distinguishes an isomorphism is bijectivity, and the
     witnesses record how locally the two directions act.  `depends` is
     dependency_matrix(gm), computed when not given.
+
+    A caller that has already decided a part passes it in, and only the
+    rest is checked: `forward` is check_uniform_continuity(gm, depends),
+    and `inverse_table` is the table of gm's two-sided inverse, such as
+    the table of the automaton `invert` returns, which has passed both
+    round trips there.  Without it the inverse is `table_inverse`'s, and
+    a table that is not injective fails.
     """
-    space = gm.space
-    inverse_table = table_inverse(gm.table)
-    if isinstance(inverse_table, tuple):
-        return Verdict.failing(
-            "uniform-isomorphism",
-            {"reason": "not injective", "colliding_codes": list(inverse_table[1:])},
-        )
-    inverse = GlobalMap(space, gm.states, table=inverse_table)
+    if inverse_table is None:
+        inverse_table = table_inverse(gm.table)
+        if isinstance(inverse_table, tuple):
+            return Verdict.failing(
+                "uniform-isomorphism",
+                {"reason": "not injective", "colliding_codes": list(inverse_table[1:])},
+            )
+    if forward is None:
+        forward = check_uniform_continuity(gm, depends)
+    results = {"forward": forward}
+    if forward.verdict.ok:
+        results["inverse"] = check_uniform_continuity(GlobalMap(gm.space, gm.states, table=inverse_table))
     witness = {}
-    for name, direction, direction_depends in (("forward", gm, depends), ("inverse", inverse, None)):
-        result = check_uniform_continuity(direction, direction_depends)
+    for name, result in results.items():
         if not result.verdict.ok:
             return Verdict.failing(
                 "uniform-isomorphism",
