@@ -17,10 +17,10 @@ rule on neighbourhood windows (see `homoca.laws`), so they build no
 global table and stay exact past the table bound.  The `uniformity`
 suite holds each agreement relation as a labeling of the configurations
 (see `homoca.uniformity`): its base verdicts hold by construction, and
-continuity and the isomorphism are checked on the global table, so it is
-exact up to the table bound and reports `bound_exceeded` past it; so
-does `extract`, after the equivariance verdict it reads off the map's
-own table.
+continuity and the isomorphism are checked on the global table, the
+isomorphism on the inverse `invert` returns, so it is exact up to the
+table bound and reports `bound_exceeded` past it; so does `extract`,
+after the equivariance verdict it reads off the map's own table.
 """
 
 from __future__ import annotations

@@ -9,7 +9,11 @@ a sum over the digits of c is a sum over hi's digits plus one over lo's.
 So a shift permutation is one broadcast add of two half-width sums, and
 a table is built from one small block per cell, with a row per pattern
 of the cell's window on the high cells, gathered into the table by hi.
-A table is built once per automaton and kept on it read-only.
+A table is built once per automaton and kept on it read-only, as the
+rule's rotation verdicts are, one per scope (`is_cellular`): an op
+decides each once, however many checks read it.  The inverse `invert`
+returns has passed both round trips, so its table is the inverse table,
+and the uniformity suite hands it to `check_uniform_isomorphism`.
 `step_batch` serves batches of configurations: witnesses and the
 collision search past the bound.
 
@@ -40,6 +44,8 @@ are found by closing the shifts' cell maps under composition, not by
 multiplying in the group table: tables are loaded without checking the
 group axioms, while composing maps is associative on any input, so
 commuting with the generators implies commuting with the whole scope.
+On windows all generators are searched at once (`window_search`), and
+the first one with a difference fails with its own smallest witness.
 
 Past the bound `invert` first joins the windows that read the origin
 (`window_collision`): two configurations differing there alone with one
@@ -251,8 +257,11 @@ def check_equivariance(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> Ve
     return Verdict.passing("shift-equivariance")
 
 
-def window_difference(states: int, reads_a: np.ndarray, reads_b: np.ndarray, evaluate) -> Optional[list[int]]:
-    """The smallest configuration on which two maps differ, or None.
+def window_search(states: int, reads_a: np.ndarray, reads_b: np.ndarray, evaluate):
+    """Where two maps differ, searched on windows: `differs`, a flag per
+    cell, and `smallest`, where smallest(cells, count) is the smallest
+    configuration of `count` cells on which the maps differ at one of
+    `cells`, or None.
 
     Map a gives cell m's digit from the digits at the cells reads_a[m],
     map b from those at reads_b[m].  The two agree on every configuration
@@ -274,6 +283,11 @@ def window_difference(states: int, reads_a: np.ndarray, reads_b: np.ndarray, eva
     the cells that differ are the differing patterns put back into code
     order, to find the smallest.  The first window past MAX_RULE_TABLE
     patterns raises BoundError.
+
+    Each row is a cell only to the search, so the rows of several maps on
+    one set of cells, stacked, are searched as one map on more cells:
+    their shared placements once, and `smallest` of one map's rows gives
+    that map's own smallest configuration.
     """
     q = states
     split = reads_a.shape[1]
@@ -314,23 +328,36 @@ def window_difference(states: int, reads_a: np.ndarray, reads_b: np.ndarray, eva
             bad = got_a != got_b
             for j in np.flatnonzero(bad.any(axis=0)).tolist():
                 differing[rows[j].tobytes()] = digit_matrix(q, size)[bad[:, j]]
-    smallest: dict[tuple[bytes, bytes], list[int]] = {}
-    witness = None
-    for m, (key, size) in enumerate(zip(keys, sizes)):
-        if key in differing:
-            window = reads[m][fresh[m]]
-            # each window position's digit weighs as its cell does in a code
-            rank = window.argsort(kind="stable").argsort()
-            ranked = (key, rank.tobytes())
-            if ranked not in smallest:
-                codes = np.matmul(differing[key], weights(q, size)[rank], dtype=np.int64)
-                smallest[ranked] = differing[key][codes.argmin()].tolist()
-            config = [0] * len(reads)
-            for cell, digit in zip(window.tolist(), smallest[ranked]):
-                config[cell] = digit
-            if witness is None or config[::-1] < witness[::-1]:
-                witness = config
-    return witness
+    differs = np.array([key in differing for key in keys], dtype=bool)
+    found: dict[tuple[bytes, bytes], list[int]] = {}
+
+    def smallest(cells: Sequence[int], count: int) -> Optional[list[int]]:
+        witness = None
+        for m in cells:
+            patterns = differing.get(keys[m])
+            if patterns is not None:
+                window = reads[m][fresh[m]]
+                # each window position's digit weighs as its cell does in a code
+                rank = window.argsort(kind="stable").argsort()
+                ranked = (keys[m], rank.tobytes())
+                if ranked not in found:
+                    codes = np.matmul(patterns, weights(q, sizes[m])[rank], dtype=np.int64)
+                    found[ranked] = patterns[codes.argmin()].tolist()
+                config = [0] * count
+                for cell, digit in zip(window.tolist(), found[ranked]):
+                    config[cell] = digit
+                if witness is None or config[::-1] < witness[::-1]:
+                    witness = config
+        return witness
+
+    return differs, smallest
+
+
+def window_difference(states: int, reads_a: np.ndarray, reads_b: np.ndarray, evaluate) -> Optional[list[int]]:
+    """The smallest configuration on which two maps differ, or None: the
+    maps and `evaluate` as `window_search` takes them, one row per cell."""
+    _, smallest = window_search(states, reads_a, reads_b, evaluate)
+    return smallest(range(len(reads_a)), len(reads_a))
 
 
 def step_difference(a: SemiCellularAutomaton, b: SemiCellularAutomaton) -> Optional[list[int]]:
@@ -383,12 +410,12 @@ def check_step_equivariance(ca: SemiCellularAutomaton, subgroup: Optional[Subgro
     twice as wide otherwise; the first one past MAX_RULE_TABLE patterns
     raises BoundError.
 
-    Every generator's rows are searched at once first, as the rows of one
-    map on as many cells, so that placements that recur from generator to
-    generator are searched once.  Only when that search finds a
-    difference, or meets a window past the bound, are the generators
-    searched one by one, for the first failing one and its smallest
-    witness, or the BoundError, that search gives.
+    Every generator's rows are searched at once (`window_search`), so
+    that placements that recur from generator to generator are searched
+    once.  The first generator with a differing row fails, with the
+    smallest witness of its own rows.  Only when a window is past the
+    bound are the generators searched one by one, so that a generator
+    failing before the first one with such a window is still reported.
     """
     space = ca.space
     sub = subgroup_or_whole(space, subgroup)
@@ -400,20 +427,26 @@ def check_step_equivariance(ca: SemiCellularAutomaton, subgroup: Optional[Subgro
         reads = rule[pattern_codes(q, size, np.stack([shift_then_step, step_then_shift], axis=1))]
         return reads[..., 0], reads[..., 1]
 
+    def failure(k, witness):
+        s = rows[k]
+        image, shifted_image = step_batch(ca, [witness, [witness[c] for c in s]])
+        return _equivariance_failure(sub.members[k], witness, image[s].tolist(), shifted_image.tolist())
+
     generators = generator_indices(rows)
     chosen = rows[generators]
-    joint = (len(generators) * space.cells, ca.arity)
+    cells = space.cells
+    joint = (len(generators) * cells, ca.arity)
     try:
-        differs = window_difference(q, chosen[:, nc].reshape(joint), nc[chosen].reshape(joint), evaluate) is not None
+        differs, smallest = window_search(q, chosen[:, nc].reshape(joint), nc[chosen].reshape(joint), evaluate)
     except BoundError:
-        differs = True
-    if differs:
         for k in generators:
-            s = rows[k]
-            witness = window_difference(q, s[nc], nc[s], evaluate)
+            witness = window_difference(q, rows[k][nc], nc[rows[k]], evaluate)
             if witness is not None:
-                image, shifted_image = step_batch(ca, [witness, [witness[c] for c in s]])
-                return _equivariance_failure(sub.members[k], witness, image[s].tolist(), shifted_image.tolist())
+                return failure(k, witness)
+    else:
+        if differs.any():
+            g = int(differs.argmax()) // cells
+            return failure(generators[g], smallest(range(g * cells, (g + 1) * cells), cells))
     return Verdict.passing("shift-equivariance")
 
 

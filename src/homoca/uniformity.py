@@ -19,9 +19,16 @@ What is checked on the global table is continuity:
 `check_uniform_continuity` reads each cell's source set off the
 dependency matrix and checks that the map's digit there is a function of
 the source's labels; `check_uniform_isomorphism` checks both directions
-of a bijective table so.  A base of 2**cells members is never built:
-a check reads the labelings it needs, so the only bound is the table
-bound on the configurations a labeling holds.
+of a bijective table so.  A base of 2**cells members is never built, nor
+a whole labeling by a check: continuity reads only the halves of its
+sources' labelings, so the only bound is the table bound on the
+configurations a labeling holds.
+
+A caller that has decided part of the isomorphism hands it over.  The
+`uniformity` suite runs `invert` first: the inverse automaton it
+returns has passed both round trips, so its table is the map's inverse,
+and with the suite's own forward continuity only the inverse direction
+is left to check.
 """
 
 from __future__ import annotations

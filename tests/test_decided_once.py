@@ -354,7 +354,7 @@ def test_a_joint_search_past_the_bound_falls_back_to_the_generator_loop(name):
     difference, or the BoundError, as they did."""
     ca = FIXTURE_AUTOMATA[name]
     cells = ca.space.cells
-    original = laws.window_difference
+    original = laws.window_search
 
     def refuse_joint(states, reads_a, reads_b, evaluate):
         if len(reads_a) > cells:
@@ -362,7 +362,7 @@ def test_a_joint_search_past_the_bound_falls_back_to_the_generator_loop(name):
         return original(states, reads_a, reads_b, evaluate)
 
     expected = generator_loop_equivariance(ca)
-    with mock.patch("homoca.laws.window_difference", side_effect=refuse_joint) as searched:
+    with mock.patch("homoca.laws.window_search", side_effect=refuse_joint) as searched:
         assert check_step_equivariance(ca) == expected
     generators = len(generator_indices(shift_cells(ca.space, ca.space.group.elements())))
     # the joint search, refused when it spans more than one generator, then
