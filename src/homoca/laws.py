@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -257,7 +257,9 @@ def check_equivariance(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> Ve
     return Verdict.passing("shift-equivariance")
 
 
-def window_search(states: int, reads_a: np.ndarray, reads_b: np.ndarray, evaluate):
+def window_search(
+    states: int, reads_a: np.ndarray, reads_b: np.ndarray, evaluate
+) -> tuple[np.ndarray, Callable[[Sequence[int], int], Optional[list[int]]]]:
     """Where two maps differ, searched on windows: `differs`, a flag per
     cell, and `smallest`, where smallest(cells, count) is the smallest
     configuration of `count` cells on which the maps differ at one of

@@ -39,7 +39,6 @@ from homoca.automata import (
     subgroup_or_whole,
 )
 from homoca.catalog import (
-    bundled_automata,
     bundled_spaces,
     coordinate_system_variants,
     group_from_permutations,
