@@ -12,7 +12,6 @@ from .automata import (
     essential_neighborhood,
     is_cellular,
     iterate,
-    observe,
     rotate_local,
     shift,
     step,
@@ -43,7 +42,6 @@ from .cellspace import (
     coordinate_change_defect,
     defect,
     identify,
-    semi_act,
 )
 from .errors import BoundError, EquivarianceError, InputError, LawError
 from .groups import (
@@ -54,8 +52,6 @@ from .groups import (
     check_transporter_lemma,
     conjugate_coset,
     orbit,
-    point_coset_labels,
-    quotient_set,
     stabilizer,
     transporter,
     verify_action,

@@ -72,12 +72,11 @@ class SemiCellularAutomaton:
         self.states = states
         self.neighborhood = neighborhood
         self.rule = rule
-        # slot for the step as a read-only table over packed configurations:
-        # laws.global_table alone reads and fills it, on its first call
-        # inside the table bound
-        self._global_table: Optional[np.ndarray] = None
+        # slot for the step as a laws.GlobalMap: GlobalMap.from_automaton
+        # alone reads and fills it, on its first call inside the table bound
+        self._global_map = None
         # is_cellular's verdicts, by the members of the symmetry scope; like
-        # the table they live as long as the automaton, whose rule is read-only
+        # the map they live as long as the automaton, whose rule is read-only
         self._cellular: dict[tuple[int, ...], Verdict] = {}
 
     @property
@@ -108,9 +107,6 @@ class SemiCellularAutomaton:
     def origin_neighborhood(self) -> tuple[int, ...]:
         """The neighborhood resolved at the origin, as cells."""
         return tuple(int(c) for c in self.neighbor_cells[self.space.origin])
-
-    def apply_rule(self, local: Sequence[int]) -> int:
-        return self.rule[encode(local, self.states)]
 
 
 def subgroup_or_whole(space: CellSpace, subgroup: Optional[Subgroup]) -> Subgroup:
@@ -279,11 +275,6 @@ def shift(space: CellSpace, g: int, config: Sequence[int]) -> tuple[int, ...]:
     return tuple(config[act[ginv][m]] for m in range(space.cells))
 
 
-def observe(ca: SemiCellularAutomaton, config: Sequence[int], m: int) -> tuple[int, ...]:
-    """The local configuration cell m sees: each name resolved at m."""
-    return tuple(config[c] for c in ca.neighbor_cells[m])
-
-
 def step_batch(ca: SemiCellularAutomaton, configs) -> np.ndarray:
     """The global step of every row of configs[N, cells], as an [N, cells]
     array: each cell's local configuration is gathered through the
@@ -372,17 +363,22 @@ def step_via_origin(ca: SemiCellularAutomaton, config: Sequence[int]) -> tuple[i
     return tuple(out)
 
 
-def essential_positions(ca: SemiCellularAutomaton) -> tuple[int, ...]:
-    """Positions whose state can influence the rule's output."""
-    q = ca.states
-    essential = []
-    for i in range(ca.arity):
+def sensitive_positions(states: int, arity: int, outputs: np.ndarray) -> tuple[int, ...]:
+    """The positions whose digit can change an entry of `outputs`, a table
+    indexed by the mixed-radix packing of `arity` digits."""
+    sensitive = []
+    for i in range(arity):
         # codes as (higher digits, digit i, lower digits): axis 1 varies
         # digit i alone
-        blocks = ca.rule_array.reshape(q ** (ca.arity - 1 - i), q, q**i)
+        blocks = outputs.reshape(states ** (arity - 1 - i), states, states**i)
         if (blocks[:, 1:] != blocks[:, :1]).any():
-            essential.append(i)
-    return tuple(essential)
+            sensitive.append(i)
+    return tuple(sensitive)
+
+
+def essential_positions(ca: SemiCellularAutomaton) -> tuple[int, ...]:
+    """Positions whose state can influence the rule's output."""
+    return sensitive_positions(ca.states, ca.arity, ca.rule_array)
 
 
 def essential_neighborhood(ca: SemiCellularAutomaton) -> tuple[int, ...]:
@@ -398,15 +394,3 @@ def essential_neighborhood(ca: SemiCellularAutomaton) -> tuple[int, ...]:
     if not np.array_equal(factor[restricted], ca.rule_array):
         raise AssertionError("rule does not factor through its sensitive positions")
     return tuple(ca.neighborhood[i] for i in positions)
-
-
-def configuration_observing(
-    ca: SemiCellularAutomaton, local: Sequence[int], m: int, default: int = 0
-) -> tuple[int, ...]:
-    """A configuration that realizes `local` at cell m and is `default`
-    elsewhere; freeness of the semi-action makes the writes collision-free."""
-    config = [default] * ca.space.cells
-    for i, cell in enumerate(ca.neighbor_cells[m]):
-        config[int(cell)] = int(local[i])
-    return tuple(config)
-

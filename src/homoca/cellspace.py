@@ -149,11 +149,6 @@ class CellSpace:
         return self._element_coset[self.group.mul[rows, reps]]
 
 
-def semi_act(space: CellSpace, m: int, coset: Coset) -> int:
-    """Resolve the relative name `coset` at cell m."""
-    return space.semi_cell(m, space.coset_index_of(coset))
-
-
 def check_free_transitive(space: CellSpace) -> Verdict:
     """The semi-action reaches every cell from every cell, uniquely."""
     table = space.semi_table

@@ -413,10 +413,6 @@ def orbit(action: LeftAction, m: int) -> tuple[int, ...]:
     return tuple(np.flatnonzero(hits).tolist())
 
 
-def is_transitive(action: LeftAction) -> bool:
-    return len(orbit(action, 0)) == action.points
-
-
 def require_transitive(action: LeftAction, origin: int) -> None:
     """Refuse an action whose orbit of `origin` misses some point."""
     reached = orbit(action, origin)
@@ -481,14 +477,6 @@ def check_transporter_lemma(action: LeftAction, m: int, m2: int, g: int) -> Verd
     return Verdict.passing("transporter-lemma")
 
 
-@dataclass(frozen=True)
-class QuotientSet:
-    """Left cosets of a subgroup with the left-multiplication action on them."""
-
-    cosets: tuple[Coset, ...]
-    action: LeftAction
-
-
 def coset_labels(group: FiniteGroup, sub: Subgroup) -> tuple[np.ndarray, np.ndarray]:
     """(reps, label): the canonical (minimum-member) representative of
     each left coset, sorted, and the index in reps of every element's coset."""
@@ -497,32 +485,6 @@ def coset_labels(group: FiniteGroup, sub: Subgroup) -> tuple[np.ndarray, np.ndar
     is_rep[canon] = True
     reps = np.flatnonzero(is_rep)
     return reps, np.searchsorted(reps, canon)
-
-
-def coset_representatives(group: FiniteGroup, sub: Subgroup) -> tuple[int, ...]:
-    """Canonical (minimum-member) representative of each left coset, sorted."""
-    return tuple(coset_labels(group, sub)[0].tolist())
-
-
-def quotient_set(group: FiniteGroup, sub: Subgroup) -> QuotientSet:
-    if sub.parent is not group and sub.parent != group:
-        raise InputError("subgroup belongs to a different group")
-    reps, label = coset_labels(group, sub)
-    cosets = tuple(Coset(sub, r) for r in reps.tolist())
-    # g maps the coset of r to the coset of g*r
-    return QuotientSet(cosets, LeftAction(group, len(reps), label[group.mul[:, reps]]))
-
-
-def point_coset_labels(action: LeftAction, origin: int) -> tuple[Coset, ...]:
-    """Label each point with the coset of elements carrying the origin to it.
-
-    The action must be transitive; the labeling is then a bijection onto
-    the cosets of the origin stabilizer and intertwines the action with
-    left multiplication.
-    """
-    require_transitive(action, origin)
-    sub = stabilizer(action, origin)
-    return tuple(Coset(sub, rep) for rep in first_transporters(action, origin).tolist())
 
 
 def is_stabilizer_subgroup(action: LeftAction, sub: Subgroup) -> bool:

@@ -9,11 +9,13 @@ a sum over the digits of c is a sum over hi's digits plus one over lo's.
 So a shift permutation is one broadcast add of two half-width sums, and
 a table is built from one small block per cell, with a row per pattern
 of the cell's window on the high cells, gathered into the table by hi.
-A table is built once per automaton and kept on it read-only, as the
-rule's rotation verdicts are, one per scope (`is_cellular`): an op
-decides each once, however many checks read it.  The inverse `invert`
-returns has passed both round trips, so its table is the inverse table,
-and the uniformity suite hands it to `check_uniform_isomorphism`.
+An automaton's step is one `GlobalMap`, built once and kept on the
+automaton, as the rule's rotation verdicts are, one per scope
+(`is_cellular`).  A map is its own memo in turn: its dependency matrix,
+its inverse (`inverse_map`) and its uniform continuity are each decided
+on the first call and kept on it, so an op decides each fact once,
+however many checks read it, and `invert` and the isomorphism check
+read one inverse.
 `step_batch` serves batches of configurations: witnesses and the
 collision search past the bound.
 
@@ -66,6 +68,7 @@ from .automata import (
     closed_neighborhood,
     generator_indices,
     is_cellular,
+    sensitive_positions,
     step_batch,
     subgroup_or_whole,
 )
@@ -112,7 +115,15 @@ def split_pack(states: int, weight: np.ndarray, dtype: np.dtype) -> np.ndarray:
 
 
 def global_table(ca: SemiCellularAutomaton) -> np.ndarray:
-    """The step of an automaton as a table over packed configurations.
+    """The step of an automaton as a read-only table over packed
+    configurations: the table of `GlobalMap.from_automaton(ca)`, so built
+    once per automaton.  Past the table bound every call raises
+    BoundError."""
+    return GlobalMap.from_automaton(ca).table
+
+
+def _step_table(ca: SemiCellularAutomaton) -> np.ndarray:
+    """The table of ca's step, built.
 
     Cell m's image digit depends only on the digits at its window
     neighbor_cells[m].  Split each code as c = lo + q**(n // 2) * hi, so
@@ -124,50 +135,46 @@ def global_table(ca: SemiCellularAutomaton) -> np.ndarray:
     table, seen as a (hi, lo) array, by rows: one pass over the table per
     cell, whatever the window's size.  The table holds codes in the code
     type, `digit_dtype(states**cells)`: uint8 up to 256 configurations
-    and uint16 up to the bound.  It is built once per automaton, kept
-    read-only in the automaton's `_global_table` slot and returned from
-    there on later calls; past the table bound every call raises
-    BoundError.
+    and uint16 up to the bound, and read-only.  Past the table bound it
+    raises BoundError.
     """
     space = ca.space
     q, n = ca.states, space.cells
     if config_count(space, q) > CONFIG_TABLE_BOUND:
         raise BoundError("global tables beyond the exhaustive bound")
-    if ca._global_table is None:
-        half = n // 2
-        # one matmul over hi's digits gives three digit sums side by side,
-        # one column per cell m (a code with fewer digits is a hi whose
-        # top digits are 0):
-        #   idx[hi, m]  hi's pattern on m's high cells, each cell ranked
-        #               by where it first appears in m's window;
-        #   low[lo, m]  the part of m's rule code read off lo's digits;
-        #   high[p, m]  the part read off the high cells in pattern p
-        weight = [[0] * (3 * n) for _ in range(n - half)]
-        depth = 0
-        for m, window in enumerate(ca.neighbor_cells.tolist()):
-            rank: dict[int, int] = {}
-            for i, cell in enumerate(window):
-                if cell < half:
-                    weight[cell][n + m] += q**i
-                else:
-                    r = rank.setdefault(cell, len(rank))
-                    weight[cell - half][m] = q**r
-                    weight[r][2 * n + m] += q**i
-            depth = max(depth, len(rank))
-        sums = _digit_sums(q, n - half, np.array(weight, dtype=np.int64))
-        idx, low, high = sums[:, :n], sums[: q**half, n : 2 * n], sums[: q**depth, 2 * n :]
-        # every term and every partial sum is below q**n, so the terms are
-        # added in the code type itself, at a quarter of int64's traffic or less
-        code_type = digit_dtype(q**n)
-        terms = (weights(q, n)[:, None] * ca.rule_array).astype(code_type)
-        flat = np.zeros(q**n, dtype=code_type)
-        rows = flat.reshape(len(idx), len(low))
-        for term, pattern, code, at in zip(terms, high.T[:, :, None], low.T, idx.T):
-            # cell m's block, term[high[p] + low[lo]], gathered by rows
-            rows += term.take(pattern + code).take(at, axis=0)
-        flat.setflags(write=False)
-        ca._global_table = flat
-    return ca._global_table
+    half = n // 2
+    # one matmul over hi's digits gives three digit sums side by side,
+    # one column per cell m (a code with fewer digits is a hi whose
+    # top digits are 0):
+    #   idx[hi, m]  hi's pattern on m's high cells, each cell ranked
+    #               by where it first appears in m's window;
+    #   low[lo, m]  the part of m's rule code read off lo's digits;
+    #   high[p, m]  the part read off the high cells in pattern p
+    weight = [[0] * (3 * n) for _ in range(n - half)]
+    depth = 0
+    for m, window in enumerate(ca.neighbor_cells.tolist()):
+        rank: dict[int, int] = {}
+        for i, cell in enumerate(window):
+            if cell < half:
+                weight[cell][n + m] += q**i
+            else:
+                r = rank.setdefault(cell, len(rank))
+                weight[cell - half][m] = q**r
+                weight[r][2 * n + m] += q**i
+        depth = max(depth, len(rank))
+    sums = _digit_sums(q, n - half, np.array(weight, dtype=np.int64))
+    idx, low, high = sums[:, :n], sums[: q**half, n : 2 * n], sums[: q**depth, 2 * n :]
+    # every term and every partial sum is below q**n, so the terms are
+    # added in the code type itself, at a quarter of int64's traffic or less
+    code_type = digit_dtype(q**n)
+    terms = (weights(q, n)[:, None] * ca.rule_array).astype(code_type)
+    flat = np.zeros(q**n, dtype=code_type)
+    rows = flat.reshape(len(idx), len(low))
+    for term, pattern, code, at in zip(terms, high.T[:, :, None], low.T, idx.T):
+        # cell m's block, term[high[p] + low[lo]], gathered by rows
+        rows += term.take(pattern + code).take(at, axis=0)
+    flat.setflags(write=False)
+    return flat
 
 
 def shift_cells(space: CellSpace, members: Sequence[int]) -> np.ndarray:
@@ -188,13 +195,21 @@ def shift_code_permutation(space: CellSpace, g: int, states: int) -> np.ndarray:
 
 
 class GlobalMap:
-    """A function on configurations, as a table over packed configurations.
+    """A function on configurations, as a read-only table over packed
+    configurations.
 
     The table is kept in the code type of `global_table`,
     `digit_dtype(states**cells)`.  Entries are range-checked in the type
     they come in, and only then cast; a table already in the code type is
-    kept as it is, not copied, so a map of an automaton shares its
-    memoized read-only table."""
+    not copied, only viewed read-only.  A map is also the memo of the
+    facts decided on it, each on its first call and kept from there on:
+    `dependency_matrix`, `inverse_map` and
+    `uniformity.check_uniform_continuity`."""
+
+    # the facts decided on the map, each kept from its first call on
+    _depends: Optional[np.ndarray] = None
+    _inverse: Union["GlobalMap", tuple[int, int, int], None] = None
+    _continuity = None
 
     def __init__(self, space: CellSpace, states: int, table):
         table = np.asarray(table)
@@ -203,14 +218,29 @@ class GlobalMap:
             raise InputError(f"table has shape {table.shape}, expected ({expected},)")
         if expected and (table.min() < 0 or table.max() >= expected):
             raise InputError("table entry out of range")
-        self.space = space
-        self.states = states
-        self.table = table.astype(digit_dtype(expected), copy=False)
+        # a view, so that the caller's array keeps its own flags
+        table = table.astype(digit_dtype(expected), copy=False).view()
+        table.setflags(write=False)
+        self.space, self.states, self.table = space, states, table
+
+    @classmethod
+    def _written(cls, space: CellSpace, states: int, table: np.ndarray) -> "GlobalMap":
+        """A map on a read-only table in the code type that this module
+        wrote, a step's or an inverse, whose entries are codes by
+        construction: it is not range-checked again."""
+        gm = cls.__new__(cls)
+        gm.space, gm.states, gm.table = space, states, table
+        return gm
 
     @classmethod
     def from_automaton(cls, ca: SemiCellularAutomaton) -> "GlobalMap":
-        """The step of ca; past the table bound global_table raises BoundError."""
-        return cls(ca.space, ca.states, global_table(ca))
+        """The step of ca, one map per automaton: built on the first call,
+        kept in the automaton's `_global_map` slot and returned from there
+        on later calls.  Past the table bound every call raises
+        BoundError."""
+        if ca._global_map is None:
+            ca._global_map = cls._written(ca.space, ca.states, _step_table(ca))
+        return ca._global_map
 
     def apply(self, config: Sequence[int]) -> tuple[int, ...]:
         code = encode(config, self.states)
@@ -599,7 +629,15 @@ def spread_images(gm: GlobalMap) -> tuple[np.ndarray, int]:
 
 def dependency_matrix(gm: GlobalMap) -> np.ndarray:
     """deps[target, source]: can a single-site change at the source cell
-    move the image digit at the target cell?
+    move the image digit at the target cell?  Decided once per map
+    (`_dependencies`) and kept on it read-only."""
+    if gm._depends is None:
+        gm._depends = _dependencies(gm)
+    return gm._depends
+
+
+def _dependencies(gm: GlobalMap) -> np.ndarray:
+    """The dependency matrix of gm, found.
 
     The images are spread into a field of bits per cell
     (`spread_images`), so one OR over the XORs of all single-site changes
@@ -624,7 +662,9 @@ def dependency_matrix(gm: GlobalMap) -> np.ndarray:
             # holds the codes whose digit is 0
             blocks = digits.reshape(q ** (count - 1 - j), q, -1)
             changed[first + j] = np.bitwise_or.reduce(blocks[:, 1:] ^ blocks[:, :1], axis=None)
-    return ((changed >> shifts[:, None]) & ((1 << bits) - 1)) != 0
+    depends = ((changed >> shifts[:, None]) & ((1 << bits) - 1)) != 0
+    depends.setflags(write=False)
+    return depends
 
 
 def _extracted(space: CellSpace, q: int, depends: Sequence[int], origin_rule, reproduces) -> SemiCellularAutomaton:
@@ -654,9 +694,9 @@ def extract(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> SemiCellularA
     witness).  The neighborhood is the stabilizer closure of the labels of
     the cells the origin output actually depends on, and the rule is read
     off the origin digit of gm on the configurations that realize each
-    local pattern at the origin and are 0 elsewhere (see
-    configuration_observing): the pattern's digits, packed at the weights
-    of the cells its names resolve to at the origin.
+    local pattern at the origin and are 0 elsewhere: the pattern's
+    digits, packed at the weights of the cells its names resolve to at
+    the origin.
     """
     space = gm.space
     sub = subgroup_or_whole(space, subgroup)
@@ -680,20 +720,14 @@ def extract(gm: GlobalMap, subgroup: Optional[Subgroup] = None) -> SemiCellularA
 def origin_dependencies(ca: SemiCellularAutomaton) -> list[int]:
     """The cells whose single-site change can move the step's digit at the
     origin, read off the rule alone: the origin's digit is the rule on its
-    window, the distinct cells it reads, so it depends on a cell of the
-    window exactly when two patterns there that differ at that cell alone
-    give different rule entries; the dependency row of
+    window, the distinct cells it reads, so it depends on exactly the
+    window's cells at the sensitive positions of the rule read on the
+    window (`sensitive_positions`); the dependency row of
     `dependency_matrix` at the origin, at every size."""
     q = ca.states
     window, place = np.unique(ca.neighbor_cells[ca.space.origin], return_inverse=True)
     outputs = ca.rule_array[pattern_codes(q, len(window), place.ravel())]
-    depends = []
-    for i, cell in enumerate(window.tolist()):
-        # patterns as (higher digits, digit i, lower digits): axis 1 varies digit i alone
-        blocks = outputs.reshape(q ** (len(window) - 1 - i), q, q**i)
-        if (blocks[:, 1:] != blocks[:, :1]).any():
-            depends.append(cell)
-    return depends
+    return window[list(sensitive_positions(q, len(window), outputs))].tolist()
 
 
 def extract_step(ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None) -> SemiCellularAutomaton:
@@ -754,6 +788,20 @@ def table_inverse(table: np.ndarray) -> Union[np.ndarray, tuple[int, int, int]]:
         image = int(ordered[(ordered[1:] == ordered[:-1]).argmax()])
     first, second = np.flatnonzero(table == image)[:2].tolist()
     return image, first, second
+
+
+def inverse_map(gm: GlobalMap) -> Union[GlobalMap, tuple[int, int, int]]:
+    """gm's inverse as a map, or `table_inverse`'s codes (image, first,
+    second) when gm is not injective.  Decided once per map and kept on
+    it, so `invert` and `uniformity.check_uniform_isomorphism` read one
+    inverse, with one dependency matrix."""
+    if gm._inverse is None:
+        inverse = table_inverse(gm.table)
+        if not isinstance(inverse, tuple):
+            inverse.setflags(write=False)
+            inverse = GlobalMap._written(gm.space, gm.states, inverse)
+        gm._inverse = inverse
+    return gm._inverse
 
 
 @dataclass(frozen=True)
@@ -920,9 +968,8 @@ def invert(
     if not inv_ok.ok:
         raise InputError(f"rule is not rotation-invariant: {inv_ok.witness}")
     q = ca.states
-    total = config_count(space, q)
     try:
-        table = global_table(ca)
+        gm = GlobalMap.from_automaton(ca)
     except BoundError:
         pair = window_collision(ca)
         if pair is None:
@@ -930,18 +977,18 @@ def invert(
         image = step_batch(ca, [pair[0]])[0]
         return NotInvertible({"colliding": list(pair), "image": image.tolist()})
 
-    inverse_table = table_inverse(table)
-    if isinstance(inverse_table, tuple):
-        image, first, second = (list(decode(code, q, space.cells)) for code in inverse_table)
+    inverse_gm = inverse_map(gm)
+    if isinstance(inverse_gm, tuple):
+        image, first, second = (list(decode(code, q, space.cells)) for code in inverse_gm)
         return NotInvertible({"colliding": [first, second], "image": image})
     try:
         # on a group action the inverse of an equivariant bijection is equivariant
-        inverse = extract(GlobalMap(space, q, table=inverse_table), sub)
+        inverse = extract(inverse_gm, sub)
     except EquivarianceError:
         require_group_action(space.action)
         raise
-    back = global_table(inverse)
-    codes = np.arange(total)
+    table, back = gm.table, global_table(inverse)
+    codes = np.arange(len(table))
     if not (np.array_equal(back.take(table), codes) and np.array_equal(table.take(back), codes)):
         require_group_action(space.action)
         raise AssertionError("inverse automaton fails the round trip")

@@ -19,23 +19,23 @@ What is checked on the global table is continuity:
 `check_uniform_continuity` reads each cell's source set off the
 dependency matrix and checks that the map's digit there is a function of
 the source's labels; `check_uniform_isomorphism` checks both directions
-of a bijective table so.  A base of 2**cells members is never built, nor
-a whole labeling by a check: continuity reads only the halves of its
-sources' labelings, so the only bound is the table bound on the
-configurations a labeling holds.
+of a bijective table so, the inverse direction on `laws.inverse_map`.  A
+base of 2**cells members is never built, nor a whole labeling by a
+check: continuity reads only the halves of its sources' labelings, so
+the only bound is the table bound on the configurations a labeling
+holds.
 
-A caller that has decided part of the isomorphism hands it over.  The
-`uniformity` suite runs `invert` first: the inverse automaton it
-returns has passed both round trips, so its table is the map's inverse,
-and with the suite's own forward continuity only the inverse direction
-is left to check.
+The map is the memo: its dependency matrix, its inverse and its
+continuity are each decided once and kept on it (see `laws.GlobalMap`),
+so the `uniformity` suite, `invert` and the isomorphism check share
+them without handing anything over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .bounds import CONFIG_TABLE_BOUND
 from .cellspace import CellSpace
 from .encoding import digit_dtype, weights
 from .errors import BoundError, InputError
-from .laws import GlobalMap, config_count, dependency_matrix, split_sums, spread_images, table_inverse
+from .laws import GlobalMap, config_count, dependency_matrix, inverse_map, split_sums, spread_images
 from .verdict import Verdict
 
 
@@ -142,9 +142,7 @@ class ContinuityResult:
 
 
 def continuity_assignments(
-    gm: GlobalMap,
-    targets: Sequence[Sequence[int]],
-    depends: Optional[np.ndarray] = None,
+    gm: GlobalMap, targets: Sequence[Sequence[int]]
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """For each target cell set K, the smallest source cell set L such that
     agreement on L forces the images to agree on K.
@@ -154,22 +152,27 @@ def continuity_assignments(
     outside L, none of which moves any image digit in K.  Nothing smaller
     works: a dependency cell left out of L admits a pair agreeing
     everywhere else whose images split on K.  Smallest therefore means
-    unique, not just minimal.  `depends` is dependency_matrix(gm), computed
-    here when not given; it scans the whole transition table once for all
-    cells.  The sources of all targets are one boolean product of the
-    targets' cell rows with it.
+    unique, not just minimal.  The dependency matrix scans the whole
+    transition table once for all cells, once per map.  The sources of
+    all targets are one boolean product of the targets' cell rows with it.
     """
-    if depends is None:
-        depends = dependency_matrix(gm)
     targets = [tuple(map(int, cells)) for cells in targets]
-    needed = _cell_rows(targets, gm.space.cells) @ depends
+    needed = _cell_rows(targets, gm.space.cells) @ dependency_matrix(gm)
     cells = range(gm.space.cells)
     return tuple((target, tuple(compress(cells, row))) for target, row in zip(targets, needed.tolist()))
 
 
-def check_uniform_continuity(gm: GlobalMap, depends: Optional[np.ndarray] = None) -> ContinuityResult:
+def check_uniform_continuity(gm: GlobalMap) -> ContinuityResult:
     """For each single cell m, the smallest source set L with
-    (gm x gm)(E(L)) inside E({m}), checked on the table.
+    (gm x gm)(E(L)) inside E({m}), checked on the table (`_continuity`)
+    once per map and kept on it."""
+    if gm._continuity is None:
+        gm._continuity = _continuity(gm)
+    return gm._continuity
+
+
+def _continuity(gm: GlobalMap) -> ContinuityResult:
+    """check_uniform_continuity's result, checked.
 
     The containment holds exactly when digit m of T(x) is a function of
     x's L-label, that is when it equals digit m of T(x_L) for every x,
@@ -191,11 +194,10 @@ def check_uniform_continuity(gm: GlobalMap, depends: Optional[np.ndarray] = None
     K, and pullbacks keep meets, so the source of K is the union of its
     cells' sources, as `continuity_assignments` gives it.  The witness
     lists the singleton targets, whatever the size, or names the first
-    failing cell.  `depends` is dependency_matrix(gm), computed when not
-    given.
+    failing cell.
     """
     space = gm.space
-    targets = continuity_assignments(gm, [(m,) for m in range(space.cells)], depends)
+    targets = continuity_assignments(gm, [(m,) for m in range(space.cells)])
     spread, bits = spread_images(gm)
     width = gm.states ** (space.cells // 2)
     rows = spread.reshape(-1, width)
@@ -243,41 +245,27 @@ def check_continuity_window(
     return Verdict.passing("continuity-inside-window")
 
 
-def check_uniform_isomorphism(
-    gm: GlobalMap,
-    depends: Optional[np.ndarray] = None,
-    *,
-    forward: Optional[ContinuityResult] = None,
-    inverse_table: Optional[np.ndarray] = None,
-) -> Verdict:
+def check_uniform_isomorphism(gm: GlobalMap) -> Verdict:
     """Bijective, with both directions uniformly continuous, checked with
     their smallest singleton source sets as witnesses.
 
     On a finite cell set the agreement relation over all cells is the
     diagonal, so every self-map of configuration space is uniformly
     continuous; what distinguishes an isomorphism is bijectivity, and the
-    witnesses record how locally the two directions act.  `depends` is
-    dependency_matrix(gm), computed when not given.
-
-    A caller that has already decided a part passes it in, and only the
-    rest is checked: `forward` is check_uniform_continuity(gm, depends),
-    and `inverse_table` is the table of gm's two-sided inverse, such as
-    the table of the automaton `invert` returns, which has passed both
-    round trips there.  Without it the inverse is `table_inverse`'s, and
-    a table that is not injective fails.
+    witnesses record how locally the two directions act.  The inverse is
+    `inverse_map(gm)`, the one `invert` reads; a table that is not
+    injective fails.
     """
-    if inverse_table is None:
-        inverse_table = table_inverse(gm.table)
-        if isinstance(inverse_table, tuple):
-            return Verdict.failing(
-                "uniform-isomorphism",
-                {"reason": "not injective", "colliding_codes": list(inverse_table[1:])},
-            )
-    if forward is None:
-        forward = check_uniform_continuity(gm, depends)
+    inverse = inverse_map(gm)
+    if isinstance(inverse, tuple):
+        return Verdict.failing(
+            "uniform-isomorphism",
+            {"reason": "not injective", "colliding_codes": list(inverse[1:])},
+        )
+    forward = check_uniform_continuity(gm)
     results = {"forward": forward}
     if forward.verdict.ok:
-        results["inverse"] = check_uniform_continuity(GlobalMap(gm.space, gm.states, table=inverse_table))
+        results["inverse"] = check_uniform_continuity(inverse)
     witness = {}
     for name, result in results.items():
         if not result.verdict.ok:

@@ -15,12 +15,16 @@ from homoca.cellspace import (
     coordinate_change_defect,
     defect,
     identify,
-    semi_act,
 )
 from homoca.errors import InputError
 from homoca.groups import FiniteGroup, LeftAction, transporter
 
 SPACE_NAMES = ("cyclic4", "square", "cube", "torus")
+
+
+def semi_act(space, m, coset):
+    """Resolve the relative name `coset` at cell m."""
+    return space.semi_cell(m, space.coset_index_of(coset))
 
 
 # ----------------------------------------------------------- construction

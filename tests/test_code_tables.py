@@ -65,11 +65,9 @@ def widened(gm: GlobalMap) -> GlobalMap:
 
 
 def widened_automaton(ca: SemiCellularAutomaton) -> SemiCellularAutomaton:
-    """A fresh copy of ca whose memoized table is the int64 one."""
+    """A fresh copy of ca whose memoized map is the widened one."""
     copy = SemiCellularAutomaton(ca.space, ca.states, ca.neighborhood, ca.rule)
-    table = global_table(ca).astype(np.int64)
-    table.setflags(write=False)
-    copy._global_table = table
+    copy._global_map = widened(GlobalMap.from_automaton(ca))
     return copy
 
 

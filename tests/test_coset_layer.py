@@ -22,11 +22,10 @@ from homoca.groups import (
     LeftAction,
     Subgroup,
     orbit,
-    point_coset_labels,
-    quotient_set,
     stabilizer,
     transporter,
 )
+from plain_forms import point_coset_labels, quotient_set
 
 
 def _relabelled_symmetric(points, seed, move_identity):

@@ -10,10 +10,14 @@
   (`generator_loop_equivariance`).
 * `check_uniform_continuity` reads each source's label halves: against
   the relation matrices of `relation_oracles` and the full labelings it
-  read before (`labeling_continuity`, verbatim).
-* the `uniformity` suite hands `invert`'s inverse table and its own
-  forward continuity to `check_uniform_isomorphism`: against the unaided
-  check and the suite as it was (`unaided_suite`, verbatim).
+  read before (`labeling_continuity`, verbatim), with doctored
+  dependency matrices written into the map's memo.
+* a `GlobalMap` keeps its dependency matrix, inverse and continuity, so
+  the `uniformity` suite, `invert` and `check_uniform_isomorphism` share
+  them: against the isomorphism and the suite as they were, unaided, on
+  fresh maps and with `table_inverse` called directly
+  (`unaided_isomorphism`, `unaided_suite`), and with each fact decided at
+  most once per map in every op that reads one.
 """
 
 import functools
@@ -30,6 +34,7 @@ from hypothesis import strategies as st
 import homoca.automata as automata_module
 import homoca.cli as cli
 import homoca.laws as laws
+import homoca.uniformity as uniformity
 from homoca.automata import (
     SemiCellularAutomaton,
     closed_neighborhood,
@@ -53,7 +58,9 @@ from homoca.laws import (
     NotInvertible,
     check_step_equivariance,
     dependency_matrix,
+    global_table,
     invert,
+    inverse_map,
     shift_cells,
     spread_images,
     table_inverse,
@@ -72,6 +79,7 @@ from homoca.uniformity import (
     prodiscrete_base,
 )
 from homoca.verdict import Verdict
+from plain_forms import with_dependencies
 from relation_oracles import pushforward_continuity
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -374,11 +382,13 @@ def test_a_joint_search_past_the_bound_falls_back_to_the_generator_loop(name):
 # ------------------------------------------------- continuity and isomorphism
 
 
-def labeling_continuity(gm, depends=None):
+def labeling_continuity(gm, depends):
     """check_uniform_continuity as it was, building each source's whole
-    labeling to read its entries at lo = 0 and hi = 0; kept verbatim."""
+    labeling to read its entries at lo = 0 and hi = 0; kept verbatim, but
+    for the sources, which are read off the rows of `depends` here and
+    not off any map's memo."""
     space = gm.space
-    targets = continuity_assignments(gm, [(m,) for m in range(space.cells)], depends)
+    targets = tuple(((m,), tuple(np.flatnonzero(depends[m]).tolist())) for m in range(space.cells))
     spread, bits = spread_images(gm)
     width = gm.states ** (space.cells // 2)
     rows = spread.reshape(-1, width)
@@ -400,14 +410,45 @@ def labeling_continuity(gm, depends=None):
     return ContinuityResult(verdict, targets)
 
 
+def fresh_dependencies(gm):
+    """gm's dependency matrix, found on a fresh map: never a memo's."""
+    return laws._dependencies(GlobalMap(gm.space, gm.states, gm.table))
+
+
+def unaided_isomorphism(gm, depends=None):
+    """check_uniform_isomorphism as it was called unaided: the inverse is
+    table_inverse's, called here, and both directions are checked by
+    `labeling_continuity` on fresh dependency matrices, the forward one on
+    `depends` when given."""
+    inverse = table_inverse(gm.table)
+    if isinstance(inverse, tuple):
+        return Verdict.failing(
+            "uniform-isomorphism",
+            {"reason": "not injective", "colliding_codes": list(inverse[1:])},
+        )
+    forward = labeling_continuity(gm, fresh_dependencies(gm) if depends is None else depends)
+    results = {"forward": forward}
+    if forward.verdict.ok:
+        inverse_gm = GlobalMap(gm.space, gm.states, inverse)
+        results["inverse"] = labeling_continuity(inverse_gm, fresh_dependencies(inverse_gm))
+    witness = {}
+    for name, result in results.items():
+        if not result.verdict.ok:
+            return Verdict.failing(
+                "uniform-isomorphism",
+                {"reason": f"{name} direction not uniformly continuous", "detail": result.verdict.witness},
+            )
+        witness[f"{name}_sources"] = [list(l) for _, l in result.assignments]
+    return Verdict.passing("uniform-isomorphism", witness)
+
+
 def unaided_suite(ca, sub, seed):
     """The uniformity suite as it was, with the isomorphism checked
-    unaided; kept verbatim."""
+    unaided on a fresh map of the step's table; kept verbatim otherwise."""
     space = ca.space
-    gm = GlobalMap.from_automaton(ca)
-    depends = dependency_matrix(gm)
+    gm = GlobalMap(space, ca.states, global_table(ca))
     base = prodiscrete_base(space, ca.states)
-    continuity = check_uniform_continuity(gm, depends)
+    continuity = check_uniform_continuity(gm)
     verdicts = [
         check_uniformity_base(base),
         check_agreement_intersection(base),
@@ -415,7 +456,7 @@ def unaided_suite(ca, sub, seed):
         check_continuity_window(space, ca.neighborhood, continuity.assignments),
     ]
     if is_cellular(ca, sub).ok:
-        iso = check_uniform_isomorphism(gm, depends)
+        iso = unaided_isomorphism(gm)
         result = invert(ca, sub, seed=seed)
         invertible = not isinstance(result, NotInvertible)
         verdicts.append(
@@ -438,25 +479,29 @@ def _dropped(depends, rng):
 
 
 def _continuity_agrees(gm, depends):
-    """The half labels against the full labelings, and against the
-    relation matrices on small spaces."""
-    got = check_uniform_continuity(gm, depends)
+    """The half labels, with `depends` in the map's memo, against the full
+    labelings, and against the relation matrices on small spaces."""
+    given = with_dependencies(gm, depends)
+    got = check_uniform_continuity(given)
     assert got == labeling_continuity(gm, depends)
     if gm.space.cells <= MATRIX_CELLS and gm.states**gm.space.cells <= 256:
-        assigned = continuity_assignments(gm, [(m,) for m in range(gm.space.cells)], depends)
+        assigned = continuity_assignments(given, [(m,) for m in range(gm.space.cells)])
         assert got == pushforward_continuity(gm, assigned)
     return got
 
 
-def _isomorphism_agrees(gm, depends, forward):
-    """The aided isomorphism against the unaided one: the inverse handed
-    in is table_inverse's, when there is one."""
-    unaided = check_uniform_isomorphism(gm)
-    assert check_uniform_isomorphism(gm, depends) == unaided
-    inverse = table_inverse(gm.table)
-    given_inverse = None if isinstance(inverse, tuple) else inverse
-    assert check_uniform_isomorphism(gm, depends, forward=forward, inverse_table=given_inverse) == unaided
-    assert check_uniform_isomorphism(gm, depends, forward=forward) == unaided
+def _isomorphism_agrees(gm):
+    """The isomorphism against the unaided one, on fresh maps on gm's
+    table with none, some or all of its facts decided before it: the
+    inverse, as `invert` decides it, and the forward continuity, as the
+    suite does."""
+    unaided = unaided_isomorphism(gm)
+    for decided in ((), (inverse_map,), (check_uniform_continuity,), (inverse_map, check_uniform_continuity)):
+        fresh = GlobalMap(gm.space, gm.states, gm.table)
+        for decide in decided:
+            decide(fresh)
+        assert check_uniform_isomorphism(fresh) == unaided
+        assert check_uniform_isomorphism(fresh) == unaided
     return unaided
 
 
@@ -464,9 +509,8 @@ def _isomorphism_agrees(gm, depends, forward):
 def test_the_rewired_suite_is_the_unaided_suite_on_fixtures(name):
     ca = FIXTURE_AUTOMATA[name]
     gm = GlobalMap.from_automaton(ca)
-    depends = dependency_matrix(gm)
-    forward = _continuity_agrees(gm, depends)
-    unaided = _isomorphism_agrees(gm, depends, forward)
+    _continuity_agrees(gm, fresh_dependencies(gm))
+    unaided = _isomorphism_agrees(gm)
     for seed in (0, 3):
         suite = cli._suite_uniformity(_fresh(ca), None, seed)
         assert suite == unaided_suite(_fresh(ca), None, seed)
@@ -503,8 +547,9 @@ def test_the_rewired_suite_is_the_unaided_suite_on_random_rules(name, seed, symm
         ca = _random_automaton(space, q, rng, symmetrize, 1 + seed % 2, scope if symmetrize else None)
     assert cli._suite_uniformity(_fresh(ca), scope, seed) == unaided_suite(_fresh(ca), scope, seed)
     gm = GlobalMap.from_automaton(ca)
-    depends = dependency_matrix(gm)
-    _isomorphism_agrees(gm, depends, _continuity_agrees(gm, depends))
+    depends = fresh_dependencies(gm)
+    _continuity_agrees(gm, depends)
+    _isomorphism_agrees(gm)
     _continuity_agrees(gm, _dropped(depends, rng))
 
 
@@ -512,7 +557,7 @@ def test_the_rewired_suite_is_the_unaided_suite_on_random_rules(name, seed, symm
 @given(name=st.sampled_from(TABLED), seed=st.integers(0, 2**16), bijective=st.booleans())
 @example(name="torus", seed=0, bijective=True)
 @example(name="cyclic4", seed=1, bijective=False)
-def test_half_labels_and_aids_agree_on_random_tables(name, seed, bijective):
+def test_half_labels_and_the_memo_agree_on_random_tables(name, seed, bijective):
     rng = random.Random(seed)
     space = SPACES[name]
     q = 2 if space.cells > 4 else rng.randint(2, 3)
@@ -521,29 +566,70 @@ def test_half_labels_and_aids_agree_on_random_tables(name, seed, bijective):
     if not bijective:
         table[rng.randrange(total)] = table[rng.randrange(total)]
     gm = GlobalMap(space, q, table)
-    depends = dependency_matrix(gm)
-    forward = _continuity_agrees(gm, depends)
+    depends = fresh_dependencies(gm)
+    _continuity_agrees(gm, depends)
     _continuity_agrees(gm, _dropped(depends, rng))
-    _isomorphism_agrees(gm, depends, forward)
-    # a forward direction that fails is reported as the unaided check reports it
+    _isomorphism_agrees(gm)
+    # a forward direction that fails, as the memo holds it, is reported as
+    # the unaided check reports it
     doctored = depends.copy()
     doctored[0] = False
     if depends[0].any():
-        failing = check_uniform_continuity(gm, doctored)
-        assert not failing.verdict.ok
-        aided = check_uniform_isomorphism(gm, doctored, forward=failing)
-        assert aided == check_uniform_isomorphism(gm, doctored)
+        assert not _continuity_agrees(gm, doctored).verdict.ok
+        given = with_dependencies(gm, doctored)
+        assert check_uniform_isomorphism(given) == unaided_isomorphism(gm, doctored)
 
 
-def test_the_suite_takes_the_inverse_table_from_invert(automata):
+def test_the_suite_reads_the_inverse_invert_decided(automata):
     ca = _fresh(automata["torus_identity"])
-    with mock.patch("homoca.uniformity.table_inverse", wraps=table_inverse) as inverted:
-        with mock.patch("homoca.cli.check_uniform_continuity", wraps=check_uniform_continuity) as forward:
-            with mock.patch("homoca.uniformity.check_uniform_continuity", wraps=check_uniform_continuity) as both:
-                suite = cli._suite_uniformity(ca, None, 0)
+    with mock.patch("homoca.laws.table_inverse", wraps=table_inverse) as inverted:
+        with mock.patch("homoca.uniformity._continuity", wraps=uniformity._continuity) as continuity:
+            suite = cli._suite_uniformity(ca, None, 0)
     assert suite["verdicts"][-1] == Verdict.passing(
         "isomorphism-matches-invertibility", {"uniform_isomorphism": True, "invertible": True}
     ).as_dict()
-    # invert alone inverts the table, and each direction's continuity is checked once
-    assert inverted.call_count == 0
-    assert forward.call_count == 1 and both.call_count == 1
+    # the table is inverted once, and each direction's continuity is checked once
+    gm = GlobalMap.from_automaton(ca)
+    assert [call.args[0] for call in inverted.call_args_list] == [gm.table]
+    assert [call.args[0] for call in continuity.call_args_list] == [gm, inverse_map(gm)]
+
+
+def test_a_map_is_its_own_memo(automata):
+    ca = _fresh(automata["cube_identity"])
+    gm = GlobalMap.from_automaton(ca)
+    assert GlobalMap.from_automaton(ca) is gm and global_table(ca) is gm.table
+    assert dependency_matrix(gm) is dependency_matrix(gm)
+    assert inverse_map(gm) is inverse_map(gm)
+    assert check_uniform_continuity(gm) is check_uniform_continuity(gm)
+    for array in (gm.table, dependency_matrix(gm), inverse_map(gm).table):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    # a map built on a caller's array views it read-only and leaves the
+    # caller's flags alone
+    table = np.array(gm.table)
+    mapped = GlobalMap(ca.space, ca.states, table)
+    assert table.flags.writeable and not mapped.table.flags.writeable
+
+
+OPS = (["laws", "--suite", "uniformity"], ["laws", "--suite", "invertibility"], ["invert"], ["laws"])
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_AUTOMATA))
+def test_each_fact_is_decided_at_most_once_per_map_in_an_op(name, capsys):
+    """Every op that reads a map's dependency matrix, inverse or
+    continuity, on a fixture: the suites alone, `invert`, and all suites
+    in one op.  The calls keep their arguments, so no two maps share an
+    identity."""
+    path = str(FIXTURES / f"{name}.json")
+    for op in OPS:
+        with mock.patch("homoca.laws._dependencies", wraps=laws._dependencies) as depends:
+            with mock.patch("homoca.laws.table_inverse", wraps=table_inverse) as inverted:
+                with mock.patch("homoca.uniformity._continuity", wraps=uniformity._continuity) as continuity:
+                    cli.main(op[:1] + [path] + op[1:])
+        for decided in (depends, inverted, continuity):
+            decided_on = [id(call.args[0]) for call in decided.call_args_list]
+            assert len(decided_on) == len(set(decided_on)), (op, decided)
+        if op == ["laws"]:
+            # the uniformity suite decides the step's continuity at least
+            assert continuity.call_count >= 1
+    capsys.readouterr()

@@ -23,18 +23,16 @@ from homoca.groups import (
     Subgroup,
     check_transporter_lemma,
     conjugate_coset,
-    coset_representatives,
+    coset_labels,
     is_stabilizer_subgroup,
-    is_transitive,
     orbit,
-    point_coset_labels,
-    quotient_set,
     require_group_action,
     stabilizer,
     transporter,
     verify_action,
     verify_group,
 )
+from plain_forms import point_coset_labels, quotient_set
 
 # ----------------------------------------------------------------- oracle
 
@@ -57,6 +55,15 @@ def close_under_composition(generators):
                         nxt.append(r)
         frontier = nxt
     return found
+
+
+def is_transitive(action):
+    return len(orbit(action, 0)) == action.points
+
+
+def coset_representatives(group, sub):
+    """Canonical (minimum-member) representative of each left coset, sorted."""
+    return tuple(coset_labels(group, sub)[0].tolist())
 
 
 def action_permutations(action):

@@ -19,7 +19,6 @@ from homoca.automata import (
     MAX_RULE_TABLE,
     SemiCellularAutomaton,
     closed_neighborhood,
-    configuration_observing,
     essential_neighborhood,
     essential_positions,
     rotation_position_map,
@@ -38,6 +37,7 @@ from homoca.encoding import decode, digit_matrix, encode, pattern_codes, weights
 from homoca.errors import InputError
 from homoca.laws import GlobalMap, extract, global_table
 from homoca.serialize import automaton_on
+from plain_forms import configuration_observing
 
 SPACES = bundled_spaces()
 S5 = CellSpace.default(group_from_permutations([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]))

@@ -613,8 +613,7 @@ def test_build_fixtures_reproduces_the_committed_fixtures(tmp_path):
     spec = importlib.util.spec_from_file_location("build_fixtures", script_path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    script.OUT = str(tmp_path)
-    script.main()
+    assert script.main(["--out", str(tmp_path)]) == 0
     built = sorted(p.name for p in tmp_path.iterdir())
     assert built == sorted(p.name for p in (root / "fixtures").iterdir())
     for name in built:

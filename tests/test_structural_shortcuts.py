@@ -56,6 +56,7 @@ from homoca.uniformity import (
     prodiscrete_base,
 )
 from homoca.verdict import Verdict
+from plain_forms import with_dependencies
 from relation_oracles import (
     Relation,
     matrix_prodiscrete_base,
@@ -247,19 +248,21 @@ def _kernel(labels):
     return Relation(len(labels), labels[:, None] == labels[None, :])
 
 
-def _singletons(gm, depends):
-    return continuity_assignments(gm, [(m,) for m in range(gm.space.cells)], depends)
+def _singletons(gm):
+    return continuity_assignments(gm, [(m,) for m in range(gm.space.cells)])
 
 
 def _agrees_with_the_relation_oracle(gm, depends):
-    """check_uniform_continuity against the pushforward of the matrices on
-    the same singleton sources; when it passes, the sources of every
-    member of the base pass the pushforward too."""
-    result = check_uniform_continuity(gm, depends)
-    assert result == pushforward_continuity(gm, _singletons(gm, depends))
+    """check_uniform_continuity, with `depends` as the map's dependency
+    matrix, against the pushforward of the matrices on the same singleton
+    sources; when it passes, the sources of every member of the base pass
+    the pushforward too."""
+    given = with_dependencies(gm, depends)
+    result = check_uniform_continuity(given)
+    assert result == pushforward_continuity(gm, _singletons(given))
     if result.verdict.ok:
         members = matrix_prodiscrete_base(gm.space, gm.states).labels
-        assert pushforward_continuity(gm, continuity_assignments(gm, members, depends)).verdict.ok
+        assert pushforward_continuity(gm, continuity_assignments(given, members)).verdict.ok
     return result
 
 
@@ -335,7 +338,7 @@ def test_random_tables_agree_with_the_relation_oracle(cells, states):
         iso = check_uniform_isomorphism(gm)
         if len(set(table.tolist())) == total:
             inverse = GlobalMap(space, states, np.argsort(table))
-            want = pushforward_continuity(inverse, _singletons(inverse, None))
+            want = pushforward_continuity(inverse, _singletons(inverse))
             assert want.verdict.ok
             assert iso.witness["inverse_sources"] == [list(source) for _, source in want.assignments]
         else:
@@ -373,7 +376,7 @@ def test_assignments_and_windows_equal_the_member_loops(name):
     depends = dependency_matrix(gm)
     rng = np.random.default_rng(len(name))
     targets = _target_sets(ca.space.cells, rng)
-    assignments = continuity_assignments(gm, targets, depends)
+    assignments = continuity_assignments(gm, targets)
     assert assignments == member_continuity_assignments(gm, targets, depends)
     window = check_continuity_window(ca.space, ca.neighborhood, assignments)
     assert window == member_continuity_window(ca.space, ca.neighborhood, assignments)

@@ -23,6 +23,7 @@ from homoca.uniformity import (
     prodiscrete_base,
 )
 from homoca.verdict import Verdict
+from plain_forms import with_dependencies
 from relation_oracles import (
     Relation,
     RelationFamily,
@@ -266,7 +267,7 @@ def test_a_dropped_dependency_fails_at_its_cell(automata):
     depends = dependency_matrix(gm)
     doctored = depends.copy()
     doctored[5, int(np.flatnonzero(depends[5])[-1])] = False
-    result = check_uniform_continuity(gm, doctored)
+    result = check_uniform_continuity(with_dependencies(gm, doctored))
     source = [int(c) for c in np.flatnonzero(doctored[5])]
     assert result.verdict == Verdict.failing(
         "uniform-continuity", {"target_cells": [5], "candidate_source": source}
@@ -316,12 +317,14 @@ AUTOMATA = [
 
 @pytest.mark.parametrize("name", AUTOMATA)
 def test_a_given_dependency_matrix_changes_nothing(name, automata):
+    # the automaton's map, its facts decided, against a fresh map given
+    # a copy of its dependency matrix
     gm = GlobalMap.from_automaton(automata[name])
-    depends = dependency_matrix(gm)
+    given = with_dependencies(gm, dependency_matrix(gm).copy())
     singletons = [(m,) for m in range(gm.space.cells)]
-    assert continuity_assignments(gm, singletons, depends) == continuity_assignments(gm, singletons)
-    assert check_uniform_continuity(gm, depends) == check_uniform_continuity(gm)
-    assert check_uniform_isomorphism(gm, depends) == check_uniform_isomorphism(gm)
+    assert continuity_assignments(given, singletons) == continuity_assignments(gm, singletons)
+    assert check_uniform_continuity(given) == check_uniform_continuity(gm)
+    assert check_uniform_isomorphism(given) == check_uniform_isomorphism(gm)
 
 
 def test_isomorphism_reports_a_direction_that_fails(automata):
@@ -330,9 +333,10 @@ def test_isomorphism_reports_a_direction_that_fails(automata):
     gm = GlobalMap.from_automaton(automata["cyclic4_shift"])
     doctored = dependency_matrix(gm).copy()
     doctored[0, 1] = False
-    continuity = check_uniform_continuity(gm, doctored)
+    given = with_dependencies(gm, doctored)
+    continuity = check_uniform_continuity(given)
     assert continuity.verdict.witness == {"target_cells": [0], "candidate_source": []}
-    assert check_uniform_isomorphism(gm, doctored) == Verdict.failing(
+    assert check_uniform_isomorphism(given) == Verdict.failing(
         "uniform-isomorphism",
         {"reason": "forward direction not uniformly continuous", "detail": continuity.verdict.witness},
     )
