@@ -3,6 +3,10 @@
 Groups are built by closing generator permutations under composition and
 sorting the resulting permutations lexicographically, which pins down
 element indices deterministically (the identity always lands at 0).
+`coordinate_system_variants` draws the alternate coordinate systems that
+coordinate independence compares, inside a symmetry scope when given
+one; it builds transporter lists only when the per-origin defaults fall
+short of the count asked for.
 """
 
 from __future__ import annotations
@@ -227,15 +231,17 @@ def random_rule_automaton(
 
 
 def coordinate_system_variants(
-    action: LeftAction, count: int, seed: int = 0
+    action: LeftAction, count: int, seed: int = 0, subgroup: Optional[Subgroup] = None
 ) -> list[CoordinateSystem]:
     """Distinct coordinate systems on one action: the default per origin,
     then seeded perturbations of the transporter choices.  Returns every
-    system the action admits when fewer than `count` exist.
+    system the action admits when fewer than `count` exist.  With a
+    symmetry scope every coordinate is one of its members, as
+    `change_coordinates` requires of a system it moves an automaton to.
 
     The seed and the transporters serve the perturbations alone, so once
-    the defaults number `count` they are returned and no more are built."""
-    rng = random.Random(seed)
+    the defaults number `count` they are returned and neither is built."""
+    members = None if subgroup is None else subgroup.members
     variants: list[CoordinateSystem] = []
     seen = set()
 
@@ -245,21 +251,25 @@ def coordinate_system_variants(
             seen.add(key)
             variants.append(system)
 
-    transporters: dict[tuple[int, int], tuple[int, ...]] = {}
     for origin in range(action.points):
-        push(build_coordinate_system(action, origin))
+        push(build_coordinate_system(action, origin, members))
         if len(variants) >= count:
             return variants[:count]
-        # the elements carrying origin to each point, in increasing order
-        column = action.act[:, origin]
+
+    # the elements carrying each origin to each point, in increasing order
+    elements = np.arange(action.group.order) if members is None else np.array(members)
+    transporters: dict[tuple[int, int], tuple[int, ...]] = {}
+    for origin in range(action.points):
+        column = action.act[elements, origin]
         by_point = np.argsort(column, kind="stable")
         bounds = np.searchsorted(column[by_point], np.arange(action.points + 1))
         for m in range(action.points):
-            transporters[origin, m] = tuple(by_point[bounds[m] : bounds[m + 1]].tolist())
+            transporters[origin, m] = tuple(elements[by_point[bounds[m] : bounds[m + 1]]].tolist())
 
     total_available = sum(
         _count_systems(action, origin, transporters) for origin in range(action.points)
     )
+    rng = random.Random(seed)
     attempts = 0
     while len(variants) < min(count, total_available) and attempts < 10000:
         attempts += 1

@@ -70,12 +70,12 @@ class CoordinateSystem:
             raise InputError(f"coordinate {coords[valid]} of cell {valid} out of range")
 
 
-def build_coordinate_system(action: LeftAction, origin: int = 0) -> CoordinateSystem:
+def build_coordinate_system(action: LeftAction, origin: int = 0, members=None) -> CoordinateSystem:
     """Default coordinates: the identity at the origin, and the minimum
-    transporter element at every other cell.  A cell no element reaches
-    gets the identity, and CoordinateSystem then refuses the action as
-    not transitive."""
-    coords = first_transporters(action, origin)
+    transporter element at every other cell, among the given members
+    when there are some (a symmetry scope).  A cell no element reaches
+    gets the identity, and CoordinateSystem then refuses it."""
+    coords = first_transporters(action, origin, members)
     coords[coords < 0] = action.group.identity
     coords[origin] = action.group.identity
     return CoordinateSystem(action, origin, tuple(coords.tolist()))

@@ -14,15 +14,20 @@ fall back to sampling).
 The `coordinate-independence`, `equivalence`, `determination`,
 `composition` and `chl` suites and `compose` decide their laws from the
 rule on neighbourhood windows (see `homoca.laws`), so they build no
-global table and stay exact past the table bound.  The `uniformity`
-suite holds each agreement relation as a labeling of the configurations
+global table and stay exact past the table bound.  The
+`coordinate-independence` suite draws its coordinate systems from the
+scope and compares the rule with all of them in one window search
+(`coordinate_difference`).  The `uniformity` suite holds each agreement
+relation as a labeling of the configurations
 (see `homoca.uniformity`): its base verdicts hold by construction, and
 continuity and the isomorphism are checked on the global table, so it
 is exact up to the table bound and reports `bound_exceeded` past it; so
 does `extract`, after the equivariance verdict it reads off the map's
 own table.  The suite reads the automaton's one `GlobalMap`, which
-keeps its dependency matrix, inverse and continuity, so `invert` and
-the isomorphism check in it share one inverse and decide nothing twice.
+keeps its dependency matrix, inverse, continuity and `invert`'s
+outcome, so `invert` and the isomorphism check in it share one inverse
+and decide nothing twice, and the `invertibility` suite's `invert` is
+the one it reads.
 """
 
 from __future__ import annotations
@@ -42,15 +47,15 @@ from .automata import SemiCellularAutomaton, is_cellular, iterate, step, subgrou
 from .bounds import PRINT_BLOCK
 from .catalog import coordinate_system_variants
 from .errors import BoundError, EquivarianceError, InputError, LawError
-from .groups import FiniteGroup, Subgroup, require_group_action, transporter, verify_action, verify_group
+from .groups import FiniteGroup, Subgroup, require_group_action, verify_action, verify_group
 from .laws import (
     GlobalMap,
     NotInvertible,
-    change_coordinates,
     check_determination,
     check_invariance_equivalence,
     compose,
     composition_difference,
+    coordinate_difference,
     extract,
     extract_step,
     # not called here: perfbench's tracer test checks that this binding
@@ -58,7 +63,6 @@ from .laws import (
     global_table,
     invert,
     shift_cells,
-    step_difference,
 )
 from .serialize import (
     _nested,
@@ -286,30 +290,19 @@ def cmd_run(args) -> int:
 
 
 def _suite_coordinate_independence(ca, sub, seed) -> dict:
-    out = {"verdicts": []}
     variants = [
         s
-        for s in coordinate_system_variants(ca.space.action, 6, seed)
+        for s in coordinate_system_variants(ca.space.action, 6, seed, sub)
         if s != ca.space.system
     ][:5]
-    checked = []
-    for system in variants:
-        h = transporter(ca.space.action, ca.space.origin, system.origin)[0]
-        moved = change_coordinates(ca, system, h, sub)
-        config = step_difference(ca, moved)
-        if config is not None:
-            out["verdicts"].append(
-                Verdict.failing(
-                    "coordinate-independence",
-                    {"origin": system.origin, "coords": list(system.coords), "config": config},
-                ).as_dict()
-            )
-            return out
-        checked.append({"origin": system.origin, "coords": list(system.coords)})
-    out["verdicts"].append(
-        Verdict.passing("coordinate-independence", {"systems": checked}).as_dict()
-    )
-    return out
+    found = coordinate_difference(ca, variants, sub)
+    if found is not None:
+        v, config = found
+        system = variants[v]
+        witness = {"origin": system.origin, "coords": list(system.coords), "config": config}
+        return {"verdicts": [Verdict.failing("coordinate-independence", witness).as_dict()]}
+    checked = [{"origin": s.origin, "coords": list(s.coords)} for s in variants]
+    return {"verdicts": [Verdict.passing("coordinate-independence", {"systems": checked}).as_dict()]}
 
 
 def _suite_equivalence(ca, sub, seed) -> dict:

@@ -433,14 +433,15 @@ def transporter(action: LeftAction, m: int, m2: int) -> tuple[int, ...]:
     return tuple(np.flatnonzero(action.act[:, m] == m2).tolist())
 
 
-def first_transporters(action: LeftAction, origin: int) -> np.ndarray:
+def first_transporters(action: LeftAction, origin: int, members=None) -> np.ndarray:
     """first[m]: the smallest element carrying origin to m, or -1 when
-    none does."""
+    none does; only the given members are looked at, when there are
+    some."""
     _check_point(action, origin)
-    column = action.act[:, origin]
-    order = len(column)
+    order = action.group.order
+    elements = np.arange(order) if members is None else np.asarray(members, dtype=np.int64)
     out = np.full(action.points, order, dtype=np.int64)
-    np.minimum.at(out, column, np.arange(order))
+    np.minimum.at(out, action.act[elements, origin], elements)
     out[out == order] = -1
     return out
 

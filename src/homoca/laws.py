@@ -12,10 +12,10 @@ of the cell's window on the high cells, gathered into the table by hi.
 An automaton's step is one `GlobalMap`, built once and kept on the
 automaton, as the rule's rotation verdicts are, one per scope
 (`is_cellular`).  A map is its own memo in turn: its dependency matrix,
-its inverse (`inverse_map`) and its uniform continuity are each decided
-on the first call and kept on it, so an op decides each fact once,
-however many checks read it, and `invert` and the isomorphism check
-read one inverse.
+its inverse (`inverse_map`), its uniform continuity and, for a step,
+`invert`'s outcome are each decided on the first call and kept on it,
+so an op decides each fact once, however many checks read it, and
+`invert` and the isomorphism check read one inverse.
 `step_batch` serves batches of configurations: witnesses and the
 collision search past the bound.
 
@@ -32,7 +32,7 @@ every size and without a table: the step at a cell reads only its
 window, so two maps agree everywhere when they agree at each cell on
 every pattern of the cells either one reads (`window_difference`).
 Step equivariance (`check_step_equivariance`), coordinate independence
-(`step_difference`) and composition (`composition_difference`) are
+(`coordinate_difference`) and composition (`composition_difference`) are
 checked so, with the verdicts and witnesses the table comparisons give
 inside the bound; a map given only as a table is checked on the table
 (`check_equivariance`).  So are the two laws of the Curtis-Hedlund-Lyndon
@@ -48,6 +48,14 @@ group axioms, while composing maps is associative on any input, so
 commuting with the generators implies commuting with the whole scope.
 On windows all generators are searched at once (`window_search`), and
 the first one with a difference fails with its own smallest witness.
+Coordinate independence searches every compared system at once in the
+same way: in the semi-action a name resolves at a cell through the
+cell's coordinate, so another coordinate system reads the same rule at
+other cells, which are read off the act and mul tables (`moved_reads`)
+with no cell space or automaton built per system.  Only from the first
+system whose tables fail the checks of those reads on is the automaton
+moved with `change_coordinates`, which names the moved neighbors as the
+search does (`_moved_names`).
 
 Past the bound `invert` first joins the windows that read the origin
 (`window_collision`): two configurations differing there alone with one
@@ -76,7 +84,7 @@ from .bounds import CONFIG_TABLE_BOUND, GATHER_BLOCK, MAX_RULE_TABLE, SAMPLE_COU
 from .cellspace import CellSpace, CoordinateSystem
 from .encoding import decode, digit_dtype, digit_matrix, encode, pattern_codes, row_names, weights
 from .errors import BoundError, EquivarianceError, InputError
-from .groups import Subgroup, require_group_action
+from .groups import Subgroup, first_transporters, require_group_action
 from .verdict import Verdict
 
 SAMPLE_SEED = 0
@@ -203,13 +211,15 @@ class GlobalMap:
     they come in, and only then cast; a table already in the code type is
     not copied, only viewed read-only.  A map is also the memo of the
     facts decided on it, each on its first call and kept from there on:
-    `dependency_matrix`, `inverse_map` and
-    `uniformity.check_uniform_continuity`."""
+    `dependency_matrix`, `inverse_map`,
+    `uniformity.check_uniform_continuity` and, on a step's map, `invert`'s
+    outcome, by the members of the symmetry scope."""
 
     # the facts decided on the map, each kept from its first call on
     _depends: Optional[np.ndarray] = None
     _inverse: Union["GlobalMap", tuple[int, int, int], None] = None
     _continuity = None
+    _inverted: Optional[dict] = None
 
     def __init__(self, space: CellSpace, states: int, table):
         table = np.asarray(table)
@@ -394,10 +404,10 @@ def window_difference(states: int, reads_a: np.ndarray, reads_b: np.ndarray, eva
 
 def step_difference(a: SemiCellularAutomaton, b: SemiCellularAutomaton) -> Optional[list[int]]:
     """The smallest configuration on which the steps of two automata on
-    the same cells and states differ, or None; exact at every size.  Two
-    automata reading the same cells with the same rule have one step, and
-    need no search: the `chl` round trip of a rule that is its own
-    extraction, and a change of coordinates that keeps every read."""
+    the same cells and states differ, or None; exact at every size.  It
+    serves `extract_step`'s round trip, where the automaton found often
+    is the input's: two automata reading the same cells with the same
+    rule have one step, and need no search."""
     q = a.states
     if np.array_equal(a.neighbor_cells, b.neighbor_cells) and np.array_equal(a.rule_array, b.rule_array):
         return None
@@ -428,6 +438,50 @@ def composition_difference(
     return window_difference(q, combined.neighbor_cells, twice, evaluate)
 
 
+def _one_rule(ca: SemiCellularAutomaton):
+    """`window_search`'s evaluate for two maps that both read ca's rule,
+    each at its own cells: one gather from the rule serves both."""
+    q, rule = ca.states, ca.rule_array
+
+    def evaluate(size, places_a, places_b):
+        reads = rule[pattern_codes(q, size, np.stack([places_a, places_b], axis=1))]
+        return reads[..., 0], reads[..., 1]
+
+    return evaluate
+
+
+def _first_difference(
+    ca: SemiCellularAutomaton, reads_a: np.ndarray, reads_b: np.ndarray
+) -> Optional[tuple[int, list[int]]]:
+    """Pairs of maps that read ca's rule, pair k at the cells reads_a[k]
+    and reads_b[k] ([pairs, cells, arity] arrays): the first pair that
+    differs and the smallest configuration on which it does, or None.
+
+    Every pair's rows are searched at once (`window_search`), so that
+    placements that recur from pair to pair are searched once; the first
+    pair with a differing row gives the smallest witness of its own rows.
+    Only when a window is past the bound are the pairs searched one by
+    one, so that a pair differing before the first one with such a window
+    is still reported.
+    """
+    q = ca.states
+    evaluate = _one_rule(ca)
+    pairs, cells, width = reads_a.shape
+    try:
+        joint = (pairs * cells, width)
+        differs, smallest = window_search(q, reads_a.reshape(joint), reads_b.reshape(joint), evaluate)
+    except BoundError:
+        for k in range(pairs):
+            witness = window_difference(q, reads_a[k], reads_b[k], evaluate)
+            if witness is not None:
+                return k, witness
+        return None
+    if not differs.any():
+        return None
+    k = int(differs.argmax()) // cells
+    return k, smallest(range(k * cells, (k + 1) * cells), cells)
+
+
 def check_step_equivariance(ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None) -> Verdict:
     """Does the step commute with every translation in the scope?  Exact
     at every size, with the verdict and witness of check_equivariance on
@@ -435,51 +489,27 @@ def check_step_equivariance(ca: SemiCellularAutomaton, subgroup: Optional[Subgro
 
     For a generator row S, shifting and then stepping reads cell m's
     rule at the cells S[neighbor_cells[m]]; stepping and then shifting
-    reads it at neighbor_cells[S[m]].  `window_difference` compares the
-    two on each cell's window, the union of those cells, and gives the
-    smallest configuration on which they differ.  A window is the
+    reads it at neighbor_cells[S[m]].  The two are compared on each
+    cell's window, the union of those cells, for every generator at once
+    (`_first_difference`): the first generator with a difference fails,
+    with the smallest configuration on which it differs.  A window is the
     neighborhood's cells when the action table is an action, and at most
     twice as wide otherwise; the first one past MAX_RULE_TABLE patterns
-    raises BoundError.
-
-    Every generator's rows are searched at once (`window_search`), so
-    that placements that recur from generator to generator are searched
-    once.  The first generator with a differing row fails, with the
-    smallest witness of its own rows.  Only when a window is past the
-    bound are the generators searched one by one, so that a generator
-    failing before the first one with such a window is still reported.
+    raises BoundError, unless a generator before it fails.
     """
     space = ca.space
     sub = subgroup_or_whole(space, subgroup)
-    q = ca.states
-    rule, nc, _ = ca.kernel
+    nc = ca.neighbor_cells
     rows = shift_cells(space, sub.members)
-
-    def evaluate(size, shift_then_step, step_then_shift):
-        reads = rule[pattern_codes(q, size, np.stack([shift_then_step, step_then_shift], axis=1))]
-        return reads[..., 0], reads[..., 1]
-
-    def failure(k, witness):
-        s = rows[k]
-        image, shifted_image = step_batch(ca, [witness, [witness[c] for c in s]])
-        return _equivariance_failure(sub.members[k], witness, image[s].tolist(), shifted_image.tolist())
-
     generators = generator_indices(rows)
     chosen = rows[generators]
-    cells = space.cells
-    joint = (len(generators) * cells, ca.arity)
-    try:
-        differs, smallest = window_search(q, chosen[:, nc].reshape(joint), nc[chosen].reshape(joint), evaluate)
-    except BoundError:
-        for k in generators:
-            witness = window_difference(q, rows[k][nc], nc[rows[k]], evaluate)
-            if witness is not None:
-                return failure(k, witness)
-    else:
-        if differs.any():
-            g = int(differs.argmax()) // cells
-            return failure(generators[g], smallest(range(g * cells, (g + 1) * cells), cells))
-    return Verdict.passing("shift-equivariance")
+    found = _first_difference(ca, chosen[:, nc], nc[chosen])
+    if found is None:
+        return Verdict.passing("shift-equivariance")
+    k, witness = found
+    s = chosen[k]
+    image, shifted_image = step_batch(ca, [witness, [witness[c] for c in s]])
+    return _equivariance_failure(sub.members[generators[k]], witness, image[s].tolist(), shifted_image.tolist())
 
 
 def check_invariance_equivalence(ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] = None) -> Verdict:
@@ -525,6 +555,22 @@ def check_determination(ca: SemiCellularAutomaton, subgroup: Optional[Subgroup] 
     return Verdict.failing("determination-at-origin", witness)
 
 
+def _moved_names(ca: SemiCellularAutomaton, transporters) -> tuple[np.ndarray, np.ndarray]:
+    """(stabilizers, names) for each transporter h: stabilizers[v] lists
+    h Stab h^-1, ca's origin stabilizer conjugated by transporters[v], and
+    names[v, i] is the smallest element of the coset (h r_i h^-1) h Stab h^-1,
+    where r_i names ca's i-th neighbor; the name a moved automaton gives it."""
+    space = ca.space
+    group = space.group
+    hs = np.asarray(transporters, dtype=np.intp)[:, None]
+    size = len(space.stabilizer.members)
+    reps = np.asarray(space.coset_reps)[list(ca.neighborhood)]
+    elements = np.concatenate([space.stabilizer.members, reps])
+    conjugated = group.mul[group.mul[hs, elements], np.asarray(group.inv)[hs]]
+    stabilizers = conjugated[:, :size]
+    return stabilizers, group.mul[conjugated[:, size:, None], stabilizers[:, None, :]].min(axis=2)
+
+
 def change_coordinates(
     ca: SemiCellularAutomaton,
     system2: CoordinateSystem,
@@ -552,14 +598,12 @@ def change_coordinates(
     q = ca.states
 
     # conjugation by h carries the stabilizer onto one subgroup, built once,
-    # and the coset r Stab to h r h^-1 (h Stab h^-1): to the coset of h r h^-1
-    mul = space.group.mul
-    h_inv = space.group.inv[h]
-    conjugated = Subgroup(space.group, mul[mul[h, list(space.stabilizer.members)], h_inv])
-    if conjugated.members != space2.stabilizer.members:
+    # and the coset r Stab to h r h^-1 (h Stab h^-1), named by its smallest
+    # element, which is the representative of its coset in space2
+    stabilizers, names = _moved_names(ca, [h])
+    if Subgroup(space.group, stabilizers[0]).members != space2.stabilizer.members:
         raise InputError("coset is not a coset of the origin stabilizer")
-    reps = np.array(space.coset_reps)[list(ca.neighborhood)]
-    moved = [space2.coset_index(int(g)) for g in mul[mul[h, reps], h_inv]]
+    moved = np.searchsorted(space2.coset_reps, names[0]).tolist()
     neighborhood2 = tuple(sorted(moved))
     if len(set(neighborhood2)) != len(moved):
         require_group_action(space.action)
@@ -570,6 +614,97 @@ def change_coordinates(
     p = [position[moved[i]] for i in range(ca.arity)]
     rule2 = ca.rule_array[pattern_codes(q, ca.arity, p)]
     return SemiCellularAutomaton(space2, q, neighborhood2, rule2)
+
+
+def moved_reads(
+    ca: SemiCellularAutomaton,
+    systems: Sequence[CoordinateSystem],
+    transporters: Sequence[int],
+    subgroup: Optional[Subgroup] = None,
+) -> tuple[np.ndarray, int]:
+    """(reads, count): reads[v, m, i] is the cell at which the automaton
+    `change_coordinates(ca, systems[v], transporters[v], subgroup)`
+    reads, at cell m, the name it gives ca's i-th name; so that step at
+    m is ca's rule on reads[v, m].  reads holds the first `count`
+    systems, those before the first that change_coordinates refuses.
+
+    Every system is read off the tables at once, with no cell space or
+    automaton built: system v's stabilizer is read off the act column of
+    its origin o', the name of ca's name r_i is the one change_coordinates
+    gives it (`_moved_names`), and cell m reads it at act[g'_m * name, o'].
+    What change_coordinates refuses, which group actions never meet, is
+    checked the same way: the transporter, coordinates outside the
+    scope, a stabilizer that is not a subgroup or not the conjugate of
+    ca's, and names that coincide or are not closed under it.
+    """
+    space = ca.space
+    group, act = space.group, space.action.act
+    n, e = group.order, group.identity
+    # products g * x of the table, as one gather from the flat table
+    flat = group.mul.ravel()
+    hs = np.asarray(transporters, dtype=np.intp)
+    origins = np.array([system.origin for system in systems], dtype=np.intp)
+    coords = np.array([system.coords for system in systems], dtype=np.intp).reshape(len(systems), space.cells)
+    ok = np.array([system.action == space.action for system in systems], dtype=bool)
+    ok &= act[hs, space.origin] == origins
+    if subgroup is not None:
+        inside = np.zeros(n, dtype=bool)
+        inside[list(subgroup.members)] = True
+        ok &= inside[coords].all(axis=1)
+    # the conjugated stabilizer's rows list each system's own, when its act
+    # column agrees that they are that set, and it is a subgroup
+    stabilizers, names = _moved_names(ca, hs)
+    fixes = (act[:, origins] == origins).T
+    rows = np.arange(len(systems))[:, None]
+    listed = np.zeros_like(fixes)
+    listed[rows, stabilizers] = True
+    ok &= (listed == fixes).all(axis=1) & fixes[:, e]
+    products = flat.take(stabilizers[:, :, None] * n + stabilizers[:, None, :])
+    closed = fixes.ravel().take(rows[:, :, None] * n + products).all(axis=(1, 2))
+    ok &= closed & (products == e).any(axis=2).all(axis=1)
+    # the names are distinct, and the stabilizer carries each one's coset
+    # onto a named coset, as the moved automaton's neighborhood must be
+    ordered = np.sort(names, axis=1)
+    ok &= (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+    # smallest[g, v]: the smallest element of g's coset in system v
+    smallest = np.take(group.mul, stabilizers, axis=1).min(axis=2)
+    landed = smallest[flat.take(stabilizers[:, :, None] * n + names[:, None, :]), rows[:, :, None]]
+    ok &= (landed[..., None] == names[:, None, None, :]).any(axis=3).all(axis=(1, 2))
+    count = len(systems) if ok.all() else int(ok.argmin())
+    reads = act[flat.take(coords[:count, :, None] * n + names[:count, None, :]), origins[:count, None, None]]
+    return reads.astype(np.int64), count
+
+
+def coordinate_difference(
+    ca: SemiCellularAutomaton, systems: Sequence[CoordinateSystem], subgroup: Optional[Subgroup] = None
+) -> Optional[tuple[int, list[int]]]:
+    """The first of `systems` in which ca, moved there by
+    `change_coordinates` with the smallest transporter in the scope,
+    steps otherwise than ca, and the smallest configuration on which it
+    does; or None.  ca's rule must be rotation-invariant in the scope.
+
+    Every system's reads (`moved_reads`) are compared with ca's at once
+    (`_first_difference`), both on ca's one rule.  From the first system
+    `moved_reads` refuses on, the systems are moved and compared one by
+    one, so its error is raised only if no system before it differs, as
+    when every system is moved in turn.
+    """
+    space = ca.space
+    sub = subgroup_or_whole(space, subgroup)
+    verdict = is_cellular(ca, sub)
+    if not verdict.ok:
+        raise InputError(f"rule is not rotation-invariant: {verdict.witness}")
+    origins = [system.origin for system in systems]
+    hs = first_transporters(space.action, space.origin, sub.members)[origins]
+    reads, count = moved_reads(ca, systems, hs, subgroup)
+    found = _first_difference(ca, np.broadcast_to(ca.neighbor_cells, reads.shape), reads)
+    if found is not None:
+        return found
+    for v in range(count, len(systems)):
+        witness = step_difference(ca, change_coordinates(ca, systems[v], int(hs[v]), subgroup))
+        if witness is not None:
+            return v, witness
+    return None
 
 
 def compose(
@@ -960,14 +1095,15 @@ def invert(
     when it finds none, or gives up at its bound, does the seeded search
     `sampled_collision` run, whose witness is marked sampled and which
     raises BoundError when it finds no collision either; `seed` seeds
-    that search alone.
+    that search alone.  Inside the bound the outcome is kept on the
+    step's map, by the scope's members, so an op that inverts twice
+    extracts the inverse once.
     """
     space = ca.space
     sub = subgroup_or_whole(space, subgroup)
     inv_ok = is_cellular(ca, sub)
     if not inv_ok.ok:
         raise InputError(f"rule is not rotation-invariant: {inv_ok.witness}")
-    q = ca.states
     try:
         gm = GlobalMap.from_automaton(ca)
     except BoundError:
@@ -977,6 +1113,16 @@ def invert(
         image = step_batch(ca, [pair[0]])[0]
         return NotInvertible({"colliding": list(pair), "image": image.tolist()})
 
+    if gm._inverted is None:
+        gm._inverted = {}
+    if sub.members not in gm._inverted:
+        gm._inverted[sub.members] = _inverse_automaton(gm, sub)
+    return gm._inverted[sub.members]
+
+
+def _inverse_automaton(gm: GlobalMap, sub: Subgroup) -> Union[SemiCellularAutomaton, NotInvertible]:
+    """`invert`'s outcome inside the table bound, on the step's map gm."""
+    space, q = gm.space, gm.states
     inverse_gm = inverse_map(gm)
     if isinstance(inverse_gm, tuple):
         image, first, second = (list(decode(code, q, space.cells)) for code in inverse_gm)

@@ -18,6 +18,9 @@
   fresh maps and with `table_inverse` called directly
   (`unaided_isomorphism`, `unaided_suite`), and with each fact decided at
   most once per map in every op that reads one.
+* a step's `GlobalMap` keeps `invert`'s outcome by scope, so an op that
+  inverts twice builds each step table once and extracts once: against
+  `invert` on a fresh automaton.
 """
 
 import functools
@@ -619,17 +622,36 @@ def test_each_fact_is_decided_at_most_once_per_map_in_an_op(name, capsys):
     """Every op that reads a map's dependency matrix, inverse or
     continuity, on a fixture: the suites alone, `invert`, and all suites
     in one op.  The calls keep their arguments, so no two maps share an
-    identity."""
+    identity.  A step table is built once per automaton, and the inverse
+    is extracted at most once: the `invertibility` and `uniformity`
+    suites of one op read one outcome of `invert`."""
     path = str(FIXTURES / f"{name}.json")
     for op in OPS:
         with mock.patch("homoca.laws._dependencies", wraps=laws._dependencies) as depends:
             with mock.patch("homoca.laws.table_inverse", wraps=table_inverse) as inverted:
                 with mock.patch("homoca.uniformity._continuity", wraps=uniformity._continuity) as continuity:
-                    cli.main(op[:1] + [path] + op[1:])
-        for decided in (depends, inverted, continuity):
+                    with mock.patch("homoca.laws._step_table", wraps=laws._step_table) as tabled:
+                        with mock.patch("homoca.laws.extract", wraps=laws.extract) as extracted:
+                            cli.main(op[:1] + [path] + op[1:])
+        for decided in (depends, inverted, continuity, tabled, extracted):
             decided_on = [id(call.args[0]) for call in decided.call_args_list]
             assert len(decided_on) == len(set(decided_on)), (op, decided)
+        assert extracted.call_count <= 1, op
         if op == ["laws"]:
             # the uniformity suite decides the step's continuity at least
             assert continuity.call_count >= 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", [name for name, ca in sorted(FIXTURE_AUTOMATA.items()) if is_cellular(_fresh(ca)).ok])
+def test_invert_keeps_its_outcome_by_scope(name):
+    ca = _fresh(FIXTURE_AUTOMATA[name])
+    first = invert(ca)
+    # no scope and the whole group are one scope, and one outcome
+    assert invert(ca, Subgroup.whole(ca.space.group)) is first
+    assert list(GlobalMap.from_automaton(ca)._inverted) == [tuple(ca.space.group.elements())]
+    unaided = invert(_fresh(ca))
+    if isinstance(first, NotInvertible):
+        assert first == unaided
+    else:
+        assert (first.neighborhood, first.rule) == (unaided.neighborhood, unaided.rule)
