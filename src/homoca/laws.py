@@ -438,18 +438,6 @@ def composition_difference(
     return window_difference(q, combined.neighbor_cells, twice, evaluate)
 
 
-def _one_rule(ca: SemiCellularAutomaton):
-    """`window_search`'s evaluate for two maps that both read ca's rule,
-    each at its own cells: one gather from the rule serves both."""
-    q, rule = ca.states, ca.rule_array
-
-    def evaluate(size, places_a, places_b):
-        reads = rule[pattern_codes(q, size, np.stack([places_a, places_b], axis=1))]
-        return reads[..., 0], reads[..., 1]
-
-    return evaluate
-
-
 def _first_difference(
     ca: SemiCellularAutomaton, reads_a: np.ndarray, reads_b: np.ndarray
 ) -> Optional[tuple[int, list[int]]]:
@@ -464,8 +452,13 @@ def _first_difference(
     one, so that a pair differing before the first one with such a window
     is still reported.
     """
-    q = ca.states
-    evaluate = _one_rule(ca)
+    q, rule = ca.states, ca.rule_array
+
+    def evaluate(size, places_a, places_b):
+        # both maps read ca's rule: one gather from it serves both
+        reads = rule[pattern_codes(q, size, np.stack([places_a, places_b], axis=1))]
+        return reads[..., 0], reads[..., 1]
+
     pairs, cells, width = reads_a.shape
     try:
         joint = (pairs * cells, width)

@@ -655,3 +655,22 @@ def test_invert_keeps_its_outcome_by_scope(name):
         assert first == unaided
     else:
         assert (first.neighborhood, first.rule) == (unaided.neighborhood, unaided.rule)
+
+
+@pytest.mark.parametrize("name", [name for name in TABLED if _proper_scope(name) is not None])
+def test_invert_keeps_one_outcome_per_scope(name):
+    # an outcome is kept for the scope it was decided in: a proper scope
+    # after the whole group is decided afresh, and each is the fresh one
+    space, scope = _proper_scope(name)
+    whole = tuple(space.group.elements())
+    for seed in range(4):
+        ca = _random_automaton(space, 2, random.Random(seed), True, 2)
+        first, scoped = invert(ca), invert(ca, scope)
+        assert invert(ca) is first and invert(ca, scope) is scoped
+        assert sorted(GlobalMap.from_automaton(ca)._inverted) == sorted([whole, scope.members])
+        for got, sub in ((first, None), (scoped, scope)):
+            unaided = invert(_fresh(ca), sub)
+            if isinstance(got, NotInvertible):
+                assert got == unaided
+            else:
+                assert (got.neighborhood, got.rule) == (unaided.neighborhood, unaided.rule)
