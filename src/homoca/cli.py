@@ -36,6 +36,7 @@ import argparse
 import functools
 import hashlib
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -158,14 +159,28 @@ def _input_record(paths: dict[str, str]) -> dict:
     return out
 
 
+# a list entry: ASCII digits after an optional minus.  int() would also take
+# the digits of other scripts, "_" between digits, a "+" and whitespace
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _parse_ints(spec: str, what: str) -> tuple[int, ...]:
+    """The comma-separated integers of `spec`; InputError names `what`
+    when an entry is not one.  A negative entry is parsed, for the range
+    checks that follow to refuse."""
+    entries = spec.split(",")
+    try:
+        if all(_INTEGER.fullmatch(x) for x in entries):
+            return tuple(int(x) for x in entries)
+    except ValueError:  # past int's limit on the digits of a string
+        pass
+    raise InputError(f"cannot parse {what} {spec!r}")
+
+
 def _parse_subgroup(spec: Optional[str], group: FiniteGroup) -> Optional[Subgroup]:
     if spec is None:
         return None
-    try:
-        members = tuple(int(x) for x in spec.split(","))
-    except ValueError:
-        raise InputError(f"cannot parse subgroup member list {spec!r}")
-    return Subgroup(group, members)
+    return Subgroup(group, _parse_ints(spec, "subgroup member list"))
 
 
 def _finish(report: RunReport, args, *, expected_fail: bool = False, out: str | None = None) -> int:
@@ -255,25 +270,38 @@ def _print_trace(trace: np.ndarray, out) -> None:
     its end, looked up in one fixed-width bytes table over the states the
     block holds; the NUL bytes padding the shorter tokens are dropped from
     the gathered bytes at once.
+
+    The states a block holds are looked up when its largest state is below
+    its entry count: a bool array indexed by state marks those present, and
+    its running count gives each entry its token's place.  Both arrays then
+    have at most as many entries as the block, so the lookup takes no more
+    memory than the block itself, and no sort.  A block holding a larger
+    state is sorted with np.unique instead: a rule with an empty
+    neighbourhood may have up to 2**63 states, more than any table indexed
+    by state could hold.
     """
     rows = max(1, PRINT_BLOCK // trace.shape[1])
     for start in range(0, len(trace), rows):
         block = trace[start : start + rows]
-        values, inverse = np.unique(block, return_inverse=True)
-        # depending on the NumPy version the inverse comes back flat or shaped
-        codes = inverse.reshape(block.shape)
-        codes[:, -1] += len(values)
-        states = values.tolist()
+        top = int(block.max())
+        if top < block.size:
+            present = np.zeros(top + 1, dtype=bool)
+            present[block] = True
+            states = np.flatnonzero(present).tolist()
+            codes = (np.cumsum(present) - 1)[block]
+        else:
+            values, inverse = np.unique(block, return_inverse=True)
+            states = values.tolist()
+            # depending on the NumPy version the inverse comes back flat or shaped
+            codes = inverse.reshape(block.shape)
+        codes[:, -1] += len(states)
         tokens = np.array([b"%d," % v for v in states] + [b"%d\n" % v for v in states])
         out.write(tokens[codes].tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def cmd_run(args) -> int:
     ca = load_automaton(args.automaton, auto_close=args.auto_close)
-    try:
-        config = tuple(int(x) for x in args.config.split(","))
-    except ValueError:
-        raise InputError(f"cannot parse configuration {args.config!r}")
+    config = _parse_ints(args.config, "configuration")
     trace = iterate(ca, config, args.steps)
     _print_trace(trace, sys.stdout)
     if args.out:

@@ -6,6 +6,7 @@ import random
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from homoca.automata import SemiCellularAutomaton, shift, step, step_via_origin
+from homoca.bounds import PRINT_BLOCK
 from homoca.catalog import cyclic_space, identity_automaton, random_rule_automaton, torus_space
 from homoca.encoding import decode, encode
 from homoca.cli import EXIT_BOUND, EXIT_INPUT, EXIT_PASS, EXIT_VIOLATION, _print_trace, main
@@ -131,6 +133,22 @@ def test_run_rejects_malformed_configurations(capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ["\u0661", "\uff11", " +1", "+1", " 1", "1 ", "1\n", "1_0", "", "9" * 5000],
+    ids=["arabic-indic", "fullwidth", "spaced-plus", "plus", "leading-space", "trailing-space",
+         "newline", "underscore", "empty", "past-int-digits"],
+)
+def test_run_refuses_a_configuration_entry_that_is_not_ascii_digits(capsys, entry):
+    # int() reads the first eight, "1_0" as 10 and the others as 1; the last
+    # two it refuses too
+    config = "0,0,0," + entry
+    code = main(["run", fx("cyclic4_or.json"), "--config", config])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_INPUT, "")
+    assert captured.err.startswith(f"input error: cannot parse configuration {config!r}")
+
+
 def test_run_validates_the_configuration_even_without_steps(capsys):
     code, _ = run_cli(capsys, "run", fx("cyclic4_shift.json"), "--config", "1,0,0,9", "--steps", "0")
     assert code == EXIT_INPUT
@@ -223,6 +241,69 @@ def test_printing_a_trace_at_the_bound_takes_a_bounded_block_of_memory():
         tracemalloc.stop()
     # a word per entry would be 32 MiB; a block of 2**16 entries takes ~3 MiB
     assert peak < 8 << 20
+
+
+@st.composite
+def blocks_with_largest_state(draw, over_entries):
+    """A one-block trace whose largest state is its entry count less one,
+    plus `over_entries`: the last that the lookup prints, or the first
+    that it leaves to the sort."""
+    rows, cells = draw(st.integers(1, 12)), draw(st.integers(1, 9))
+    top = rows * cells - 1 + over_entries
+    trace = draw(arrays(np.int64, (rows, cells), elements=st.integers(0, top)))
+    trace[draw(st.integers(0, rows - 1)), draw(st.integers(0, cells - 1))] = top
+    return trace
+
+
+def print_counting_sorts(trace):
+    """The printed trace and how many blocks np.unique sorted for it."""
+    out = io.StringIO()
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        _print_trace(trace, out)
+    return out.getvalue(), unique.call_count
+
+
+@settings(deadline=None)
+@given(trace=blocks_with_largest_state(0))
+def test_the_printed_trace_looks_up_states_below_the_entry_count(trace):
+    assert print_counting_sorts(trace) == (join_formatted(trace.tolist()), 0)
+
+
+@settings(deadline=None)
+@given(trace=blocks_with_largest_state(1))
+def test_the_printed_trace_sorts_states_at_the_entry_count(trace):
+    assert print_counting_sorts(trace) == (join_formatted(trace.tolist()), 1)
+
+
+@pytest.mark.parametrize(
+    "large",
+    [(False, True, False), (True, False, True), (False, False, True)],
+    ids=["middle-sorted", "ends-sorted", "partial-last-sorted"],
+)
+def test_the_printed_trace_takes_each_blocks_own_path(large):
+    # three blocks of 16-cell rows, the last one partial: a block holding a
+    # state of 2**16 or more is sorted, the others are looked up
+    rng = np.random.default_rng(0)
+    rows = PRINT_BLOCK // 16
+    trace = rng.integers(0, 3, size=(2 * rows + 5, 16))
+    for b, sorted_block in enumerate(large):
+        if sorted_block:
+            trace[b * rows + 2, 7] = PRINT_BLOCK + b
+    assert print_counting_sorts(trace) == (join_formatted(trace.tolist()), sum(large))
+
+
+def test_run_prints_states_past_any_dense_table(capsys, tmp_path):
+    # no neighbourhood, 2**62 states: one step sends every cell to 2**61
+    path = tmp_path / "wide.json"
+    write_json(path, {"space": fx("cyclic4_space.json"), "states": 2**62, "neighborhood": [], "delta": [2**61]})
+    config = (2**62 - 1, 0, 12, 2**40)
+    out_path = tmp_path / "trace.json"
+    code, out = run_cli(
+        capsys, "run", str(path), "--config", ",".join(map(str, config)), "--steps", "2", "--out", str(out_path)
+    )
+    rows = [config, (2**61,) * 4, (2**61,) * 4]
+    assert (code, out) == (EXIT_PASS, join_formatted(rows))
+    assert json.loads(out_path.read_text())["trace"] == [list(r) for r in rows]
 
 
 def _cyclic4_file(tmp_path, states, rule):
@@ -393,6 +474,20 @@ def test_laws_refuses_scope_members_outside_the_group(capsys, spec):
     assert captured.out == ""
     assert captured.err.startswith("input error: subgroup member ")
     assert "out of range 0..63" in captured.err
+
+
+@pytest.mark.parametrize(
+    "spec", ["0,\u0662", "0,\uff12", "0, +2", "0,+2", "0, 2", "0,2_0", "0,,2"],
+    ids=["arabic-indic", "fullwidth", "spaced-plus", "plus", "space", "underscore", "empty"],
+)
+@pytest.mark.parametrize("command", ["laws", "invert", "compose"])
+def test_a_subgroup_entry_that_is_not_ascii_digits_is_an_input_error(capsys, command, spec):
+    # int() read the first five as member 2 and the sixth as member 20
+    files = [fx("torus_or.json")] * (2 if command == "compose" else 1)
+    code = main([command, *files, "--subgroup", spec])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_INPUT, "")
+    assert captured.err.startswith(f"input error: cannot parse subgroup member list {spec!r}")
 
 
 def test_laws_expect_fail_flips_the_outcome(capsys):
